@@ -1,0 +1,1429 @@
+"""Differentiable operations on :class:`~repro.autograd.tensor.Tensor`.
+
+Every function here follows the same contract:
+
+- accept tensors (or array-likes, which are promoted to constants),
+- compute the forward value with numpy,
+- when grad mode is on and any input requires grad, attach a backward
+  closure returning one gradient per parent (``None`` for integer or
+  non-differentiable parents).
+
+Gradients returned by closures are reduced to the parent shape with
+:func:`~repro.autograd.tensor.unbroadcast` so that all binary ops support
+full numpy broadcasting.
+
+Hot-path ops (``dropout``, ``embedding``'s backward) route their
+transient working memory through the shared per-step workspace
+(:mod:`repro.autograd.workspace`) so repeated calls at one ``(B, N, d)``
+geometry reuse buffers instead of allocating; the workspace also owns
+the dropout seed-compatibility flag (see :func:`dropout`).
+"""
+
+from __future__ import annotations
+
+from typing import Optional, Sequence, Tuple, Union
+
+import numpy as np
+
+from repro.autograd.graph import GraphCaptureError, record_node
+from repro.autograd.graph import _active as _graph_active
+from repro.autograd.tensor import Tensor, as_tensor, is_grad_enabled, unbroadcast
+from repro.autograd.workspace import (
+    dropout_view_count,
+    fast_dropout_masks_enabled,
+    get_workspace,
+)
+
+__all__ = [
+    "add", "add3", "sub", "mul", "div", "neg", "pow", "exp", "log", "sqrt",
+    "tanh", "sigmoid", "relu", "gelu", "matmul", "linear", "reshape",
+    "transpose",
+    "sum", "mean", "var", "getitem", "concat", "stack", "pad_axis",
+    "softmax", "log_softmax", "cross_entropy", "linear_cross_entropy",
+    "sampled_softmax_loss",
+    "embedding", "dropout",
+    "layer_norm", "where", "maximum", "clip", "masked_fill", "sum_to",
+    "binary_cross_entropy_with_logits", "logsigmoid", "l2_normalize",
+]
+
+
+def _make(data: np.ndarray, parents: Tuple[Tensor, ...], backward, replay=None) -> Tensor:
+    """Build an output tensor, recording the graph only when needed.
+
+    ``replay`` is the op's forward closure (sharing saved state with
+    ``backward`` via ``nonlocal``): calling it re-runs the same numpy
+    expressions against the parents' *current* payloads and returns the
+    fresh output array.  Under an active static-graph capture
+    (:mod:`repro.autograd.graph`) every node — including grad-free ones,
+    whose values are still input-dependent — is recorded with its replay
+    closure; a node built without one raises :class:`GraphCaptureError`
+    naming the op, so capture validates replay-safety at record time.
+    """
+    if is_grad_enabled() and any(p.requires_grad or p._backward is not None for p in parents):
+        out = Tensor(data, _parents=parents, _backward=backward)
+    else:
+        out = Tensor(data)
+    if _graph_active() is not None:
+        name = getattr(backward, "__qualname__", "op").split(".")[0]
+        if replay is None:
+            raise GraphCaptureError(
+                f"op '{name}' does not provide a replay closure and cannot "
+                "be captured into a static graph"
+            )
+        record_node(out, replay, name)
+    return out
+
+
+# ----------------------------------------------------------------------
+# Elementwise arithmetic
+# ----------------------------------------------------------------------
+
+def add(a, b) -> Tensor:
+    a, b = as_tensor(a), as_tensor(b)
+
+    def forward():
+        return a.data + b.data
+
+    def backward(grad):
+        return unbroadcast(grad, a.shape), unbroadcast(grad, b.shape)
+
+    return _make(forward(), (a, b), backward, forward)
+
+
+def add3(a, b, c) -> Tensor:
+    """Three-operand add ``a + b + c`` as a single graph node.
+
+    One output buffer and one graph node instead of two of each — the
+    densely-residual Eq. 30 site (``x + hidden + ffn_dropout``) runs on
+    ``(B, N, d)`` activations three times per encoder layer, where the
+    intermediate ``a + b`` array of the chained form is pure memory
+    traffic.  Values are bitwise the chained ``add(add(a, b), c)``
+    (same left-to-right elementwise order).
+    """
+    a, b, c = as_tensor(a), as_tensor(b), as_tensor(c)
+
+    def forward():
+        out = a.data + b.data  # binary + always allocates: safe to reuse
+        if (
+            out.shape == np.broadcast_shapes(out.shape, c.shape)
+            and np.result_type(out, c.data) == out.dtype
+        ):
+            out += c.data
+        else:  # c would broadcast outward or promote the dtype
+            out = out + c.data
+        return out
+
+    def backward(grad):
+        return (
+            unbroadcast(grad, a.shape),
+            unbroadcast(grad, b.shape),
+            unbroadcast(grad, c.shape),
+        )
+
+    return _make(forward(), (a, b, c), backward, forward)
+
+
+def sub(a, b) -> Tensor:
+    a, b = as_tensor(a), as_tensor(b)
+
+    def forward():
+        return a.data - b.data
+
+    def backward(grad):
+        return unbroadcast(grad, a.shape), unbroadcast(-grad, b.shape)
+
+    return _make(forward(), (a, b), backward, forward)
+
+
+def mul(a, b) -> Tensor:
+    a, b = as_tensor(a), as_tensor(b)
+
+    def forward():
+        return a.data * b.data
+
+    def backward(grad):
+        return (
+            unbroadcast(grad * b.data, a.shape),
+            unbroadcast(grad * a.data, b.shape),
+        )
+
+    return _make(forward(), (a, b), backward, forward)
+
+
+def div(a, b) -> Tensor:
+    a, b = as_tensor(a), as_tensor(b)
+
+    def forward():
+        return a.data / b.data
+
+    def backward(grad):
+        ga = grad / b.data
+        gb = -grad * a.data / (b.data * b.data)
+        return unbroadcast(ga, a.shape), unbroadcast(gb, b.shape)
+
+    return _make(forward(), (a, b), backward, forward)
+
+
+def neg(a) -> Tensor:
+    a = as_tensor(a)
+
+    def forward():
+        return -a.data
+
+    def backward(grad):
+        return (-grad,)
+
+    return _make(forward(), (a,), backward, forward)
+
+
+def pow(a, exponent: float) -> Tensor:
+    a = as_tensor(a)
+    if isinstance(exponent, Tensor):
+        raise TypeError("tensor exponents are not supported; use exp/log")
+    # numpy only fast-paths integer exponents up to 2; cubes through
+    # ``**`` fall back to a transcendental pow that is ~40x slower than
+    # two multiplies, so expand tiny integer powers explicitly.
+    def forward():
+        if exponent == 2:
+            return a.data * a.data
+        if exponent == 3:
+            return a.data * a.data * a.data
+        return a.data ** exponent
+
+    def backward(grad):
+        return (grad * exponent * a.data ** (exponent - 1),)
+
+    return _make(forward(), (a,), backward, forward)
+
+
+def exp(a) -> Tensor:
+    a = as_tensor(a)
+    out = None
+
+    def forward():
+        nonlocal out
+        out = np.exp(a.data)
+        return out
+
+    def backward(grad):
+        return (grad * out,)
+
+    return _make(forward(), (a,), backward, forward)
+
+
+def log(a) -> Tensor:
+    a = as_tensor(a)
+
+    def forward():
+        return np.log(a.data)
+
+    def backward(grad):
+        return (grad / a.data,)
+
+    return _make(forward(), (a,), backward, forward)
+
+
+def sqrt(a) -> Tensor:
+    a = as_tensor(a)
+    out = None
+
+    def forward():
+        nonlocal out
+        out = np.sqrt(a.data)
+        return out
+
+    def backward(grad):
+        return (grad * 0.5 / out,)
+
+    return _make(forward(), (a,), backward, forward)
+
+
+def tanh(a) -> Tensor:
+    a = as_tensor(a)
+    out = None
+
+    def forward():
+        nonlocal out
+        out = np.tanh(a.data)
+        return out
+
+    def backward(grad):
+        return (grad * (1.0 - out * out),)
+
+    return _make(forward(), (a,), backward, forward)
+
+
+def sigmoid(a) -> Tensor:
+    a = as_tensor(a)
+    out = None
+
+    def forward():
+        nonlocal out
+        out = 1.0 / (1.0 + np.exp(-np.clip(a.data, -60.0, 60.0)))
+        return out
+
+    def backward(grad):
+        return (grad * out * (1.0 - out),)
+
+    return _make(forward(), (a,), backward, forward)
+
+
+def logsigmoid(a) -> Tensor:
+    """Numerically stable ``log(sigmoid(x))``."""
+    a = as_tensor(a)
+
+    def forward():
+        x = a.data
+        out = np.where(x >= 0, -np.log1p(np.exp(-x)), x - np.log1p(np.exp(x)))
+        return out.astype(x.dtype, copy=False)
+
+    def backward(grad):
+        sig = 1.0 / (1.0 + np.exp(-np.clip(a.data, -60.0, 60.0)))
+        return (grad * (1.0 - sig),)
+
+    return _make(forward(), (a,), backward, forward)
+
+
+def relu(a) -> Tensor:
+    a = as_tensor(a)
+
+    def forward():
+        return np.maximum(a.data, 0.0)
+
+    def backward(grad):
+        return (grad * (a.data > 0),)
+
+    return _make(forward(), (a,), backward, forward)
+
+
+_GELU_C = np.sqrt(2.0 / np.pi)
+
+
+def gelu(a) -> Tensor:
+    """GELU activation (tanh approximation, as used by the paper's FFN).
+
+    Hot-path notes: cubes are expanded to multiplies (numpy's float pow
+    is ~40x slower), and intermediates are folded in place — every
+    rewritten expression keeps the reference's elementwise value (only
+    exact power-of-two scalings and commuted multiplications differ).
+    """
+    a = as_tensor(a)
+    x = x_sq = t = None
+
+    def forward():
+        nonlocal x, x_sq, t
+        x = a.data
+        x_sq = x * x
+        inner = x_sq * x
+        inner *= 0.044715
+        inner += x
+        inner *= _GELU_C
+        t = np.tanh(inner, out=inner)  # inner is dead past this point
+        out = t + 1.0
+        out *= x
+        out *= 0.5
+        return out.astype(x.dtype, copy=False)
+
+    def backward(grad):
+        # dinner = C * (1 + 3*0.044715*x^2), folded into a fresh buffer.
+        dinner = x_sq * (3 * 0.044715)
+        dinner += 1.0
+        dinner *= _GELU_C
+        # dx = 0.5*(1+t) + 0.5*x*(1-t^2)*dinner
+        sech_sq = t * t
+        np.subtract(1.0, sech_sq, out=sech_sq)
+        sech_sq *= x
+        sech_sq *= 0.5
+        sech_sq *= dinner
+        dx = t + 1.0
+        dx *= 0.5
+        dx += sech_sq
+        dx *= grad
+        return (dx,)
+
+    return _make(forward(), (a,), backward, forward)
+
+
+def maximum(a, b) -> Tensor:
+    a, b = as_tensor(a), as_tensor(b)
+
+    def forward():
+        return np.maximum(a.data, b.data)
+
+    def backward(grad):
+        mask = a.data >= b.data
+        return (
+            unbroadcast(grad * mask, a.shape),
+            unbroadcast(grad * ~mask, b.shape),
+        )
+
+    return _make(forward(), (a, b), backward, forward)
+
+
+def clip(a, lo: float, hi: float) -> Tensor:
+    a = as_tensor(a)
+
+    def forward():
+        return np.clip(a.data, lo, hi)
+
+    def backward(grad):
+        inside = (a.data >= lo) & (a.data <= hi)
+        return (grad * inside,)
+
+    return _make(forward(), (a,), backward, forward)
+
+
+def where(cond, a, b) -> Tensor:
+    """Select ``a`` where ``cond`` else ``b``; ``cond`` is a plain array.
+
+    The condition array object is baked into the closures; a
+    step-dependent condition must be refreshed in place via
+    :func:`repro.autograd.graph.record_host` to stay replay-correct.
+    """
+    cond = cond.data if isinstance(cond, Tensor) else np.asarray(cond)
+    a, b = as_tensor(a), as_tensor(b)
+
+    def forward():
+        return np.where(cond, a.data, b.data)
+
+    def backward(grad):
+        return (
+            unbroadcast(grad * cond, a.shape),
+            unbroadcast(grad * ~cond, b.shape),
+        )
+
+    return _make(forward(), (a, b), backward, forward)
+
+
+def masked_fill(a, mask, value: float) -> Tensor:
+    """Set positions where ``mask`` is True to ``value`` (e.g. -inf logits).
+
+    ``mask`` may be any shape broadcastable to ``a`` (attention passes
+    ``(1, 1, N, N)`` or ``(B, 1, N, N)`` blocks against ``(B, H, N, N)``
+    scores); the backward inverts the *small* mask and lets the
+    multiply broadcast, instead of materializing the full-shape
+    inverse.
+    """
+    a = as_tensor(a)
+    mask = mask.data if isinstance(mask, Tensor) else np.asarray(mask)
+
+    def forward():
+        return np.where(
+            np.broadcast_to(mask, a.shape), np.asarray(value, dtype=a.dtype), a.data
+        )
+
+    def backward(grad):
+        return (grad * ~mask,)
+
+    return _make(forward(), (a,), backward, forward)
+
+
+# ----------------------------------------------------------------------
+# Shape manipulation
+# ----------------------------------------------------------------------
+
+def reshape(a, shape: Tuple[int, ...]) -> Tensor:
+    a = as_tensor(a)
+
+    def forward():
+        return a.data.reshape(shape)
+
+    def backward(grad):
+        return (grad.reshape(a.shape),)
+
+    return _make(forward(), (a,), backward, forward)
+
+
+def transpose(a, axes: Optional[Tuple[int, ...]] = None) -> Tensor:
+    a = as_tensor(a)
+    if axes is None:
+        inverse = None
+    else:
+        inverse = np.argsort(axes)
+
+    def forward():
+        return np.transpose(a.data, axes)
+
+    def backward(grad):
+        return (np.transpose(grad, inverse),)
+
+    return _make(forward(), (a,), backward, forward)
+
+
+def _is_basic_index(index) -> bool:
+    """True for int/slice-only indexing, where positions cannot repeat."""
+    basic = (int, np.integer, slice, type(Ellipsis), type(None))
+    if isinstance(index, tuple):
+        return all(isinstance(i, basic) for i in index)
+    return isinstance(index, basic)
+
+
+def getitem(a, index) -> Tensor:
+    a = as_tensor(a)
+    if isinstance(index, Tensor):
+        index = index.data
+
+    def forward():
+        return np.asarray(a.data[index])  # scalar indexing yields numpy scalars
+
+    def backward(grad):
+        full = np.zeros_like(a.data)
+        if _is_basic_index(index):
+            # Basic indexing selects each position at most once, so a
+            # direct assignment replaces the (much slower) ``np.add.at``
+            # scatter — this is the ``states[:, -1]`` hot path.
+            full[index] = grad
+        else:
+            np.add.at(full, index, grad)
+        return (full,)
+
+    return _make(forward(), (a,), backward, forward)
+
+
+def concat(tensors: Sequence, axis: int = 0) -> Tensor:
+    tensors = [as_tensor(t) for t in tensors]
+    sizes = [t.shape[axis] for t in tensors]
+    offsets = np.cumsum([0] + sizes)
+
+    def forward():
+        return np.concatenate([t.data for t in tensors], axis=axis)
+
+    def backward(grad):
+        slicer = [slice(None)] * grad.ndim
+        grads = []
+        for i in range(len(tensors)):
+            slicer[axis] = slice(offsets[i], offsets[i + 1])
+            grads.append(grad[tuple(slicer)])
+        return tuple(grads)
+
+    return _make(forward(), tuple(tensors), backward, forward)
+
+
+def stack(tensors: Sequence, axis: int = 0) -> Tensor:
+    tensors = [as_tensor(t) for t in tensors]
+
+    def forward():
+        return np.stack([t.data for t in tensors], axis=axis)
+
+    def backward(grad):
+        pieces = np.split(grad, len(tensors), axis=axis)
+        return tuple(np.squeeze(p, axis=axis) for p in pieces)
+
+    return _make(forward(), tuple(tensors), backward, forward)
+
+
+def pad_axis(a, axis: int, before: int, after: int, value: float = 0.0) -> Tensor:
+    """Pad one axis with a constant value."""
+    a = as_tensor(a)
+    widths = [(0, 0)] * a.ndim
+    widths[axis] = (before, after)
+
+    def forward():
+        return np.pad(a.data, widths, constant_values=value)
+
+    def backward(grad):
+        slicer = [slice(None)] * a.ndim
+        slicer[axis] = slice(before, before + a.shape[axis])
+        return (grad[tuple(slicer)],)
+
+    return _make(forward(), (a,), backward, forward)
+
+
+# ----------------------------------------------------------------------
+# Reductions
+# ----------------------------------------------------------------------
+
+def sum(a, axis=None, keepdims: bool = False) -> Tensor:
+    a = as_tensor(a)
+    # Full reductions return *numpy scalars*; wrap them as 0-d arrays so
+    # the Tensor constructor keeps their dtype instead of coercing them
+    # to the scalar-constant default (which would silently narrow a
+    # float64 reduction when the default is float32).
+    def forward():
+        return np.asarray(a.data.sum(axis=axis, keepdims=keepdims))
+
+    def backward(grad):
+        g = grad
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        return (np.broadcast_to(g, a.shape).astype(a.dtype, copy=False),)
+
+    return _make(forward(), (a,), backward, forward)
+
+
+def mean(a, axis=None, keepdims: bool = False) -> Tensor:
+    a = as_tensor(a)
+    # Keep ``count`` a python int: a strong ``np.int64`` scalar would
+    # promote float32 gradients to float64 in the division below.
+    count = a.data.size if axis is None else int(np.prod(
+        [a.shape[ax] for ax in (axis if isinstance(axis, tuple) else (axis,))]
+    ))
+
+    def forward():
+        return np.asarray(a.data.mean(axis=axis, keepdims=keepdims))  # see sum()
+
+    def backward(grad):
+        g = grad / count
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        return (np.broadcast_to(g, a.shape).astype(a.dtype, copy=False),)
+
+    return _make(forward(), (a,), backward, forward)
+
+
+def var(a, axis=None, keepdims: bool = False) -> Tensor:
+    """Population variance (ddof=0), composed from differentiable ops."""
+    a = as_tensor(a)
+    mu = mean(a, axis=axis, keepdims=True)
+    centered = sub(a, mu)
+    squared = mul(centered, centered)
+    return mean(squared, axis=axis, keepdims=keepdims)
+
+
+def sum_to(a, shape: Tuple[int, ...]) -> Tensor:
+    """Differentiable reduction of ``a`` to a broadcast-compatible shape."""
+    a = as_tensor(a)
+
+    def forward():
+        return unbroadcast(a.data, shape)
+
+    def backward(grad):
+        return (np.broadcast_to(grad, a.shape).astype(a.dtype, copy=False),)
+
+    return _make(forward(), (a,), backward, forward)
+
+
+# ----------------------------------------------------------------------
+# Linear algebra
+# ----------------------------------------------------------------------
+
+def matmul(a, b) -> Tensor:
+    a, b = as_tensor(a), as_tensor(b)
+
+    def forward():
+        return np.asarray(a.data @ b.data)  # 1-d @ 1-d yields a numpy scalar
+
+    def backward(grad):
+        a_d, b_d = a.data, b.data
+        if a_d.ndim == 1 and b_d.ndim == 1:
+            return grad * b_d, grad * a_d
+        if a_d.ndim == 1:  # (k,) @ (..., k, n)
+            ga = (grad[..., None, :] @ np.swapaxes(b_d, -1, -2)).reshape(b_d.shape[:-2] + a_d.shape)
+            ga = unbroadcast(ga, a_d.shape)
+            gb = a_d[..., :, None] @ grad[..., None, :]
+            gb = unbroadcast(gb, b_d.shape)
+            return ga, gb
+        if b_d.ndim == 1:  # (..., m, k) @ (k,)
+            ga = grad[..., :, None] @ b_d[None, :]
+            ga = unbroadcast(ga, a_d.shape)
+            gb = np.swapaxes(a_d, -1, -2) @ grad[..., :, None]
+            gb = unbroadcast(gb.reshape(gb.shape[:-1]), b_d.shape)
+            # Reduce batch dims onto the vector.
+            while gb.ndim > 1:
+                gb = gb.sum(axis=0)
+            return ga, gb
+        if a_d.ndim > 2 and b_d.ndim == 2:
+            # Batched input against a shared weight (every Linear on a
+            # (B, N, d) activation).  The generic expressions below feed
+            # BLAS *transposed views* as batched operands, which repacks
+            # the weight once per batch row (~3x the GEMM cost at the
+            # (3B, N, d) stacked-view geometry) and materializes a
+            # (batch, k, n) per-row product that is then reduced.  Two
+            # flat 2-D GEMMs — where BLAS handles the transposes as
+            # flags — compute the same contractions directly.
+            g2 = grad.reshape(-1, b_d.shape[1])
+            ga = (g2 @ b_d.T).reshape(a_d.shape)
+            gb = a_d.reshape(-1, a_d.shape[-1]).T @ g2
+            return ga, gb
+        ga = grad @ np.swapaxes(b_d, -1, -2)
+        gb = np.swapaxes(a_d, -1, -2) @ grad
+        return unbroadcast(ga, a_d.shape), unbroadcast(gb, b_d.shape)
+
+    return _make(forward(), (a, b), backward, forward)
+
+
+def linear(x, weight, bias=None) -> Tensor:
+    """Fused affine map ``x @ weight + bias`` as one graph node.
+
+    The composition ``add(matmul(x, weight), bias)`` allocates a second
+    full-size output and walks it twice; here the bias is added in
+    place on the fresh GEMM output (bitwise the same elementwise sum)
+    and the backward computes the three gradients directly.  For
+    batched inputs ``(..., k)`` the gradients run as two flat 2-D GEMMs
+    (BLAS handles the transposes as flags — no per-row operand repack).
+    Inputs of fewer than 2 dimensions fall back to the primitive
+    composition.
+    """
+    x, weight = as_tensor(x), as_tensor(weight)
+    if bias is None:
+        return matmul(x, weight)
+    bias = as_tensor(bias)
+    if x.ndim < 2 or weight.ndim != 2 or bias.data.ndim != 1:
+        return add(matmul(x, weight), bias)
+
+    def forward():
+        out = x.data @ weight.data
+        out += bias.data
+        return out
+
+    def backward(grad):
+        w_d = weight.data
+        if grad.ndim > 2:
+            g2 = grad.reshape(-1, w_d.shape[1])
+            gx = (g2 @ w_d.T).reshape(x.shape)
+            gw = x.data.reshape(-1, w_d.shape[0]).T @ g2
+        else:
+            g2 = grad
+            gx = grad @ w_d.T
+            gw = x.data.T @ grad
+        return gx, gw, g2.sum(axis=0)
+
+    return _make(forward(), (x, weight, bias), backward, forward)
+
+
+# ----------------------------------------------------------------------
+# Neural-network primitives
+# ----------------------------------------------------------------------
+
+def softmax(a, axis: int = -1) -> Tensor:
+    a = as_tensor(a)
+    out = None
+
+    def forward():
+        nonlocal out
+        shifted = a.data - a.data.max(axis=axis, keepdims=True)
+        e = np.exp(shifted)
+        out = e / e.sum(axis=axis, keepdims=True)
+        return out
+
+    def backward(grad):
+        dot = (grad * out).sum(axis=axis, keepdims=True)
+        return (out * (grad - dot),)
+
+    return _make(forward(), (a,), backward, forward)
+
+
+def log_softmax(a, axis: int = -1) -> Tensor:
+    a = as_tensor(a)
+    out = None
+
+    def forward():
+        nonlocal out
+        shifted = a.data - a.data.max(axis=axis, keepdims=True)
+        log_z = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+        out = shifted - log_z
+        return out
+
+    def backward(grad):
+        soft = np.exp(out)
+        return (grad - soft * grad.sum(axis=axis, keepdims=True),)
+
+    return _make(forward(), (a,), backward, forward)
+
+
+def cross_entropy(
+    logits,
+    targets,
+    ignore_index: Optional[int] = None,
+    chunk_size: Optional[int] = None,
+) -> Tensor:
+    """Mean softmax cross-entropy over the last axis.
+
+    Parameters
+    ----------
+    logits:
+        Tensor of shape ``(..., num_classes)``.
+    targets:
+        Integer array of shape ``(...,)`` with class indices.
+    ignore_index:
+        Optional target value whose positions contribute zero loss
+        (used for padding in masked-item objectives).
+    chunk_size:
+        When set (and smaller than ``num_classes``), the softmax
+        normalizer and the backward's softmax are streamed over class
+        chunks of this width instead of materializing full-size
+        ``exp``/``log_probs`` temporaries — the memory-bounded path for
+        production-size vocabularies.  Values match the dense path up
+        to floating-point reassociation.  ``chunk_size >= num_classes``
+        clamps to a single chunk (the dense path); ``chunk_size <= 0``
+        raises.  To also avoid materializing the logits themselves, use
+        :func:`linear_cross_entropy`.
+    """
+    if chunk_size is not None and chunk_size < 1:
+        raise ValueError(f"chunk_size must be >= 1 or None, got {chunk_size}")
+    logits = as_tensor(logits)
+    targets = targets.data if isinstance(targets, Tensor) else np.asarray(targets)
+
+    num_classes = logits.shape[-1]
+    if chunk_size is not None and chunk_size < num_classes:
+        return _chunked_cross_entropy(logits, targets, ignore_index, int(chunk_size))
+
+    # Target-derived state is recomputed inside ``forward`` — the target
+    # array object is baked into the closure, its *contents* are step
+    # input that a static-graph replay refreshes in place.
+    log_probs = rows = safe_targets = valid = count = None
+
+    def forward():
+        nonlocal log_probs, rows, safe_targets, valid, count
+        flat_logits = logits.data.reshape(-1, logits.data.shape[-1])
+        flat_targets = targets.reshape(-1).astype(np.int64)
+        if ignore_index is not None:
+            valid = flat_targets != ignore_index
+        else:
+            valid = np.ones_like(flat_targets, dtype=bool)
+        count = max(int(valid.sum()), 1)
+        safe_targets = np.where(valid, flat_targets, 0)
+        rows = np.arange(flat_targets.shape[0])
+        shifted = flat_logits - flat_logits.max(axis=1, keepdims=True)
+        log_z = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        log_probs = shifted - log_z
+        picked = log_probs[rows, safe_targets]
+        loss = -(picked * valid).sum() / count
+        return np.asarray(loss, dtype=logits.data.dtype)
+
+    def backward(grad):
+        soft = np.exp(log_probs)
+        soft[rows, safe_targets] -= 1.0
+        soft *= (valid / count)[:, None]
+        return ((grad * soft).reshape(logits.shape).astype(logits.dtype, copy=False),)
+
+    return _make(forward(), (logits,), backward, forward)
+
+
+def _chunked_cross_entropy(
+    logits: Tensor,
+    targets: np.ndarray,
+    ignore_index: Optional[int],
+    chunk_size: int,
+) -> Tensor:
+    """Streamed CE over materialized logits: no full-width temporaries.
+
+    Two chunked passes (row max, then ``sum(exp(..))``) replace the
+    dense path's full ``(R, V)`` ``shifted``/``exp``/``log_probs``
+    arrays; the backward writes each softmax chunk straight into the
+    gradient buffer.  Same mean-CE value as the dense path up to
+    summation order.
+    """
+    row_max = log_z = rows = safe_targets = valid = count = None
+
+    def forward():
+        nonlocal row_max, log_z, rows, safe_targets, valid, count
+        flat_logits = logits.data.reshape(-1, logits.data.shape[-1])
+        flat_targets = targets.reshape(-1).astype(np.int64)
+        if ignore_index is not None:
+            valid = flat_targets != ignore_index
+        else:
+            valid = np.ones_like(flat_targets, dtype=bool)
+        count = max(int(valid.sum()), 1)
+        safe_targets = np.where(valid, flat_targets, 0)
+        rows = np.arange(flat_targets.shape[0])
+        num_classes = flat_logits.shape[1]
+        row_max = flat_logits[:, :chunk_size].max(axis=1)
+        for c0 in range(chunk_size, num_classes, chunk_size):
+            np.maximum(
+                row_max, flat_logits[:, c0 : c0 + chunk_size].max(axis=1), out=row_max
+            )
+        sum_exp = np.zeros_like(row_max)
+        for c0 in range(0, num_classes, chunk_size):
+            chunk = flat_logits[:, c0 : c0 + chunk_size] - row_max[:, None]
+            np.exp(chunk, out=chunk)
+            sum_exp += chunk.sum(axis=1)
+        log_z = np.log(sum_exp)
+        picked = flat_logits[rows, safe_targets] - row_max - log_z
+        loss = -(picked * valid).sum() / count
+        return np.asarray(loss, dtype=logits.data.dtype)
+
+    def backward(grad):
+        flat_logits = logits.data.reshape(-1, logits.data.shape[-1])
+        num_classes = flat_logits.shape[1]
+        out = np.empty_like(flat_logits)
+        shift = row_max + log_z
+        for c0 in range(0, num_classes, chunk_size):
+            sl = slice(c0, c0 + chunk_size)
+            np.subtract(flat_logits[:, sl], shift[:, None], out=out[:, sl])
+            np.exp(out[:, sl], out=out[:, sl])
+        out[rows, safe_targets] -= 1.0
+        out *= (grad * valid / count)[:, None]
+        return (out.reshape(logits.shape).astype(logits.dtype, copy=False),)
+
+    return _make(forward(), (logits,), backward, forward)
+
+
+def linear_cross_entropy(
+    inputs,
+    weight,
+    targets,
+    chunk_size: Optional[int] = None,
+    ignore_index: Optional[int] = None,
+) -> Tensor:
+    """Fused ``cross_entropy(inputs @ weight.T, targets)`` streamed by rows.
+
+    The production-vocabulary path for the prediction layer: logits
+    against a ``(V, d)`` class table are computed chunk-by-chunk with an
+    online (running-max) log-sum-exp, so the full ``(R, V)`` logits
+    matrix is **never materialized** — peak extra memory is one
+    ``(R, chunk_size)`` block.  The backward re-computes each chunk's
+    logits (one extra GEMM pass, the classic memory/compute trade) and
+    accumulates the input / weight gradients per chunk.
+
+    Parameters
+    ----------
+    inputs:
+        Tensor of shape ``(..., d)`` (user vectors).
+    weight:
+        Tensor of shape ``(V, d)``; class ``c`` scores against row
+        ``weight[c]`` (the natural layout of an embedding table).
+    targets, ignore_index:
+        As in :func:`cross_entropy`.
+    chunk_size:
+        Class-chunk width.  ``None`` (or ``>= V``, which clamps to one
+        chunk) falls back to the dense composition
+        ``cross_entropy(matmul(inputs, weight.T))``, which is
+        byte-for-byte the historical prediction path; ``<= 0`` raises.
+
+    Values match the dense path to floating-point reassociation
+    tolerance (the per-chunk GEMMs and the online normalizer sum in a
+    different order).
+    """
+    if chunk_size is not None and chunk_size < 1:
+        raise ValueError(f"chunk_size must be >= 1 or None, got {chunk_size}")
+    inputs, weight = as_tensor(inputs), as_tensor(weight)
+    num_classes = weight.shape[0]
+    if chunk_size is None or chunk_size >= num_classes:
+        return cross_entropy(
+            matmul(inputs, transpose(weight, (1, 0))), targets, ignore_index=ignore_index
+        )
+
+    targets = targets.data if isinstance(targets, Tensor) else np.asarray(targets)
+    dim = inputs.shape[-1]
+    row_max = log_z = safe_targets = valid = count = None
+
+    def forward():
+        nonlocal row_max, log_z, safe_targets, valid, count
+        x = inputs.data.reshape(-1, dim)
+        w = weight.data
+        flat_targets = targets.reshape(-1).astype(np.int64)
+        if ignore_index is not None:
+            valid = flat_targets != ignore_index
+        else:
+            valid = np.ones_like(flat_targets, dtype=bool)
+        count = max(int(valid.sum()), 1)
+        safe_targets = np.where(valid, flat_targets, 0)
+        if safe_targets.size and (
+            int(safe_targets.min()) < 0 or int(safe_targets.max()) >= num_classes
+        ):
+            # The dense path would raise on the fancy-index gather; the
+            # chunked gather would silently skip out-of-range rows and
+            # train on uninitialized memory instead — fail loudly.
+            raise IndexError(
+                f"targets out of range for {num_classes} classes "
+                f"(got min {int(safe_targets.min())}, max {int(safe_targets.max())})"
+            )
+
+        # Online log-sum-exp over class chunks: one GEMM pass, running
+        # (max, scaled-sum) per row; the target logit is gathered from
+        # the single chunk that covers it.
+        row_max = np.full(x.shape[0], -np.inf, dtype=x.dtype)
+        sum_exp = np.zeros(x.shape[0], dtype=x.dtype)
+        picked = np.empty(x.shape[0], dtype=x.dtype)
+        for c0 in range(0, num_classes, chunk_size):
+            c1 = min(c0 + chunk_size, num_classes)
+            block = x @ w[c0:c1].T  # (R, C)
+            in_chunk = np.nonzero((safe_targets >= c0) & (safe_targets < c1))[0]
+            if in_chunk.size:
+                picked[in_chunk] = block[in_chunk, safe_targets[in_chunk] - c0]
+            new_max = np.maximum(row_max, block.max(axis=1))
+            sum_exp *= np.exp(row_max - new_max)
+            row_max = new_max
+            block -= row_max[:, None]
+            np.exp(block, out=block)
+            sum_exp += block.sum(axis=1)
+        log_z = np.log(sum_exp)  # log-sum-exp relative to the final row max
+        loss = -((picked - row_max - log_z) * valid).sum() / count
+        return np.asarray(loss, dtype=inputs.data.dtype)
+
+    def backward(grad):
+        x = inputs.data.reshape(-1, dim)
+        w = weight.data
+        g_x = np.zeros_like(x)
+        g_w = np.zeros_like(w)
+        coef = (grad * valid / count).astype(x.dtype, copy=False)
+        shift = row_max + log_z
+        for c0 in range(0, num_classes, chunk_size):
+            c1 = min(c0 + chunk_size, num_classes)
+            block = x @ w[c0:c1].T
+            block -= shift[:, None]
+            np.exp(block, out=block)
+            in_chunk = np.nonzero((safe_targets >= c0) & (safe_targets < c1))[0]
+            if in_chunk.size:
+                block[in_chunk, safe_targets[in_chunk] - c0] -= 1.0
+            block *= coef[:, None]
+            g_x += block @ w[c0:c1]
+            g_w[c0:c1] = block.T @ x
+        return (
+            g_x.reshape(inputs.shape).astype(inputs.dtype, copy=False),
+            g_w.astype(weight.dtype, copy=False),
+        )
+
+    return _make(forward(), (inputs, weight), backward, forward)
+
+
+def sampled_softmax_loss(
+    inputs,
+    weight,
+    targets,
+    num_negatives: Optional[int] = None,
+    sampler=None,
+    negatives: Optional[np.ndarray] = None,
+    neg_log_q: Optional[np.ndarray] = None,
+    target_log_q: Optional[np.ndarray] = None,
+    logq_correction: bool = True,
+    remove_accidental_hits: bool = True,
+    ignore_index: Optional[int] = None,
+) -> Tensor:
+    """Sampled softmax: CE over the positive plus ``K`` drawn negatives.
+
+    The compute-bounded counterpart of :func:`linear_cross_entropy` for
+    huge catalogs: instead of streaming the full ``(R, V)`` logits, each
+    row scores only its **positive class** and a **shared set of K
+    sampled negatives**, so the prediction-layer cost drops from
+    ``O(R·V·d)`` to ``O((R + K)·d + R·K·d)`` per step and never touches
+    a ``(R, V)``-shaped buffer in either direction (Jean et al. 2015;
+    the TF ``sampled_softmax_loss`` formulation).
+
+    Parameters
+    ----------
+    inputs:
+        Tensor of shape ``(..., d)`` (user vectors).
+    weight:
+        Tensor of shape ``(V, d)``; class ``c`` scores against row
+        ``weight[c]`` (the natural layout of an embedding table).
+    targets, ignore_index:
+        As in :func:`cross_entropy`.
+    num_negatives, sampler:
+        Draw ``num_negatives`` candidate ids from ``sampler`` (a
+        :class:`repro.data.negative_sampling.NegativeSampler`, drawn
+        *with replacement* and shared across the batch — the standard
+        shared-candidate scheme, one ``(K, d)`` gather and one
+        ``(R, K)`` GEMM per step).
+    negatives:
+        Alternatively, an explicit 1-D int array of candidate row ids
+        (used by deterministic tests; overrides ``sampler``).
+    neg_log_q, target_log_q:
+        Explicit ``log q`` values when ``negatives`` is given without a
+        ``sampler``.
+    logq_correction:
+        Subtract each candidate's log proposal probability from its
+        logit (positives included) — the classic correction that makes
+        the sampled softmax consistent for the full softmax under the
+        proposal distribution.  For a uniform proposal the correction
+        is a constant shift and provably cancels in the softmax.
+    remove_accidental_hits:
+        Mask (to ``-inf``) sampled candidates that collide with a row's
+        own target, so a row never scores its positive as a negative.
+
+    The loss is the mean over valid rows of
+    ``-log softmax([pos_logit, neg_logits])[0]``; gradients flow to
+    ``inputs`` and to exactly the gathered rows of ``weight`` (a
+    scatter-add, duplicates accumulated).
+    """
+    inputs, weight = as_tensor(inputs), as_tensor(weight)
+    num_classes = weight.shape[0]
+    if negatives is None:
+        if sampler is None or num_negatives is None:
+            raise ValueError(
+                "sampled_softmax_loss needs either explicit `negatives` or a "
+                "`sampler` plus `num_negatives`"
+            )
+        if num_negatives < 1:
+            raise ValueError(f"num_negatives must be >= 1, got {num_negatives}")
+        explicit_negatives = None
+    else:
+        explicit_negatives = np.asarray(negatives, dtype=np.int64).reshape(-1)
+        if explicit_negatives.size < 1:
+            raise ValueError("sampled_softmax_loss needs at least one negative")
+    targets = targets.data if isinstance(targets, Tensor) else np.asarray(targets)
+    # Build-time validation in the seed's order: candidate and target
+    # range errors surface before the logq-source check.  The forward
+    # closure re-validates on every call (replays see fresh contents).
+    if explicit_negatives is not None and (
+        int(explicit_negatives.min()) < 0
+        or int(explicit_negatives.max()) >= num_classes
+    ):
+        raise IndexError(
+            f"negatives out of range for {num_classes} classes "
+            f"(got min {int(explicit_negatives.min())}, "
+            f"max {int(explicit_negatives.max())})"
+        )
+    _flat0 = targets.reshape(-1).astype(np.int64)
+    _safe0 = np.where(_flat0 != ignore_index, _flat0, 0) if ignore_index is not None else _flat0
+    if _safe0.size and (int(_safe0.min()) < 0 or int(_safe0.max()) >= num_classes):
+        raise IndexError(
+            f"targets out of range for {num_classes} classes "
+            f"(got min {int(_safe0.min())}, max {int(_safe0.max())})"
+        )
+    if logq_correction and sampler is None and (neg_log_q is None or target_log_q is None):
+        raise ValueError(
+            "logq_correction=True needs a `sampler` or explicit "
+            "`neg_log_q` AND `target_log_q` arrays; pass "
+            "logq_correction=False to score raw logits"
+        )
+
+    dim = inputs.shape[-1]
+    # Per-step state shared with the backward; a sampler-backed call
+    # re-draws its negatives inside ``forward`` on every replay, so the
+    # candidate stream under a static graph consumes the sampler's
+    # generator exactly like the dynamic engine.
+    negs = pos_rows = neg_rows = shifted = safe_targets = valid = count = None
+
+    def forward():
+        nonlocal negs, pos_rows, neg_rows, shifted, safe_targets, valid, count
+        x = inputs.data.reshape(-1, dim)
+        w = weight.data
+        if explicit_negatives is not None:
+            negs = explicit_negatives
+        else:
+            negs = np.asarray(sampler.sample(int(num_negatives)), dtype=np.int64).reshape(-1)
+        if negs.size < 1:
+            raise ValueError("sampled_softmax_loss needs at least one negative")
+        if int(negs.min()) < 0 or int(negs.max()) >= num_classes:
+            raise IndexError(
+                f"negatives out of range for {num_classes} classes "
+                f"(got min {int(negs.min())}, max {int(negs.max())})"
+            )
+        flat_targets = targets.reshape(-1).astype(np.int64)
+        if ignore_index is not None:
+            valid = flat_targets != ignore_index
+        else:
+            valid = np.ones_like(flat_targets, dtype=bool)
+        count = max(int(valid.sum()), 1)
+        safe_targets = np.where(valid, flat_targets, 0)
+        if safe_targets.size and (
+            int(safe_targets.min()) < 0 or int(safe_targets.max()) >= num_classes
+        ):
+            raise IndexError(
+                f"targets out of range for {num_classes} classes "
+                f"(got min {int(safe_targets.min())}, max {int(safe_targets.max())})"
+            )
+
+        if logq_correction and sampler is not None:
+            cand_log_q = sampler.log_q(negs)
+            # Rows masked by ignore_index hold a placeholder target (0),
+            # which may lie outside the proposal support (log-uniform
+            # q(0) = 0 → an inf correction that would NaN the masked
+            # row's logit).  Correct only the valid rows; masked rows
+            # contribute nothing to the loss either way.
+            tgt_log_q = np.zeros(safe_targets.shape, dtype=np.float64)
+            if valid.any():
+                tgt_log_q[valid] = sampler.log_q(safe_targets[valid])
+        else:
+            cand_log_q, tgt_log_q = neg_log_q, target_log_q
+
+        pos_rows = w[safe_targets]  # (R, d) gather; rows may repeat
+        neg_rows = w[negs]  # (K, d)
+        # Candidate logits: one fused (R, K+1) block — column 0 is the
+        # positive, columns 1.. the shared negatives.
+        all_logits = np.empty((x.shape[0], negs.size + 1), dtype=x.dtype)
+        np.einsum("rd,rd->r", x, pos_rows, out=all_logits[:, 0])
+        np.matmul(x, neg_rows.T, out=all_logits[:, 1:])
+        if logq_correction:
+            all_logits[:, 0] -= tgt_log_q.astype(x.dtype, copy=False)
+            all_logits[:, 1:] -= cand_log_q.astype(x.dtype, copy=False)[None, :]
+        if remove_accidental_hits:
+            hits = negs[None, :] == safe_targets[:, None]  # (R, K)
+            all_logits[:, 1:][hits] = -np.inf
+
+        row_max = all_logits.max(axis=1)
+        shifted = all_logits - row_max[:, None]
+        np.exp(shifted, out=shifted)
+        # exp(-inf - max) underflows to 0: masked hits drop out of the sum.
+        log_z = np.log(shifted.sum(axis=1))
+        loss = -((all_logits[:, 0] - row_max - log_z) * valid).sum() / count
+        return np.asarray(loss, dtype=x.dtype)
+
+    def backward(grad):
+        x = inputs.data.reshape(-1, dim)
+        w = weight.data
+        # Softmax over the K+1 candidates; column 0 is the positive.
+        soft = shifted / shifted.sum(axis=1, keepdims=True)
+        soft[:, 0] -= 1.0
+        soft *= (grad * valid / count).astype(x.dtype, copy=False)[:, None]
+        g_x = soft[:, 0:1] * pos_rows
+        g_x += soft[:, 1:] @ neg_rows
+        g_w = np.zeros_like(w)
+        # Scatter-add both gathers back: positives row-by-row (targets
+        # repeat across the batch), negatives via one (K, d) GEMM then
+        # a K-row scatter (sampled-with-replacement ids repeat too).
+        np.add.at(g_w, safe_targets, soft[:, 0:1] * x)
+        np.add.at(g_w, negs, soft[:, 1:].T @ x)
+        return (
+            g_x.reshape(inputs.shape).astype(inputs.dtype, copy=False),
+            g_w.astype(weight.dtype, copy=False),
+        )
+
+    return _make(forward(), (inputs, weight), backward, forward)
+
+
+def binary_cross_entropy_with_logits(logits, targets) -> Tensor:
+    """Mean BCE over all elements; ``targets`` is a plain 0/1 array."""
+    logits = as_tensor(logits)
+    targets = targets.data if isinstance(targets, Tensor) else np.asarray(targets)
+
+    def forward():
+        x = logits.data
+        loss = np.maximum(x, 0) - x * targets + np.log1p(np.exp(-np.abs(x)))
+        return np.asarray(loss.mean(), dtype=x.dtype)
+
+    def backward(grad):
+        x = logits.data
+        sig = 1.0 / (1.0 + np.exp(-np.clip(x, -60.0, 60.0)))
+        return ((grad * (sig - targets) / x.size).astype(x.dtype, copy=False),)
+
+    return _make(forward(), (logits,), backward, forward)
+
+
+def embedding(weight, indices) -> Tensor:
+    """Row-gather from an embedding matrix with segment-sum backward.
+
+    The index array *object* is baked into the closures (``asarray`` /
+    ``astype(copy=False)`` keep an int64 input aliased); under a static
+    graph its contents are refreshed in place by the executor's input
+    buffers, so replays gather the current step's rows.
+    """
+    weight = as_tensor(weight)
+    idx = indices.data if isinstance(indices, Tensor) else np.asarray(indices)
+    idx = idx.astype(np.int64, copy=False)
+
+    def forward():
+        return weight.data[idx]
+
+    def backward(grad):
+        # Scatter-add via one flat ``bincount`` over (row, column) linear
+        # indices: a single C-level pass, ~4x faster than ``np.add.at``
+        # and linear in both the gathered rows and the vocabulary.  The
+        # linear-index array is built in a shared workspace buffer (it
+        # is consumed by ``bincount`` immediately).
+        rows, dim = weight.shape
+        flat = idx.reshape(-1)
+        ws = get_workspace()
+        cols = ws.cached(("arange", dim), lambda: np.arange(dim))
+        lin = ws.scratch("embedding.lin", (flat.size, dim), np.int64)
+        np.add(flat[:, None] * dim, cols[None, :], out=lin)
+        full = np.bincount(
+            lin.reshape(-1), weights=grad.reshape(-1), minlength=rows * dim
+        ).reshape(rows, dim)
+        return (full.astype(weight.dtype, copy=False),)
+
+    return _make(forward(), (weight,), backward, forward)
+
+
+def dropout(
+    a,
+    p: float,
+    training: bool,
+    rng: np.random.Generator,
+    fast: Optional[bool] = None,
+    views: Optional[int] = None,
+) -> Tensor:
+    """Inverted dropout; identity when not training or ``p == 0``.
+
+    ``a`` must be a floating tensor; the output and gradient keep its
+    dtype.  The kept/dropped decisions come from one of two paths:
+
+    - **Seed-compatible** (``fast=False``, the default): one float64
+      uniform per element from ``rng``, drawn into a shared workspace
+      buffer.  The draw consumes the generator stream exactly like the
+      seed implementation (``rng.random(a.shape)``), and the output is
+      bitwise-identical to the historical
+      ``a * ((draw < keep).astype(a.dtype) / keep)`` formulation — the
+      mask is just kept as booleans and the ``1/keep`` rescale applied
+      in place, which skips two full-array temporaries.
+    - **Fast** (``fast=True``): one uint16 per element thresholded at
+      ``round(keep * 65536)``.  ~2.5x cheaper mask generation, same
+      distribution up to a 1/65536 quantization of ``keep``, but a
+      different stochastic realization per seed.
+
+    ``fast=None`` defers to the process-wide seed-compatibility flag
+    (:func:`repro.autograd.workspace.set_fast_dropout_masks`).
+
+    ``views=V > 1`` (or an enclosing
+    :func:`repro.autograd.workspace.dropout_views` context, which
+    ``views=None`` defers to) declares the input a stack of ``V``
+    equal view blocks along the leading axis: the mask is drawn as
+    ``V`` consecutive per-block draws, so a stacked ``(V*B, ...)`` call
+    consumes ``rng`` exactly like ``V`` separate ``(B, ...)`` calls —
+    same per-view masks, in both mask modes.  (For the seed-compatible
+    path a contiguous ``(V*B, ...)`` draw already equals ``V``
+    consecutive block draws element-for-element; the explicit split
+    makes the contract independent of generator buffering and extends
+    it to the fast uint16 path, whose bit consumption is call-shaped.)
+    The leading axis must divide evenly by ``V``.
+    """
+    a = as_tensor(a)
+    if not training or p <= 0.0:
+        return a
+    if p >= 1.0:
+        raise ValueError("dropout probability must be < 1")
+    keep = 1.0 - p
+    if fast is None:
+        fast = fast_dropout_masks_enabled()
+    if views is None:
+        views = dropout_view_count()
+    if views > 1:
+        if a.ndim == 0 or a.shape[0] % views != 0:
+            raise ValueError(
+                f"dropout with {views} view streams needs a leading axis "
+                f"divisible by {views}, got shape {a.shape}"
+            )
+        block = a.shape[0] // views
+    # Per-view draws use a *view-sized* scratch buffer — the same
+    # workspace key the separate-pass (B, ...) sites use, so the
+    # stacked (V*B, ...) geometry and the single-view eval geometry
+    # share one cache-resident buffer instead of parking a full-size
+    # draw array per geometry.  The mask draw lives inside ``forward``:
+    # a static-graph replay re-draws a fresh mask from the same
+    # generator object, consuming its stream exactly like the dynamic
+    # step (``fast``/``views`` are resolved above, at build time — the
+    # executor invalidates the tape when the ambient flags change).
+    scale = a.dtype.type(1.0) / a.dtype.type(keep)
+    threshold = np.uint16(min(65535, int(round(keep * 65536.0)))) if fast else None
+    mask = None
+
+    def forward():
+        nonlocal mask
+        if fast:
+            if views > 1:
+                mask = np.empty(a.shape, dtype=bool)
+                view_shape = (block,) + a.shape[1:]
+                for v in range(views):
+                    np.less(
+                        rng.integers(0, 65536, size=view_shape, dtype=np.uint16),
+                        threshold,
+                        out=mask[v * block : (v + 1) * block],
+                    )
+            else:
+                mask = rng.integers(0, 65536, size=a.shape, dtype=np.uint16) < threshold
+        else:
+            if views > 1:
+                mask = np.empty(a.shape, dtype=bool)
+                draw = get_workspace().scratch(
+                    "dropout.draw", (block,) + a.shape[1:], np.float64
+                )
+                for v in range(views):
+                    rng.random(out=draw)
+                    np.less(draw, keep, out=mask[v * block : (v + 1) * block])
+            else:
+                draw = get_workspace().scratch("dropout.draw", a.shape, np.float64)
+                rng.random(out=draw)
+                mask = draw < keep
+        out = a.data * mask
+        out *= scale
+        return out
+
+    def backward(grad):
+        g = grad * mask
+        g *= scale
+        return (g,)
+
+    return _make(forward(), (a,), backward, forward)
+
+
+def layer_norm(a, gamma, beta, eps: float = 1e-12) -> Tensor:
+    """Fused layer normalization over the last axis.
+
+    The arithmetic matches the textbook formulation elementwise; large
+    intermediates are updated in place and reused because this op runs
+    ~3x per encoder block on the training hot path.  The backward's
+    transient product buffer comes from the shared per-step workspace
+    (the returned input gradient is always a fresh array).
+    """
+    a, gamma, beta = as_tensor(a), as_tensor(gamma), as_tensor(beta)
+    x = x_hat = inv_std = None
+
+    def forward():
+        nonlocal x, x_hat, inv_std
+        x = a.data
+        dim = x.shape[-1]
+        mu = x.mean(axis=-1, keepdims=True)
+        xc = x - mu
+        # Row sums of squares via einsum: one read of ``xc`` and no
+        # full-size squared buffer (a write+read of the whole array saved
+        # per call; summation-order differences vs the old ``(xc*xc).mean``
+        # land at float rounding).
+        xc2 = xc.reshape(-1, dim)
+        inv_std = np.einsum("ij,ij->i", xc2, xc2).reshape(mu.shape)
+        inv_std /= dim
+        inv_std += eps
+        np.sqrt(inv_std, out=inv_std)
+        np.divide(1.0, inv_std, out=inv_std)
+        x_hat = np.multiply(xc, inv_std, out=xc)  # xc is dead past this point
+        out = x_hat * gamma.data
+        out += beta.data
+        return out
+
+    def backward(grad):
+        if gamma.data.ndim == 1 and beta.data.ndim == 1 and x.ndim >= 2:
+            # Folded path for the (..., d) affine case every model uses.
+            # One shared product buffer feeds both the gamma gradient
+            # (its batch-axis sum) and the variance-term row reduction;
+            # the two per-row means collapse into GEMVs against gamma
+            # (``(g·γ)·x̂`` summed over the feature axis is a dot with
+            # γ), replacing two full-array elementwise means — the old
+            # path's four separate reductions plus three full
+            # multiplies become two multiplies, two BLAS GEMVs and two
+            # batch-axis sums.
+            dim = x.shape[-1]
+            g2 = grad.reshape(-1, dim)
+            xh2 = x_hat.reshape(-1, dim)
+            prod = get_workspace().scratch(
+                "layer_norm.prod", g2.shape, np.result_type(grad, x_hat)
+            )
+            np.multiply(g2, xh2, out=prod)
+            g_gamma = prod.sum(axis=0)
+            g_beta = g2.sum(axis=0)
+            g_var_term = prod @ gamma.data  # rows of (g * x_hat) · gamma
+            g_var_term *= 1.0 / dim
+            g_mu_term = g2 @ gamma.data  # rows of (g * gamma) summed
+            g_mu_term *= 1.0 / dim
+            # ga = inv_std * (g*gamma - mean(g*gamma) - x_hat * g_var_term)
+            ga = np.multiply(g2, gamma.data)  # fresh (R, d), returned below
+            ga -= g_mu_term[:, None]
+            np.multiply(xh2, g_var_term[:, None], out=prod)
+            ga -= prod
+            ga *= inv_std.reshape(-1, 1)
+            return (
+                ga.reshape(x.shape).astype(x.dtype, copy=False),
+                g_gamma,
+                g_beta,
+            )
+        # Generic path (broadcast affine shapes, 1-D inputs).
+        g_xhat = grad * gamma.data
+        scratch = get_workspace().scratch(
+            "layer_norm.scratch", x.shape, np.result_type(g_xhat, x_hat)
+        )
+        np.multiply(g_xhat, x_hat, out=scratch)
+        g_var_term = scratch.mean(axis=-1, keepdims=True)
+        g_mu_term = g_xhat.mean(axis=-1, keepdims=True)
+        np.multiply(grad, x_hat, out=scratch)
+        g_gamma = unbroadcast(scratch, gamma.shape)
+        if g_gamma is scratch:
+            # 1-D input: no batch axes to reduce, so unbroadcast returns
+            # the scratch buffer itself — copy before it is reused below.
+            g_gamma = g_gamma.copy()
+        g_beta = unbroadcast(grad, beta.shape)
+        # ga = inv_std * (g_xhat - g_mu_term - x_hat * g_var_term),
+        # folded into the g_xhat buffer (freshly allocated above).
+        g_xhat -= g_mu_term
+        np.multiply(x_hat, g_var_term, out=scratch)
+        g_xhat -= scratch
+        g_xhat *= inv_std
+        return g_xhat.astype(x.dtype, copy=False), g_gamma, g_beta
+
+    return _make(forward(), (a, gamma, beta), backward, forward)
+
+
+def l2_normalize(a, axis: int = -1, eps: float = 1e-12) -> Tensor:
+    """Differentiable L2 normalization along ``axis``."""
+    a = as_tensor(a)
+    norm = sqrt(sum(mul(a, a), axis=axis, keepdims=True) + eps)
+    return div(a, norm)

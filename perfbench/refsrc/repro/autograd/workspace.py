@@ -1,0 +1,361 @@
+"""Shared per-step compute workspace: scratch buffers and derived caches.
+
+One optimizer step of every model in this repo runs over a single
+``(B, N, d)`` geometry, yet before this module existed each hot-path op
+re-derived its own working memory on every call: the spectral mixer
+allocated a fresh ``(B, M, d)`` complex product buffer per layer per
+encode, dropout drew a fresh float64 array per site, and attention
+rebuilt its block mask and re-concatenated nothing (it ran three
+separate Q/K/V GEMMs instead).  The :class:`StepWorkspace` gives those
+ops one place to park reusable memory, keyed by ``(tag, shape, dtype)``,
+so all ``L`` layers of a step — and all steps of a run — share one set
+of scratch arrays per geometry.
+
+Three kinds of state live here, with three different contracts:
+
+``scratch(tag, shape, dtype)``
+    A *transient* buffer.  The caller may use it only until the next
+    ``scratch`` call with the same key; it must never be stored in an
+    autograd closure or returned to a caller.  Hot-path ops write
+    elementwise products into these (``np.multiply(..., out=buf)``)
+    instead of allocating, which also keeps the pages warm.
+
+``cached(key, build)``
+    An *immutable* derived constant (causal masks, index rows, mirror
+    weights).  Built once per key, returned read-only where possible.
+    Never invalidated — entries are pure functions of their key.
+
+:class:`ParamCache`
+    A module-owned cache of a value *derived from parameter payloads*
+    (the mixer's combined complex filter, attention's concatenated
+    Q/K/V weight).  Keyed on the global parameter-mutation epoch
+    (:func:`~repro.autograd.tensor.parameter_version`) plus the
+    identity of the payload arrays, so it rebuilds exactly once per
+    optimizer step / checkpoint restore and never serves stale data.
+
+The workspace is **thread-local** (one per thread via
+:func:`get_workspace`): scratch reuse is only safe when at most one op
+is mid-flight per buffer, which a per-thread instance guarantees for
+the single-threaded training loop without making concurrent evaluation
+threads unsafe.
+
+This module also owns the **seed-compatibility flag** for dropout mask
+generation (:func:`set_fast_dropout_masks`).  The default (``False``)
+keeps mask draws bitwise-faithful to the seed implementation — same
+PCG64 stream, same float64 draws, same kept positions for a given seed.
+Enabling the fast path switches to 16-bit threshold masks (one uint16
+draw per element instead of one float64), which is ~2.5x cheaper but
+consumes the generator stream differently, so per-seed masks change
+(the marginal keep probability is quantized to 1/65536, an expectation
+error below 8e-6).  See ``docs/PERFORMANCE.md``.
+
+Layering: this module imports only :mod:`repro.autograd.tensor`; both
+the autograd op library and the ``repro.nn`` stack build on it.  The
+public, documented entry point is :mod:`repro.nn.workspace`.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import copy
+import threading
+from typing import Any, Callable, Dict, Optional, Tuple
+
+import numpy as np
+
+from repro.autograd.tensor import parameter_version
+
+__all__ = [
+    "StepWorkspace",
+    "ParamCache",
+    "get_workspace",
+    "reset_workspace",
+    "set_fast_dropout_masks",
+    "fast_dropout_masks_enabled",
+    "fast_dropout_masks",
+    "set_dropout_view_count",
+    "dropout_view_count",
+    "dropout_views",
+    "generator_state",
+    "set_generator_state",
+]
+
+
+class StepWorkspace:
+    """Reusable per-geometry buffers for one training/eval step.
+
+    See the module docstring for the ``scratch`` vs ``cached``
+    contracts.  ``hits``/``misses`` count scratch lookups and are
+    exposed for tests and for the ``docs/PERFORMANCE.md`` workflow.
+    """
+
+    __slots__ = ("_scratch", "_cached", "hits", "misses")
+
+    def __init__(self) -> None:
+        self._scratch: Dict[Tuple, np.ndarray] = {}
+        self._cached: Dict[Tuple, Any] = {}
+        self.hits = 0
+        self.misses = 0
+
+    # ------------------------------------------------------------------
+    def scratch(self, tag: str, shape: Tuple[int, ...], dtype) -> np.ndarray:
+        """Return a reusable uninitialized buffer for ``(tag, shape, dtype)``.
+
+        The buffer is valid only until the next ``scratch`` call with
+        the same key.  Callers must fully overwrite it before reading
+        and must never capture it in a backward closure — anything that
+        outlives the current op needs its own allocation.
+        """
+        key = (tag, shape, np.dtype(dtype))
+        buf = self._scratch.get(key)
+        if buf is None:
+            buf = np.empty(shape, dtype=key[2])
+            self._scratch[key] = buf
+            self.misses += 1
+        else:
+            self.hits += 1
+        return buf
+
+    def cached(self, key: Tuple, build: Callable[[], Any]) -> Any:
+        """Return the derived constant for ``key``, building it once.
+
+        ``build`` must be a pure function of ``key``; entries are never
+        invalidated.  Arrays returned from here should be treated as
+        read-only (builders are encouraged to ``setflags(write=False)``).
+        """
+        value = self._cached.get(key)
+        if value is None:
+            value = build()
+            self._cached[key] = value
+        return value
+
+    # ------------------------------------------------------------------
+    def clear(self) -> None:
+        """Drop every buffer and cache entry (frees the memory)."""
+        self._scratch.clear()
+        self._cached.clear()
+        self.hits = 0
+        self.misses = 0
+
+    def nbytes(self) -> int:
+        """Total bytes currently parked in scratch buffers."""
+        return int(sum(buf.nbytes for buf in self._scratch.values()))
+
+    def __repr__(self) -> str:
+        return (
+            f"StepWorkspace(scratch={len(self._scratch)}, cached={len(self._cached)}, "
+            f"hits={self.hits}, misses={self.misses}, nbytes={self.nbytes()})"
+        )
+
+
+class ParamCache:
+    """A cache of one value derived from parameter payloads.
+
+    Owned by the module that derives the value (the filter mixer's
+    combined complex filter, attention's concatenated Q/K/V weight).
+    The cache key couples the global parameter-mutation epoch (bumped
+    by optimizer steps, ``Module.to`` and checkpoint restores) with the
+    *identity* of the payload arrays — held as strong references so a
+    freed buffer's address can never be mistaken for a live one — plus
+    an optional ``extra`` equality key (e.g. a mixing coefficient).
+    The derived value is therefore rebuilt exactly once per parameter
+    update even when the step evaluates the module several times.
+
+    Call :meth:`invalidate` after mutating parameter ``.data`` buffers
+    in place *without* going through an optimizer/``load_state_dict``
+    (those bump the version themselves).
+    """
+
+    __slots__ = ("_token", "_payloads", "_value")
+
+    def __init__(self) -> None:
+        self._token: Optional[Tuple] = None
+        self._payloads: Optional[Tuple[np.ndarray, ...]] = None
+        self._value: Any = None
+
+    def get(
+        self,
+        payloads: Tuple[np.ndarray, ...],
+        build: Callable[[], Any],
+        extra: Any = None,
+    ) -> Any:
+        token = (parameter_version(), extra)
+        if (
+            self._payloads is not None
+            and self._token == token
+            and len(self._payloads) == len(payloads)
+            and all(a is b for a, b in zip(self._payloads, payloads))
+        ):
+            return self._value
+        value = build()
+        self._token = token
+        self._payloads = tuple(payloads)
+        self._value = value
+        return value
+
+    def invalidate(self) -> None:
+        """Drop the cached value (after manual in-place weight edits)."""
+        self._token = None
+        self._payloads = None
+        self._value = None
+
+
+# ----------------------------------------------------------------------
+# Thread-local workspace instance
+# ----------------------------------------------------------------------
+
+_tls = threading.local()
+
+
+def get_workspace() -> StepWorkspace:
+    """The calling thread's shared :class:`StepWorkspace` (created lazily)."""
+    ws = getattr(_tls, "workspace", None)
+    if ws is None:
+        ws = StepWorkspace()
+        _tls.workspace = ws
+    return ws
+
+
+def reset_workspace() -> StepWorkspace:
+    """Replace the calling thread's workspace with a fresh, empty one."""
+    ws = StepWorkspace()
+    _tls.workspace = ws
+    return ws
+
+
+# ----------------------------------------------------------------------
+# Random-stream capture: the RNG half of the run-state contract
+# ----------------------------------------------------------------------
+#
+# Every stochastic stream in a training run is a ``numpy.random.Generator``
+# (dropout layers, augmentation/noise/mask rngs on the baselines, the
+# batch iterator's shuffle stream, the negative sampler).  Bitwise
+# crash/resume requires capturing each generator's *bit state* — the
+# exact position in its PCG64 sequence — not its seed: a seed only
+# reproduces the stream from the start, while a checkpoint lands
+# mid-stream.  These two helpers define the capture format used by
+# ``Module.rng_state_dict`` and the trainer's run-state archive.
+
+
+def generator_state(gen: np.random.Generator) -> Dict[str, Any]:
+    """Deep-copied, JSON-serializable snapshot of a generator's bit state.
+
+    The returned dict is numpy's own ``bit_generator.state`` payload
+    (algorithm name + integer state words; PCG64 state words are 128-bit
+    Python ints, which JSON carries exactly).  Restoring it with
+    :func:`set_generator_state` resumes the stream at the captured
+    position, so subsequent draws are bitwise-identical to a run that
+    never stopped.
+    """
+    return copy.deepcopy(gen.bit_generator.state)
+
+
+def set_generator_state(gen: np.random.Generator, state: Dict[str, Any]) -> None:
+    """Restore a :func:`generator_state` snapshot into ``gen`` in place.
+
+    Raises ``ValueError`` (from numpy) when the snapshot belongs to a
+    different bit-generator algorithm than ``gen`` uses.
+    """
+    gen.bit_generator.state = copy.deepcopy(state)
+
+
+# ----------------------------------------------------------------------
+# Dropout mask generation: the seed-compatibility flag
+# ----------------------------------------------------------------------
+
+#: Process-wide (unlike the workspace itself, deliberately NOT
+#: thread-local: the flag is a run-level configuration choice, and a
+#: worker thread silently falling back to the default would make a
+#: benchmark measure nothing).  Reads are lock-free; flip it only from
+#: one thread.
+_FAST_MASKS_ENABLED = False
+
+
+def set_fast_dropout_masks(enabled: bool) -> bool:
+    """Toggle the fast dropout-mask path; returns the previous setting.
+
+    ``False`` (the default) is the *seed-compatible* mode: masks are
+    drawn exactly as the seed implementation drew them (float64 PCG64
+    uniforms), so training runs are bitwise-reproducible against
+    recorded results.  ``True`` switches to uint16 threshold masks —
+    measurably cheaper, same distribution up to a 1/65536 quantization
+    of the keep probability, but a *different* stochastic realization
+    per seed.
+    """
+    global _FAST_MASKS_ENABLED
+    previous = _FAST_MASKS_ENABLED
+    _FAST_MASKS_ENABLED = bool(enabled)
+    return previous
+
+
+def fast_dropout_masks_enabled() -> bool:
+    """Whether dropout currently uses the fast (non-seed-compatible) path."""
+    return _FAST_MASKS_ENABLED
+
+
+@contextlib.contextmanager
+def fast_dropout_masks(enabled: bool = True):
+    """Scope the fast dropout-mask path, e.g. for one benchmark run."""
+    previous = set_fast_dropout_masks(enabled)
+    try:
+        yield
+    finally:
+        set_fast_dropout_masks(previous)
+
+
+# ----------------------------------------------------------------------
+# Dropout view streams: per-view mask draws for stacked multi-view passes
+# ----------------------------------------------------------------------
+#
+# The contrastive objectives encode V views of a batch per step.  When
+# the views are stacked along the batch axis into one ``(V*B, N, d)``
+# pass, every dropout site must still draw the *same* per-view masks
+# that V separate ``(B, N, d)`` passes would have drawn from its
+# generator — otherwise the stacked fast path is a different stochastic
+# model, not an optimization.  The view count below tells
+# :func:`repro.autograd.functional.dropout` to split its mask draw into
+# V consecutive per-view draws along the leading axis, exactly matching
+# the V-pass stream consumption in both the seed-compatible and the
+# fast mask modes.  Thread-local like the workspace itself: the count
+# is per-forward-call state scoped by the ``dropout_views`` context.
+
+
+def set_dropout_view_count(count: int) -> int:
+    """Set the calling thread's dropout view count; returns the previous one.
+
+    ``1`` (the default) is the ordinary single-view draw.  ``V > 1``
+    makes every dropout site split its leading axis into ``V`` equal
+    view blocks and draw each block's mask separately from its
+    generator — the contract stacked multi-view encodes rely on.
+    """
+    count = int(count)
+    if count < 1:
+        raise ValueError(f"dropout view count must be >= 1, got {count}")
+    previous = getattr(_tls, "dropout_views", 1)
+    _tls.dropout_views = count
+    return previous
+
+
+def dropout_view_count() -> int:
+    """The calling thread's current dropout view count (default 1)."""
+    return getattr(_tls, "dropout_views", 1)
+
+
+@contextlib.contextmanager
+def dropout_views(count: int):
+    """Scope a dropout view count over one stacked multi-view forward.
+
+    Exception-safe: the previous count is restored in a ``finally``
+    block, so an exception anywhere inside a batched ``encode_views``
+    pass (a shape error in a dropout site, a raising layer) cannot leak
+    the view count into the next step — the leaked count would silently
+    change every later dropout draw's generator consumption.  An
+    invalid ``count`` raises *before* any state is mutated.  Prefer
+    this context manager over calling :func:`set_dropout_view_count`
+    directly; direct callers own the try/finally themselves.
+    """
+    previous = set_dropout_view_count(count)
+    try:
+        yield
+    finally:
+        set_dropout_view_count(previous)

@@ -1,0 +1,123 @@
+"""BERT4Rec baseline (Sun et al., CIKM 2019).
+
+Bidirectional self-attention trained with the Cloze (masked item)
+objective: a random fraction of positions is replaced by a ``[mask]``
+token and the model predicts the original items.  At inference the
+history is shifted left and a ``[mask]`` appended at the final position
+whose hidden state scores the next item.
+
+The bidirectional encoder shares the fused attention fast path
+(:mod:`repro.nn.attention`): same single Q/K/V GEMM, with the causal
+mask disabled and the padding-key block cached per sequence length.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.autograd import functional as F
+from repro.autograd.graph import record_host
+from repro.autograd.tensor import Tensor
+from repro.baselines.transformer import TransformerEncoder
+from repro.core.encoder import SequentialEncoderBase
+from repro.data.batching import Batch
+
+__all__ = ["BERT4Rec"]
+
+_IGNORE = -100  # positions that contribute no loss
+
+
+class BERT4Rec(SequentialEncoderBase):
+    def __init__(
+        self,
+        num_items: int,
+        max_len: int = 50,
+        hidden_dim: int = 64,
+        num_layers: int = 2,
+        num_heads: int = 2,
+        mask_prob: float = 0.2,
+        embed_dropout: float = 0.3,
+        hidden_dropout: float = 0.3,
+        seed: int = 0,
+        dtype=None,
+    ) -> None:
+        super().__init__(
+            num_items=num_items,
+            max_len=max_len,
+            hidden_dim=hidden_dim,
+            embed_dropout=embed_dropout,
+            extra_tokens=1,  # the [mask] token
+            seed=seed,
+            dtype=dtype,
+        )
+        self.mask_token = num_items + 1
+        self.mask_prob = mask_prob
+        self._mask_rng = np.random.default_rng(seed + 9)
+        self.encoder = TransformerEncoder(
+            hidden_dim,
+            num_layers,
+            num_heads=num_heads,
+            dropout=hidden_dropout,
+            causal=False,
+            rng=np.random.default_rng(seed + 10),
+            dtype=self.dtype,
+        )
+
+    # ------------------------------------------------------------------
+    def encode_states(self, input_ids: np.ndarray) -> Tensor:
+        ids = np.asarray(input_ids)
+        padding = ids == 0
+        # Static-graph replay: refresh the padding mask in place from the
+        # persistent input buffer (see sasrec.py for the same pattern).
+        record_host(lambda: np.equal(ids, 0, out=padding), "bert4rec.padding")
+        hidden = self.embed(input_ids)
+        for block in self.encoder.blocks:
+            hidden = block(hidden, key_padding_mask=padding)
+        return hidden
+
+    # ------------------------------------------------------------------
+    def loss(self, batch: Batch) -> Tensor:
+        """Cloze objective over randomly masked non-padding positions."""
+        ids = np.asarray(batch.input_ids, dtype=np.int64)
+        inputs = np.empty_like(ids)
+        labels = np.empty_like(ids)
+        corrupted = np.empty_like(ids)
+
+        def prepare():
+            # Fold the next-item target in as the final sequence element
+            # so the Cloze task sees complete sequences (standard
+            # practice); equals ``roll(ids, -1, axis=1)`` with the
+            # rolled-around column overwritten by the targets.
+            inputs[:, :-1] = ids[:, 1:]
+            inputs[:, -1] = batch.targets
+            labels.fill(_IGNORE)
+            real = inputs != 0
+            masked = real & (self._mask_rng.random(inputs.shape) < self.mask_prob)
+            # Always mask the last position: it is exactly the next-item task.
+            masked[:, -1] = True
+            labels[masked] = inputs[masked]
+            np.copyto(corrupted, inputs)
+            corrupted[masked] = self.mask_token
+
+        prepare()
+        # Static-graph replay: the Cloze corruption (including the fresh
+        # mask RNG draw) reruns as a host entry into the same arrays the
+        # captured graph reads.
+        record_host(prepare, "bert4rec.cloze")
+
+        states = self.encode_states(corrupted)  # (B, N, d)
+        table = F.transpose(self._score_table(), (1, 0))
+        logits = F.matmul(states, table)  # (B, N, V+1)
+        return F.cross_entropy(logits, labels, ignore_index=_IGNORE)
+
+    def predict_scores(self, input_ids: np.ndarray, context: np.ndarray | None = None) -> np.ndarray:
+        """Append [mask] at the end and rank by its hidden state."""
+        inputs = np.asarray(input_ids, dtype=np.int64)
+        shifted = np.roll(inputs, -1, axis=1)
+        shifted[:, -1] = self.mask_token
+        states = self.encode_states(shifted)
+        user = F.getitem(states, (slice(None), -1))
+        if context is not None:
+            return user.data @ context
+        table = F.transpose(self._score_table(), (1, 0))
+        return F.matmul(user, table).data

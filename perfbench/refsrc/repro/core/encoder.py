@@ -1,0 +1,386 @@
+"""Shared encoder plumbing for all sequential recommenders.
+
+Every model in this repo (SLIME4Rec and the baselines) shares the same
+outer structure from the paper's Figure 2:
+
+- an **embedding layer**: item embedding + learnable positional
+  embedding, LayerNorm and dropout (Eqs. 9-10);
+- a model-specific stack of encoder blocks;
+- a **prediction layer**: dot product between the last hidden state and
+  the item embedding table (Eq. 31), trained with cross-entropy
+  (Eq. 32).
+
+:class:`SequentialEncoderBase` implements the shared pieces; subclasses
+override :meth:`encode_states`.
+
+Hot-path notes: the embedding lookup's backward and every dropout site
+here run through the shared per-step workspace
+(:mod:`repro.nn.workspace`), and the ``states[:, -1]`` user-vector
+slice takes the basic-index gradient fast path — so the shared outer
+structure stays cheap while the per-model encoders (fused attention,
+fused spectral mixing) do the heavy lifting.  Evaluation scoring uses
+:meth:`SequentialEncoderBase.score_context` to materialize the
+transposed item table once per pass.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.autograd import functional as F
+from repro.autograd.graph import GraphCaptureError, is_capturing, record_host
+from repro.autograd.tensor import Tensor, no_grad
+from repro.data.negative_sampling import NegativeSampler
+from repro.nn import Dropout, Embedding, GELU, LayerNorm, Linear, Module
+from repro.nn import init as nn_init
+from repro.nn.workspace import dropout_views
+
+__all__ = ["SequentialEncoderBase", "PointwiseFeedForward"]
+
+
+class PointwiseFeedForward(Module):
+    """The paper's FFN (Eq. 29): ``GELU(x W1 + b1) W2 + b2``.
+
+    The caller applies Eq. 30's densely-residual LayerNorm; this module
+    is just the two-layer MLP with GELU.
+    """
+
+    def __init__(
+        self,
+        dim: int,
+        inner_dim: int | None = None,
+        rng: np.random.Generator | None = None,
+        dtype=None,
+    ) -> None:
+        super().__init__()
+        rng = rng or np.random.default_rng()
+        inner_dim = inner_dim or dim
+        self.fc1 = Linear(dim, inner_dim, rng=rng, dtype=dtype)
+        self.act = GELU()
+        self.fc2 = Linear(inner_dim, dim, rng=rng, dtype=dtype)
+
+    def forward(self, x: Tensor) -> Tensor:
+        return self.fc2(self.act(self.fc1(x)))
+
+
+class SequentialEncoderBase(Module):
+    """Embedding layer + prediction layer shared by all models.
+
+    Parameters
+    ----------
+    num_items:
+        Real item count; embedding table gets ``num_items + 1 + extra_tokens`` rows.
+    max_len:
+        Sequence length ``N``.
+    hidden_dim:
+        Width ``d``.
+    embed_dropout:
+        Dropout applied after the positional sum (Eq. 10).
+    extra_tokens:
+        Additional special tokens after the item range (BERT4Rec's
+        ``[mask]`` token lives there).
+    noise_eps:
+        When > 0, uniform noise of this relative magnitude is added to
+        every layer input via :meth:`inject_noise` (Figure 6 protocol).
+    dtype:
+        Compute dtype for parameters and activations (float32/float64);
+        ``None`` falls back to :func:`repro.nn.init.get_default_dtype`.
+        The resolved dtype is exposed as ``self.dtype`` so subclasses
+        can type their own submodules consistently.
+    """
+
+    #: Opt-in to the static-graph tape executor: when True the trainer
+    #: captures one training step into a :class:`repro.autograd.graph.Tape`
+    #: and replays it on subsequent same-shape batches instead of
+    #: rebuilding the autograd graph (see ``docs/ARCHITECTURE.md``).
+    #: Off by default; the dynamic engine remains the reference.
+    static_graph: bool = False
+
+    def __init__(
+        self,
+        num_items: int,
+        max_len: int,
+        hidden_dim: int,
+        embed_dropout: float = 0.3,
+        extra_tokens: int = 0,
+        noise_eps: float = 0.0,
+        seed: int = 0,
+        dtype=None,
+    ) -> None:
+        super().__init__()
+        rng = np.random.default_rng(seed)
+        dtype = nn_init.resolve_dtype(dtype)
+        self.num_items = num_items
+        self.max_len = max_len
+        self.hidden_dim = hidden_dim
+        self.noise_eps = noise_eps
+        self.dtype = dtype
+        #: Class-chunk width for the prediction-layer cross-entropy.
+        #: ``None`` keeps the dense GEMM+softmax; a positive value makes
+        #: :meth:`prediction_loss` stream over the ``V+1`` item table in
+        #: chunks of this many rows (see
+        #: :func:`repro.autograd.functional.linear_cross_entropy`), the
+        #: memory-bounded path for production-size catalogs.
+        self.ce_chunk_size: int | None = None
+        #: Sampled-softmax training: when set to a positive ``K``,
+        #: :meth:`prediction_loss` scores each row against its positive
+        #: plus ``K`` sampled negatives
+        #: (:func:`repro.autograd.functional.sampled_softmax_loss`)
+        #: instead of the full ``V+1``-way softmax — the compute-bounded
+        #: path for huge catalogs.  ``negative_sampling`` picks the
+        #: proposal distribution (``"uniform"`` / ``"log_uniform"``);
+        #: the logQ correction is always applied.  Evaluation is
+        #: unaffected (it ranks the full catalog either way).
+        self.train_num_negatives: int | None = None
+        self.negative_sampling: str = "uniform"
+        self._train_sampler: NegativeSampler | None = None
+        self._train_sampler_seed = seed + 20011
+        self._noise_rng = np.random.default_rng(seed + 104729)
+        self.item_embedding = Embedding(
+            num_items + 1 + extra_tokens, hidden_dim, padding_idx=0, rng=rng, dtype=dtype
+        )
+        self.position_embedding = Embedding(max_len, hidden_dim, rng=rng, dtype=dtype)
+        self.embed_norm = LayerNorm(hidden_dim, dtype=dtype)
+        self.embed_dropout = Dropout(embed_dropout, rng=np.random.default_rng(seed + 1))
+
+    # ------------------------------------------------------------------
+    def embed(self, input_ids: np.ndarray) -> Tensor:
+        """Eqs. 9-10: lookup + positions + LayerNorm + dropout."""
+        input_ids = np.asarray(input_ids, dtype=np.int64)
+        batch, length = input_ids.shape
+        if length != self.max_len:
+            raise ValueError(f"expected sequences of length {self.max_len}, got {length}")
+        items = self.item_embedding(input_ids)
+        positions = self.position_embedding(np.arange(length))
+        summed = F.add(items, positions)
+        return self.embed_dropout(self.embed_norm(summed))
+
+    def inject_noise(self, x: Tensor) -> Tensor:
+        """Add uniform noise scaled by the representation magnitude.
+
+        Implements the Figure 6 robustness protocol: noise
+        ``eps * U(-1, 1) * std(x)`` added to the layer input.  A no-op
+        when ``noise_eps`` is zero.
+        """
+        if self.noise_eps <= 0.0:
+            return x
+        if is_capturing():
+            raise GraphCaptureError(
+                "inject_noise is not replay-safe: the Figure-6 noise protocol "
+                "scales by the live batch statistics (std of the layer input), "
+                "which a tape replay cannot reproduce without rebuilding the "
+                "graph; run noise-robustness sweeps with static_graph=False"
+            )
+        scale = float(x.data.std()) * self.noise_eps
+        noise = self._noise_rng.uniform(-scale, scale, size=x.shape).astype(x.dtype)
+        return F.add(x, Tensor(noise))
+
+    # ------------------------------------------------------------------
+    def encode_states(self, input_ids: np.ndarray) -> Tensor:
+        """Return hidden states ``(B, N, d)``; subclasses implement."""
+        raise NotImplementedError
+
+    def user_representation(self, input_ids: np.ndarray) -> Tensor:
+        """Last hidden state ``h_t^L`` as the user vector (Section III-D)."""
+        states = self.encode_states(input_ids)
+        return F.getitem(states, (slice(None), -1))
+
+    def encode_views(self, view_inputs) -> tuple:
+        """Encode several same-shape input batches in one stacked pass.
+
+        The contrastive objectives encode ``V`` views of each training
+        batch per step (main pass, dropout view, same-target or
+        augmented views).  This helper concatenates the ``(B, N)``
+        view inputs into one ``(V*B, N)`` batch, runs a **single**
+        :meth:`encode_states` graph walk over it, and returns one
+        ``(B, d)`` last-state user tensor per view — cutting the
+        python/op count of the dominant training cost ~``V``-fold while
+        fattening every GEMM and FFT.
+
+        Inside the pass every dropout site draws its masks **per
+        view** (:func:`repro.nn.workspace.dropout_views`), consuming
+        each generator exactly like ``V`` separate passes would, so
+        the stacked encode is the same stochastic model as the
+        sequential one: per-view masks identical, float64 losses equal
+        to the unbatched path to reassociation tolerance.
+
+        Not valid under the Figure-6 noise protocol: ``inject_noise``
+        scales by the *whole-batch* std, which would couple the views;
+        callers gate on ``noise_eps <= 0`` and fall back to separate
+        passes (see ``Slime4Rec.loss``).
+        """
+        arrays = [np.asarray(v) for v in view_inputs]
+        if len(arrays) < 2:
+            raise ValueError("encode_views needs at least two views")
+        if any(arr.shape != arrays[0].shape for arr in arrays[1:]):
+            raise ValueError(
+                f"all views must share one shape, got {[a.shape for a in arrays]}"
+            )
+        batch = arrays[0].shape[0]
+        stacked = np.concatenate(arrays, axis=0)
+        # Static-graph replay: the view arrays alias the executor's
+        # persistent input buffers (refreshed in place per batch), so
+        # the stacked batch is re-concatenated into the same array
+        # object the captured encode reads from.
+        record_host(
+            lambda: np.concatenate(arrays, axis=0, out=stacked), "encode_views.stack"
+        )
+        with dropout_views(len(arrays)):
+            states = self.encode_states(stacked)
+        user = F.getitem(states, (slice(None), -1))  # (V*B, d)
+        return tuple(
+            F.getitem(user, slice(i * batch, (i + 1) * batch))
+            for i in range(len(arrays))
+        )
+
+    def logits(self, input_ids: np.ndarray) -> Tensor:
+        """Scores over the full vocabulary: ``h @ M_V^T`` (Eq. 31)."""
+        user = self.user_representation(input_ids)
+        table = F.transpose(self._score_table(), (1, 0))
+        return F.matmul(user, table)
+
+    def _score_table(self) -> Tensor:
+        """Embedding rows used for scoring (padding + real items only)."""
+        weight = self.item_embedding.weight
+        if weight.shape[0] == self.num_items + 1:
+            return weight
+        return F.getitem(weight, slice(0, self.num_items + 1))
+
+    def score_context(self) -> np.ndarray:
+        """Precomputed scoring state shared by one evaluation pass.
+
+        Returns the transposed item table ``(d, V+1)`` as a contiguous
+        array so the evaluator materializes it once per pass instead of
+        re-deriving it (slice + transpose + graph wrapping) per batch.
+        The context snapshots current weights; recompute it after any
+        parameter update.
+        """
+        with no_grad():
+            table = self._score_table().data
+        return np.ascontiguousarray(table.T)
+
+    def predict_scores(self, input_ids: np.ndarray, context: np.ndarray | None = None) -> np.ndarray:
+        """Numpy scores for evaluation (no graph).
+
+        ``context`` is an optional :meth:`score_context` result; when
+        given, scoring is a single GEMM against the cached table.
+
+        The whole scoring pass runs under :func:`no_grad` regardless of
+        the caller's grad mode: evaluation only consumes ``.data``, so
+        building (and immediately garbage-collecting) an autograd graph
+        per request was pure bookkeeping overhead — every intermediate
+        tensor allocated a node, parents tuple and backward closure.
+        """
+        with no_grad():
+            if context is not None:
+                return self.user_representation(input_ids).data @ context
+            return self.logits(input_ids).data
+
+    # ------------------------------------------------------------------
+    # Inference-state hooks (the serving path, repro.serving)
+    # ------------------------------------------------------------------
+    def inference_version(self) -> int:
+        """Staleness token for inference caches derived from parameters.
+
+        Any cached scoring state (a :meth:`score_context` table, a
+        serving-side half-precision item table, a per-user encoded
+        vector) is valid only while this token is unchanged.  It is the
+        process-global parameter-mutation epoch
+        (:func:`repro.autograd.tensor.parameter_version`, bumped by
+        optimizer steps, ``load_state_dict`` and ``Module.to``), so it
+        can tick without *this* model having changed — a spurious
+        rebuild, never a stale serve.  Mutating parameter ``.data``
+        buffers by hand bypasses the counter; call
+        :func:`repro.autograd.tensor.bump_parameter_version` after
+        doing that.
+        """
+        from repro.autograd.tensor import parameter_version
+
+        return parameter_version()
+
+    def encode_users(
+        self, input_ids: np.ndarray, batch_size: int | None = None
+    ) -> np.ndarray:
+        """Encode ``(B, N)`` history windows into ``(B, d)`` user vectors.
+
+        The serving micro-batch entry point: one stacked
+        :meth:`encode_states` graph walk for the whole batch (the same
+        batch-axis stacking :meth:`encode_views` uses for training
+        views), run entirely under :func:`no_grad` so no autograd graph
+        is built.  Returns a plain numpy array in the model dtype; a
+        single ``(N,)`` window is accepted and returns ``(1, d)``.
+
+        Call with the model in eval mode — dropout must be off for the
+        encoding to be a deterministic function of the window, which is
+        what makes per-user caching of the result sound.  ``batch_size``
+        optionally chunks very large batches to bound peak activation
+        memory; results are row-identical to the unchunked call only up
+        to BLAS/FFT batch-shape reassociation (bitwise in practice for
+        float64, ~1e-6 relative for float32).
+        """
+        input_ids = np.asarray(input_ids, dtype=np.int64)
+        if input_ids.ndim == 1:
+            input_ids = input_ids[None, :]
+        with no_grad():
+            if batch_size is None or input_ids.shape[0] <= batch_size:
+                return self.user_representation(input_ids).data
+            chunks = [
+                self.user_representation(input_ids[start : start + batch_size]).data
+                for start in range(0, input_ids.shape[0], batch_size)
+            ]
+            return np.concatenate(chunks, axis=0)
+
+    def negative_sampler(self) -> NegativeSampler:
+        """The model's shared training :class:`NegativeSampler` (lazy).
+
+        Built on first use from :attr:`negative_sampling` and the model
+        seed; rebuilt if the strategy attribute changes between calls.
+        """
+        if (
+            self._train_sampler is None
+            or self._train_sampler.strategy != self.negative_sampling
+        ):
+            self._train_sampler = NegativeSampler(
+                self.num_items,
+                strategy=self.negative_sampling,
+                seed=self._train_sampler_seed,
+            )
+        return self._train_sampler
+
+    def prediction_loss(self, user: Tensor, targets: np.ndarray) -> Tensor:
+        """Eq. 31-32 from precomputed user vectors: score table GEMM + CE.
+
+        Honors the training-loss knobs, in precedence order:
+
+        - :attr:`train_num_negatives` — sampled softmax over the
+          positive plus ``K`` drawn negatives
+          (:func:`repro.autograd.functional.sampled_softmax_loss`),
+          bounding *compute* for huge catalogs;
+        - :attr:`ce_chunk_size` — full softmax streamed over the item
+          table in row chunks
+          (:func:`repro.autograd.functional.linear_cross_entropy`),
+          bounding *memory* without changing the objective;
+        - neither — the dense ``(B, V+1)`` GEMM+softmax reference.
+        """
+        if self.train_num_negatives:
+            return F.sampled_softmax_loss(
+                user,
+                self._score_table(),
+                targets,
+                num_negatives=self.train_num_negatives,
+                sampler=self.negative_sampler(),
+            )
+        if self.ce_chunk_size:
+            return F.linear_cross_entropy(
+                user, self._score_table(), targets, chunk_size=self.ce_chunk_size
+            )
+        table = F.transpose(self._score_table(), (1, 0))
+        return F.cross_entropy(F.matmul(user, table), targets)
+
+    def recommendation_loss(self, input_ids: np.ndarray, targets: np.ndarray) -> Tensor:
+        """Cross-entropy over the full softmax (Eq. 32)."""
+        return self.prediction_loss(self.user_representation(input_ids), targets)
+
+    # Default training objective; contrastive models override.
+    def loss(self, batch) -> Tensor:
+        return self.recommendation_loss(batch.input_ids, batch.targets)

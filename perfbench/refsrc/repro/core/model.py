@@ -1,0 +1,149 @@
+"""SLIME4Rec: contrastive enhanced slide filter mixer (Section III)."""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.autograd import functional as F
+from repro.autograd.spectral import num_frequency_bins
+from repro.autograd.tensor import Tensor
+from repro.core.config import SlimeConfig
+from repro.core.contrastive import info_nce_loss
+from repro.core.encoder import SequentialEncoderBase
+from repro.core.filter_mixer import FilterMixerLayer
+from repro.core.filters import ramp_masks
+from repro.data.batching import Batch
+from repro.nn import ModuleList
+
+__all__ = ["Slime4Rec"]
+
+
+class Slime4Rec(SequentialEncoderBase):
+    """The paper's model: embedding -> L filter mixer blocks -> prediction.
+
+    Training couples the next-item cross-entropy with a contrastive
+    regularizer built from an unsupervised dropout view and a
+    supervised same-target view (Eq. 36):
+    ``loss = L_rec + lambda * (NCE(h', h'_s))`` where both symmetric
+    terms of Eq. 33 are folded into the NT-Xent objective.
+
+    Example
+    -------
+    >>> cfg = SlimeConfig(num_items=100, max_len=16, hidden_dim=32)
+    >>> model = Slime4Rec(cfg)
+    >>> scores = model.predict_scores(np.zeros((2, 16), dtype=np.int64))
+    >>> scores.shape
+    (2, 101)
+    """
+
+    def __init__(self, config: SlimeConfig) -> None:
+        super().__init__(
+            num_items=config.num_items,
+            max_len=config.max_len,
+            hidden_dim=config.hidden_dim,
+            embed_dropout=config.embed_dropout,
+            noise_eps=config.noise_eps,
+            seed=config.seed,
+            dtype=config.dtype,
+        )
+        self.config = config
+        self.ce_chunk_size = config.ce_chunk_size
+        self.train_num_negatives = config.train_num_negatives
+        self.negative_sampling = config.negative_sampling
+        self.static_graph = config.static_graph
+        rng = np.random.default_rng(config.seed + 2)
+        m = num_frequency_bins(config.max_len)
+        dfs_masks, sfs_masks = ramp_masks(
+            m,
+            config.num_layers,
+            config.alpha,
+            config.slide_mode.dfs_direction,
+            config.slide_mode.sfs_direction,
+        )
+        layers = []
+        for layer_idx in range(config.num_layers):
+            layers.append(
+                FilterMixerLayer(
+                    seq_len=config.max_len,
+                    hidden_dim=config.hidden_dim,
+                    dfs_mask=dfs_masks[layer_idx] if config.use_dfs else None,
+                    sfs_mask=sfs_masks[layer_idx] if config.use_sfs else None,
+                    gamma=config.gamma if (config.use_dfs and config.use_sfs) else 0.0,
+                    dropout=config.hidden_dropout,
+                    rng=rng,
+                    dtype=self.dtype,
+                )
+            )
+        self.layers = ModuleList(layers)
+        self._cl_rng = np.random.default_rng(config.seed + 3)
+
+    # ------------------------------------------------------------------
+    def to(self, dtype) -> "Slime4Rec":
+        """Cast the model and keep ``config.dtype`` describing it.
+
+        The config is replaced, not mutated: the caller's original
+        ``SlimeConfig`` may be shared with other model builds.
+        """
+        import dataclasses
+
+        super().to(dtype)
+        self.config = dataclasses.replace(self.config, dtype=self.dtype.name)
+        return self
+
+    # ------------------------------------------------------------------
+    def encode_states(self, input_ids: np.ndarray) -> Tensor:
+        hidden = self.embed(input_ids)
+        for layer in self.layers:
+            hidden = layer(self.inject_noise(hidden))
+        return hidden
+
+    # ------------------------------------------------------------------
+    def loss(self, batch: Batch) -> Tensor:
+        """Joint objective of Eq. 36.
+
+        When contrastive learning is enabled the step needs three
+        encodes of the batch: the main pass (recommendation term), the
+        same inputs under fresh dropout masks (the unsupervised view
+        ``h'``), and the same-target positives (the supervised view
+        ``h'_s``).  With ``config.batched_views`` (the default) all
+        three run as **one** stacked ``(3B, N, d)`` graph walk with
+        per-view dropout streams (:meth:`encode_views`); the reference
+        path encodes them sequentially — same masks per seed, same
+        losses to float64 reassociation tolerance.
+        """
+        if self.config.cl_weight <= 0.0 or batch.positive_ids is None:
+            states = self.encode_states(batch.input_ids)
+            return self.prediction_loss(_last_state(states), batch.targets)
+
+        if self.config.batched_views and self.noise_eps <= 0.0:
+            user, unsup_view, sup_view = self.encode_views(
+                (batch.input_ids, batch.input_ids, batch.positive_ids)
+            )
+        else:
+            user = _last_state(self.encode_states(batch.input_ids))
+            unsup_view = _last_state(self.encode_states(batch.input_ids))
+            sup_view = _last_state(self.encode_states(batch.positive_ids))
+        rec_loss = self.prediction_loss(user, batch.targets)
+        cl = info_nce_loss(unsup_view, sup_view, temperature=self.config.cl_temperature)
+        return F.add(rec_loss, F.mul(cl, self.config.cl_weight))
+
+    # ------------------------------------------------------------------
+    def filter_amplitudes(self) -> dict:
+        """Per-layer |filter| maps for the Figure 7 visualization.
+
+        Returns ``{"dfs": [(M, d) arrays], "sfs": [...]}`` with the
+        window masks applied, i.e. exactly the effective filters.
+        """
+        out = {"dfs": [], "sfs": []}
+        for layer in self.layers:
+            if layer.dfs_mask is not None:
+                amp = np.abs(layer.dfs_real.data + 1j * layer.dfs_imag.data)
+                out["dfs"].append(amp * layer.dfs_mask[:, None])
+            if layer.sfs_mask is not None:
+                amp = np.abs(layer.sfs_real.data + 1j * layer.sfs_imag.data)
+                out["sfs"].append(amp * layer.sfs_mask[:, None])
+        return out
+
+
+def _last_state(states: Tensor) -> Tensor:
+    return F.getitem(states, (slice(None), -1))

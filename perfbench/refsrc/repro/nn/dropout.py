@@ -1,0 +1,54 @@
+"""Dropout layer with an owned random stream.
+
+Shapes and dtype contract: any floating input, output of the same
+shape and dtype; the eval-mode forward returns the input tensor itself
+(no copy, no graph node).
+
+Mask generation runs through the shared per-step workspace
+(:mod:`repro.nn.workspace`).  The default path is **seed-compatible**:
+one float64 uniform per element from this layer's own generator, drawn
+into a reusable buffer, bitwise-faithful to the seed implementation.
+:func:`repro.nn.workspace.set_fast_dropout_masks` (or the
+``fast_dropout_masks()`` context manager) switches every dropout site
+in the process to cheap uint16 threshold masks — same distribution up
+to a 1/65536 quantization of the keep probability, different stochastic
+realization per seed.  Inside a
+:func:`repro.nn.workspace.dropout_views` context (the stacked
+multi-view contrastive encode) the mask is drawn as one per-view block
+draw per view, so a ``(V*B, N, d)`` call consumes this layer's
+generator exactly like ``V`` separate ``(B, N, d)`` calls.  See
+:func:`repro.autograd.functional.dropout` for the exact contract.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.autograd import functional as F
+from repro.autograd.tensor import Tensor
+from repro.nn.module import Module
+
+__all__ = ["Dropout"]
+
+
+class Dropout(Module):
+    """Inverted dropout; a no-op in eval mode.
+
+    Each instance owns a ``numpy.random.Generator`` so two dropout
+    layers with different seeds produce *different* stochastic views of
+    the same input — exactly the property SLIME4Rec's unsupervised
+    contrastive augmentation relies on.
+    """
+
+    def __init__(self, p: float, rng: np.random.Generator | None = None) -> None:
+        super().__init__()
+        if not 0.0 <= p < 1.0:
+            raise ValueError(f"dropout probability must be in [0, 1), got {p}")
+        self.p = p
+        self.rng = rng or np.random.default_rng()
+
+    def forward(self, x: Tensor) -> Tensor:
+        return F.dropout(x, self.p, training=self.training, rng=self.rng)
+
+    def __repr__(self) -> str:
+        return f"Dropout(p={self.p})"
