@@ -1224,6 +1224,7 @@ def dropout(
     rng: np.random.Generator,
     fast: Optional[bool] = None,
     views: Optional[int] = None,
+    seq_len: Optional[int] = None,
 ) -> Tensor:
     """Inverted dropout; identity when not training or ``p == 0``.
 
@@ -1258,6 +1259,15 @@ def dropout(
     makes the contract independent of generator buffering and extends
     it to the fast uint16 path, whose bit consumption is call-shaped.)
     The leading axis must divide evenly by ``V``.
+
+    ``seq_len=N`` declares ``a`` the last ``a.shape[1]`` positions of a
+    length-``N`` sequence batch (``x[:, -n:]`` of an ``(R, N, ...)``
+    tensor).  The mask is still drawn for the whole ``(R, N, ...)``
+    shape, per view as above, and only its trailing ``n`` positions are
+    kept: ``rng`` advances exactly as for the full-length call and the
+    output equals the same slice of the full-length output, so a caller
+    that only reads the last position can skip the other ``N - n``
+    without changing any mask.
     """
     a = as_tensor(a)
     if not training or p <= 0.0:
@@ -1269,6 +1279,7 @@ def dropout(
         fast = fast_dropout_masks_enabled()
     if views is None:
         views = dropout_view_count()
+    draw_shape = a.shape
     if views > 1:
         if a.ndim == 0 or a.shape[0] % views != 0:
             raise ValueError(
@@ -1276,6 +1287,16 @@ def dropout(
                 f"divisible by {views}, got shape {a.shape}"
             )
         block = a.shape[0] // views
+        draw_shape = (block,) + a.shape[1:]
+    kept = Ellipsis
+    if seq_len is not None:
+        if a.ndim < 2 or not 0 < a.shape[1] <= seq_len:
+            raise ValueError(
+                f"dropout over the last positions of a length-{seq_len} sequence "
+                f"needs 1..{seq_len} positions on axis 1, got shape {a.shape}"
+            )
+        draw_shape = draw_shape[:1] + (seq_len,) + a.shape[2:]
+        kept = (slice(None), slice(seq_len - a.shape[1], None))
     # Per-view draws use a *view-sized* scratch buffer — the same
     # workspace key the separate-pass (B, ...) sites use, so the
     # stacked (V*B, ...) geometry and the single-view eval geometry
@@ -1291,31 +1312,16 @@ def dropout(
 
     def forward():
         nonlocal mask
-        if fast:
-            if views > 1:
-                mask = np.empty(a.shape, dtype=bool)
-                view_shape = (block,) + a.shape[1:]
-                for v in range(views):
-                    np.less(
-                        rng.integers(0, 65536, size=view_shape, dtype=np.uint16),
-                        threshold,
-                        out=mask[v * block : (v + 1) * block],
-                    )
+        mask = np.empty(a.shape, dtype=bool)
+        for v in range(views):
+            rows = mask[v * block : (v + 1) * block] if views > 1 else mask
+            if fast:
+                bits = rng.integers(0, 65536, size=draw_shape, dtype=np.uint16)
+                np.less(bits[kept], threshold, out=rows)
             else:
-                mask = rng.integers(0, 65536, size=a.shape, dtype=np.uint16) < threshold
-        else:
-            if views > 1:
-                mask = np.empty(a.shape, dtype=bool)
-                draw = get_workspace().scratch(
-                    "dropout.draw", (block,) + a.shape[1:], np.float64
-                )
-                for v in range(views):
-                    rng.random(out=draw)
-                    np.less(draw, keep, out=mask[v * block : (v + 1) * block])
-            else:
-                draw = get_workspace().scratch("dropout.draw", a.shape, np.float64)
+                draw = get_workspace().scratch("dropout.draw", draw_shape, np.float64)
                 rng.random(out=draw)
-                mask = draw < keep
+                np.less(draw[kept], keep, out=rows)
         out = a.data * mask
         out *= scale
         return out

@@ -66,7 +66,7 @@ class BPRMF(SequentialEncoderBase):
 
     def loss(self, batch: Batch) -> Tensor:
         """BPR: ``-log sigmoid(score(pos) - score(neg))`` with 1 negative."""
-        user = F.getitem(self.encode_states(batch.input_ids), (slice(None), -1))
+        user = self.user_representation(batch.input_ids)
         pos_emb = self.item_embedding(batch.targets)
         negatives = np.empty(batch.targets.shape, dtype=np.int64)
 

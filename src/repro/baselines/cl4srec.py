@@ -50,8 +50,8 @@ def augmented_contrastive_loss(model, batch: Batch) -> Tensor:
         rec = model.prediction_loss(user, batch.targets)
     else:
         rec = model.recommendation_loss(batch.input_ids, batch.targets)
-        view_a = model._user(model._augment_batch(batch.input_ids))
-        view_b = model._user(model._augment_batch(batch.input_ids))
+        view_a = model.user_representation(model._augment_batch(batch.input_ids))
+        view_b = model.user_representation(model._augment_batch(batch.input_ids))
     cl = info_nce_loss(view_a, view_b, temperature=model.cl_temperature)
     return F.add(rec, F.mul(cl, model.cl_weight))
 
@@ -118,9 +118,6 @@ class CL4SRec(SASRec):
 
         record_host(refresh, "cl4srec.augment")
         return out
-
-    def _user(self, input_ids: np.ndarray) -> Tensor:
-        return F.getitem(self.encode_states(input_ids), (slice(None), -1))
 
     # ------------------------------------------------------------------
     def loss(self, batch: Batch) -> Tensor:

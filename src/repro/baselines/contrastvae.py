@@ -59,7 +59,7 @@ class ContrastVAE(SASRec):
 
     # ------------------------------------------------------------------
     def _posterior(self, input_ids: np.ndarray) -> tuple[Tensor, Tensor]:
-        user = F.getitem(self.encode_states(input_ids), (slice(None), -1))
+        user = self.user_representation(input_ids)
         mu = self.mu_head(user)
         logvar = F.clip(self.logvar_head(user), -8.0, 8.0)
         return mu, logvar

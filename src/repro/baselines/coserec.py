@@ -19,7 +19,6 @@ from typing import List
 
 import numpy as np
 
-from repro.autograd import functional as F
 from repro.autograd.tensor import Tensor
 from repro.baselines.cl4srec import augmented_contrastive_loss
 from repro.baselines.sasrec import SASRec
@@ -95,9 +94,6 @@ class CoSeRec(SASRec):
 
         record_host(refresh, "coserec.augment")
         return out
-
-    def _user(self, input_ids: np.ndarray) -> Tensor:
-        return F.getitem(self.encode_states(input_ids), (slice(None), -1))
 
     # ------------------------------------------------------------------
     def loss(self, batch: Batch) -> Tensor:

@@ -19,8 +19,6 @@ the fast dropout-mask flag
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.autograd import functional as F
 from repro.autograd.tensor import Tensor
 from repro.baselines.sasrec import SASRec
@@ -63,9 +61,6 @@ class DuoRec(SASRec):
         self.cl_temperature = cl_temperature
         self.batched_views = batched_views
 
-    def _user(self, input_ids: np.ndarray) -> Tensor:
-        return F.getitem(self.encode_states(input_ids), (slice(None), -1))
-
     def loss(self, batch: Batch) -> Tensor:
         if self.cl_weight <= 0.0 or batch.positive_ids is None:
             return self.recommendation_loss(batch.input_ids, batch.targets)
@@ -78,7 +73,7 @@ class DuoRec(SASRec):
             rec = self.prediction_loss(user, batch.targets)
         else:
             rec = self.recommendation_loss(batch.input_ids, batch.targets)
-            unsup = self._user(batch.input_ids)  # dropout view of the same input
-            sup = self._user(batch.positive_ids)  # same-target sequence view
+            unsup = self.user_representation(batch.input_ids)  # dropout view of the same input
+            sup = self.user_representation(batch.positive_ids)  # same-target sequence view
         cl = info_nce_loss(unsup, sup, temperature=self.cl_temperature)
         return F.add(rec, F.mul(cl, self.cl_weight))

@@ -11,7 +11,10 @@ outer structure from the paper's Figure 2:
   (Eq. 32).
 
 :class:`SequentialEncoderBase` implements the shared pieces; subclasses
-override :meth:`encode_states`.
+override :meth:`encode_states`.  Every user vector — training loss,
+contrastive views, evaluation and serving — comes from
+:meth:`SequentialEncoderBase.user_representation`, which a model may
+override to compute only the last position (SLIME4Rec does).
 
 Hot-path notes: the embedding lookup's backward and every dropout site
 here run through the shared per-step workspace
@@ -181,7 +184,12 @@ class SequentialEncoderBase(Module):
         raise NotImplementedError
 
     def user_representation(self, input_ids: np.ndarray) -> Tensor:
-        """Last hidden state ``h_t^L`` as the user vector (Section III-D)."""
+        """Last hidden state ``h_t^L`` as the user vector (Section III-D).
+
+        The one user-vector hook: ``(B, N)`` ids to ``(B, d)``.  The
+        default slices :meth:`encode_states`; an override must return the
+        same value and draw the same dropout masks.
+        """
         states = self.encode_states(input_ids)
         return F.getitem(states, (slice(None), -1))
 
@@ -192,7 +200,7 @@ class SequentialEncoderBase(Module):
         batch per step (main pass, dropout view, same-target or
         augmented views).  This helper concatenates the ``(B, N)``
         view inputs into one ``(V*B, N)`` batch, runs a **single**
-        :meth:`encode_states` graph walk over it, and returns one
+        :meth:`user_representation` graph walk over it, and returns one
         ``(B, d)`` last-state user tensor per view — cutting the
         python/op count of the dominant training cost ~``V``-fold while
         fattening every GEMM and FFT.
@@ -226,8 +234,7 @@ class SequentialEncoderBase(Module):
             lambda: np.concatenate(arrays, axis=0, out=stacked), "encode_views.stack"
         )
         with dropout_views(len(arrays)):
-            states = self.encode_states(stacked)
-        user = F.getitem(states, (slice(None), -1))  # (V*B, d)
+            user = self.user_representation(stacked)  # (V*B, d)
         return tuple(
             F.getitem(user, slice(i * batch, (i + 1) * batch))
             for i in range(len(arrays))
@@ -304,7 +311,7 @@ class SequentialEncoderBase(Module):
         """Encode ``(B, N)`` history windows into ``(B, d)`` user vectors.
 
         The serving micro-batch entry point: one stacked
-        :meth:`encode_states` graph walk for the whole batch (the same
+        :meth:`user_representation` graph walk for the whole batch (the same
         batch-axis stacking :meth:`encode_views` uses for training
         views), run entirely under :func:`no_grad` so no autograd graph
         is built.  Returns a plain numpy array in the model dtype; a

@@ -177,10 +177,28 @@ class FilterMixerLayer(Module):
         )
 
     def forward(self, x: Tensor) -> Tensor:
+        return self._position_wise(x, self.mix_spectra(x))
+
+    def forward_last(self, x: Tensor) -> Tensor:
+        """The block's output at the last position only: ``(B, 1, d)``.
+
+        Equals ``forward(x)[:, -1:]`` (to float reassociation).  The FFT
+        mix needs all ``N`` input positions, so it runs in full; the
+        rest of the block is position-wise, so it runs on position
+        ``N-1`` alone.  Both dropout sites still draw their full-length
+        masks and keep the last row, which leaves every generator
+        stream, and so every other mask, unchanged.
+        """
         filtered = self.mix_spectra(x)
+        last = (slice(None), slice(-1, None))
+        return self._position_wise(
+            F.getitem(x, last), F.getitem(filtered, last), seq_len=x.shape[1]
+        )
+
+    def _position_wise(self, x: Tensor, filtered: Tensor, seq_len: int | None = None) -> Tensor:
         # Eq. 28: residual + dropout + LayerNorm.
-        hidden = self.filter_norm(F.add(x, self.filter_dropout(filtered)))
+        hidden = self.filter_norm(F.add(x, self.filter_dropout(filtered, seq_len=seq_len)))
         # Eqs. 29-30: FFN with densely-residual LayerNorm.  The triple
         # residual runs as one fused add node (bitwise the chained sum).
         ffn_out = self.ffn(hidden)
-        return self.ffn_norm(F.add3(x, hidden, self.ffn_dropout(ffn_out)))
+        return self.ffn_norm(F.add3(x, hidden, self.ffn_dropout(ffn_out, seq_len=seq_len)))

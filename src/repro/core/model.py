@@ -97,6 +97,22 @@ class Slime4Rec(SequentialEncoderBase):
             hidden = layer(self.inject_noise(hidden))
         return hidden
 
+    def user_representation(self, input_ids: np.ndarray) -> Tensor:
+        """``h_t^L`` (Eq. 31) without the rest of the last block's output.
+
+        Blocks ``0..L-2`` run on every position; the last block runs its
+        FFT mix in full and its position-wise tail on position ``N-1``
+        only (:meth:`FilterMixerLayer.forward_last`).  Same masks and
+        generator streams as ``encode_states(x)[:, -1]``, same value to
+        float reassociation.
+        """
+        *body, last = self.layers
+        hidden = self.embed(input_ids)
+        for layer in body:
+            hidden = layer(self.inject_noise(hidden))
+        hidden = last.forward_last(self.inject_noise(hidden))
+        return F.getitem(hidden, (slice(None), -1))
+
     # ------------------------------------------------------------------
     def loss(self, batch: Batch) -> Tensor:
         """Joint objective of Eq. 36.
@@ -112,17 +128,16 @@ class Slime4Rec(SequentialEncoderBase):
         losses to float64 reassociation tolerance.
         """
         if self.config.cl_weight <= 0.0 or batch.positive_ids is None:
-            states = self.encode_states(batch.input_ids)
-            return self.prediction_loss(_last_state(states), batch.targets)
+            return self.recommendation_loss(batch.input_ids, batch.targets)
 
         if self.config.batched_views and self.noise_eps <= 0.0:
             user, unsup_view, sup_view = self.encode_views(
                 (batch.input_ids, batch.input_ids, batch.positive_ids)
             )
         else:
-            user = _last_state(self.encode_states(batch.input_ids))
-            unsup_view = _last_state(self.encode_states(batch.input_ids))
-            sup_view = _last_state(self.encode_states(batch.positive_ids))
+            user = self.user_representation(batch.input_ids)
+            unsup_view = self.user_representation(batch.input_ids)
+            sup_view = self.user_representation(batch.positive_ids)
         rec_loss = self.prediction_loss(user, batch.targets)
         cl = info_nce_loss(unsup_view, sup_view, temperature=self.config.cl_temperature)
         return F.add(rec_loss, F.mul(cl, self.config.cl_weight))
@@ -143,7 +158,3 @@ class Slime4Rec(SequentialEncoderBase):
                 amp = np.abs(layer.sfs_real.data + 1j * layer.sfs_imag.data)
                 out["sfs"].append(amp * layer.sfs_mask[:, None])
         return out
-
-
-def _last_state(states: Tensor) -> Tensor:
-    return F.getitem(states, (slice(None), -1))

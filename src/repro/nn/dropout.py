@@ -16,7 +16,10 @@ realization per seed.  Inside a
 :func:`repro.nn.workspace.dropout_views` context (the stacked
 multi-view contrastive encode) the mask is drawn as one per-view block
 draw per view, so a ``(V*B, N, d)`` call consumes this layer's
-generator exactly like ``V`` separate ``(B, N, d)`` calls.  See
+generator exactly like ``V`` separate ``(B, N, d)`` calls.  Given
+``seq_len=N``, a ``(B, n, d)`` input is the last ``n`` positions of a
+``(B, N, d)`` batch: the mask is drawn for the full batch and sliced,
+so the generator advances exactly as for the full-length call.  See
 :func:`repro.autograd.functional.dropout` for the exact contract.
 """
 
@@ -47,8 +50,11 @@ class Dropout(Module):
         self.p = p
         self.rng = rng or np.random.default_rng()
 
-    def forward(self, x: Tensor) -> Tensor:
-        return F.dropout(x, self.p, training=self.training, rng=self.rng)
+    def forward(self, x: Tensor, seq_len: int | None = None) -> Tensor:
+        """``seq_len`` marks ``x`` as the trailing positions of a longer
+        sequence batch: the mask is drawn at full length and sliced (see
+        :func:`repro.autograd.functional.dropout`)."""
+        return F.dropout(x, self.p, training=self.training, rng=self.rng, seq_len=seq_len)
 
     def __repr__(self) -> str:
         return f"Dropout(p={self.p})"

@@ -229,8 +229,8 @@ class TestDropoutViewStreams:
         bad = random_batch()
         # Sabotage the stacked pass *inside* the dropout_views context:
         # positive_ids with a wrong length makes encode_views raise
-        # before, and a raising layer makes encode_states raise after,
-        # the count is set.
+        # before, and a raising encode makes user_representation raise
+        # after, the count is set.
         assert dropout_view_count() == 1
         with pytest.raises(ValueError):
             model.encode_views((bad.input_ids, bad.input_ids[:, :-1]))
@@ -239,13 +239,13 @@ class TestDropoutViewStreams:
         class Boom(Exception):
             pass
 
-        original = model.encode_states
+        original = model.user_representation
 
         def raising_encode(input_ids):
             original(input_ids)  # consume some dropout draws first
             raise Boom()
 
-        model.encode_states = raising_encode
+        model.user_representation = raising_encode
         with pytest.raises(Boom):
             model.encode_views((bad.input_ids, bad.input_ids, bad.input_ids))
         assert dropout_view_count() == 1

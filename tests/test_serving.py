@@ -138,13 +138,13 @@ class TestEncoderInferenceHooks:
         """The eval scoring path must not build a throwaway graph."""
         model = make_model(dataset)
         observed = []
-        original = model.encode_states
+        original = model.user_representation
 
         def spy(input_ids):
             observed.append(is_grad_enabled())
             return original(input_ids)
 
-        model.encode_states = spy
+        model.user_representation = spy
         model.eval()
         inputs = dataset.eval_arrays("valid")[0][:4]
         assert is_grad_enabled()  # caller is in grad mode...
