@@ -1260,14 +1260,16 @@ def dropout(
     it to the fast uint16 path, whose bit consumption is call-shaped.)
     The leading axis must divide evenly by ``V``.
 
-    ``seq_len=N`` declares ``a`` the last ``a.shape[1]`` positions of a
-    length-``N`` sequence batch (``x[:, -n:]`` of an ``(R, N, ...)``
-    tensor).  The mask is still drawn for the whole ``(R, N, ...)``
-    shape, per view as above, and only its trailing ``n`` positions are
-    kept: ``rng`` advances exactly as for the full-length call and the
-    output equals the same slice of the full-length output, so a caller
-    that only reads the last position can skip the other ``N - n``
-    without changing any mask.
+    ``seq_len=N`` declares ``a`` the last ``a.shape[-2]`` positions of a
+    length-``N`` sequence axis (``x[..., -n:, :]`` of an ``(R, ..., N, k)``
+    tensor: the positions of an ``(R, N, d)`` activation, or the query
+    rows of ``(R, H, N, N)`` attention probabilities).  The mask is
+    still drawn for the whole ``(R, ..., N, k)`` shape, per view as above,
+    and only its trailing ``n`` rows on axis -2 are kept: ``rng``
+    advances exactly as for the full-length call and the output equals
+    the same slice of the full-length output, so a caller that only
+    reads the last position can skip the other ``N - n`` without
+    changing any mask.
     """
     a = as_tensor(a)
     if not training or p <= 0.0:
@@ -1290,13 +1292,13 @@ def dropout(
         draw_shape = (block,) + a.shape[1:]
     kept = Ellipsis
     if seq_len is not None:
-        if a.ndim < 2 or not 0 < a.shape[1] <= seq_len:
+        if a.ndim < 3 or not 0 < a.shape[-2] <= seq_len:
             raise ValueError(
                 f"dropout over the last positions of a length-{seq_len} sequence "
-                f"needs 1..{seq_len} positions on axis 1, got shape {a.shape}"
+                f"needs an (R, ..., n, k) input with n in 1..{seq_len}, got shape {a.shape}"
             )
-        draw_shape = draw_shape[:1] + (seq_len,) + a.shape[2:]
-        kept = (slice(None), slice(seq_len - a.shape[1], None))
+        draw_shape = draw_shape[:-2] + (seq_len, a.shape[-1])
+        kept = (Ellipsis, slice(seq_len - a.shape[-2], None), slice(None))
     # Per-view draws use a *view-sized* scratch buffer — the same
     # workspace key the separate-pass (B, ...) sites use, so the
     # stacked (V*B, ...) geometry and the single-view eval geometry

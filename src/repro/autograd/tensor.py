@@ -111,9 +111,10 @@ class Tensor:
     Parameters
     ----------
     data:
-        Array-like payload.  Floating input is kept as-is; python lists
-        and scalars are converted to the default float dtype unless they
-        are integral (kept as int64, useful for index tensors).
+        Array-like payload.  Floating arrays and numpy float scalars are
+        kept as-is; python lists and scalars are converted to the default
+        float dtype unless they are integral (kept as int64, useful for
+        index tensors).
     requires_grad:
         Whether gradients should be accumulated into this tensor.
     """
@@ -139,8 +140,11 @@ class Tensor:
         if isinstance(data, Tensor):
             data = data.data
         if not isinstance(data, np.ndarray):
+            # A numpy float scalar (what an op on 0-d arrays returns)
+            # keeps its dtype; only python floats take the default.
+            numpy_float = isinstance(data, np.floating)
             data = np.asarray(data)
-            if data.dtype.kind == "f":
+            if data.dtype.kind == "f" and not numpy_float:
                 data = data.astype(_DEFAULT_DTYPE, copy=False)
             elif data.dtype.kind in "iu":
                 data = data.astype(np.int64, copy=False)

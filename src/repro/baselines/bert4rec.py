@@ -4,7 +4,8 @@ Bidirectional self-attention trained with the Cloze (masked item)
 objective: a random fraction of positions is replaced by a ``[mask]``
 token and the model predicts the original items.  At inference the
 history is shifted left and a ``[mask]`` appended at the final position
-whose hidden state scores the next item.
+whose hidden state scores the next item; :meth:`BERT4Rec.user_representation`
+does that shift, so evaluation and serving score the same vector.
 
 The bidirectional encoder shares the fused attention fast path
 (:mod:`repro.nn.attention`): same single Q/K/V GEMM, with the causal
@@ -65,15 +66,35 @@ class BERT4Rec(SequentialEncoderBase):
 
     # ------------------------------------------------------------------
     def encode_states(self, input_ids: np.ndarray) -> Tensor:
+        return self._encode(input_ids, last_only=False)
+
+    def user_representation(self, input_ids: np.ndarray) -> Tensor:
+        """The ``[mask]`` query's hidden state: the user vector that
+        evaluation and serving both score with.
+
+        The history is shifted left and ``[mask]`` appended at the last
+        position; blocks ``0..L-2`` run on every position and the last
+        block on the ``[mask]`` query only
+        (:meth:`TransformerBlock.forward_last`), which is exact for
+        bidirectional attention too.
+        """
+        inputs = np.asarray(input_ids, dtype=np.int64)
+        shifted = np.roll(inputs, -1, axis=1)
+        shifted[:, -1] = self.mask_token
+        return F.getitem(self._encode(shifted, last_only=True), (slice(None), -1))
+
+    def _encode(self, input_ids: np.ndarray, last_only: bool) -> Tensor:
         ids = np.asarray(input_ids)
         padding = ids == 0
         # Static-graph replay: refresh the padding mask in place from the
         # persistent input buffer (see sasrec.py for the same pattern).
         record_host(lambda: np.equal(ids, 0, out=padding), "bert4rec.padding")
+        *body, last = self.encoder.blocks
         hidden = self.embed(input_ids)
-        for block in self.encoder.blocks:
+        for block in body:
             hidden = block(hidden, key_padding_mask=padding)
-        return hidden
+        run_last = last.forward_last if last_only else last
+        return run_last(hidden, key_padding_mask=padding)
 
     # ------------------------------------------------------------------
     def loss(self, batch: Batch) -> Tensor:
@@ -109,15 +130,3 @@ class BERT4Rec(SequentialEncoderBase):
         table = F.transpose(self._score_table(), (1, 0))
         logits = F.matmul(states, table)  # (B, N, V+1)
         return F.cross_entropy(logits, labels, ignore_index=_IGNORE)
-
-    def predict_scores(self, input_ids: np.ndarray, context: np.ndarray | None = None) -> np.ndarray:
-        """Append [mask] at the end and rank by its hidden state."""
-        inputs = np.asarray(input_ids, dtype=np.int64)
-        shifted = np.roll(inputs, -1, axis=1)
-        shifted[:, -1] = self.mask_token
-        states = self.encode_states(shifted)
-        user = F.getitem(states, (slice(None), -1))
-        if context is not None:
-            return user.data @ context
-        table = F.transpose(self._score_table(), (1, 0))
-        return F.matmul(user, table).data

@@ -34,8 +34,8 @@ def augmented_contrastive_loss(model, batch: Batch) -> Tensor:
 
     Used by the CL4SRec-style models (CL4SRec, CoSeRec) whose views
     come from index-level augmentation: the model must expose
-    ``cl_weight``, ``cl_temperature``, ``batched_views``,
-    ``_augment_batch`` and ``_user``.  With ``batched_views`` the
+    ``cl_weight``, ``cl_temperature``, ``batched_views`` and
+    ``_augment_batch``.  With ``batched_views`` the
     original batch and both augmented views run as one stacked
     ``(3B, N, d)`` walk (:meth:`~repro.core.encoder.SequentialEncoderBase.encode_views`);
     otherwise the sequential three-pass reference.  Both augment in the

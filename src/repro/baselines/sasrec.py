@@ -5,15 +5,18 @@ time-domain baseline in the paper.  Trained under the unified
 cross-entropy-on-next-item protocol so all Table-II models share the
 same objective shape.
 
-Runs on the fused attention fast path by default (single Q/K/V GEMM,
-cached block masks — :mod:`repro.nn.attention`); this model is one of
-the two step-time configs tracked in ``docs/PERFORMANCE.md``.
+Runs on the fused attention fast path (single Q/K/V GEMM, cached
+block masks — :mod:`repro.nn.attention`), and its user vector runs the
+last block on the last query only (:meth:`SASRec.user_representation`);
+this model is one of the two step-time configs tracked in
+``docs/PERFORMANCE.md``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.autograd import functional as F
 from repro.autograd.graph import record_host
 from repro.autograd.tensor import Tensor
 from repro.baselines.transformer import TransformerEncoder
@@ -56,13 +59,30 @@ class SASRec(SequentialEncoderBase):
         )
 
     def encode_states(self, input_ids: np.ndarray) -> Tensor:
+        return self._encode(input_ids, last_only=False)
+
+    def user_representation(self, input_ids: np.ndarray) -> Tensor:
+        """``h_t^L`` (Eq. 31) without the rest of the last block's output.
+
+        Blocks ``0..L-2`` run on every position; the last block runs
+        attention with the last query only and its position-wise tail on
+        position ``N-1`` (:meth:`TransformerBlock.forward_last`).  Same
+        masks and generator streams as ``encode_states(x)[:, -1]``, same
+        value to float reassociation.  DuoRec, CL4SRec, CoSeRec,
+        ContrastVAE and S3Rec inherit it.
+        """
+        return F.getitem(self._encode(input_ids, last_only=True), (slice(None), -1))
+
+    def _encode(self, input_ids: np.ndarray, last_only: bool) -> Tensor:
         ids = np.asarray(input_ids)
         padding = ids == 0
         # Static-graph replay: ``ids`` aliases the executor's persistent
         # input buffer, so the padding mask is refreshed in place for the
         # downstream block-mask host entry.
         record_host(lambda: np.equal(ids, 0, out=padding), "sasrec.padding")
+        *body, last = self.encoder.blocks
         hidden = self.embed(input_ids)
-        for block in self.encoder.blocks:
+        for block in body:
             hidden = block(self.inject_noise(hidden), key_padding_mask=padding)
-        return hidden
+        run_last = last.forward_last if last_only else last
+        return run_last(self.inject_noise(hidden), key_padding_mask=padding)

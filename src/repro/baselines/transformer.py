@@ -1,8 +1,9 @@
 """Transformer encoder blocks shared by the attention-based baselines.
 
 Shapes: ``(B, N, dim)`` in, ``(B, N, dim)`` out, post-norm residual
-wiring (the SASRec/BERT4Rec convention).  Each block's attention runs
-on the fused workspace fast path by default — one ``(dim, 3*dim)``
+wiring (the SASRec/BERT4Rec convention); ``forward_last`` returns the
+last position only, ``(B, 1, dim)``.  Each block's attention runs
+on the fused workspace fast path — one ``(dim, 3*dim)``
 Q/K/V GEMM, score scale folded into Q, cached block masks, fused
 output projection (see :mod:`repro.nn.attention`) — and its dropout
 sites draw masks through the shared per-step workspace.
@@ -44,9 +45,25 @@ class TransformerBlock(Module):
         self.ffn_dropout = Dropout(dropout, rng=np.random.default_rng(rng.integers(2**32)))
 
     def forward(self, x: Tensor, key_padding_mask: np.ndarray | None = None) -> Tensor:
-        attended = self.attention(x, key_padding_mask=key_padding_mask)
-        x = self.attn_norm(F.add(x, self.attn_dropout(attended)))
-        return self.ffn_norm(F.add(x, self.ffn_dropout(self.ffn(x))))
+        return self._position_wise(x, self.attention(x, key_padding_mask=key_padding_mask))
+
+    def forward_last(self, x: Tensor, key_padding_mask: np.ndarray | None = None) -> Tensor:
+        """The block's output at the last position only: ``(B, 1, d)``.
+
+        Equals ``forward(x)[:, -1:]`` (to float reassociation).  Keys
+        and values need all ``N`` input positions; the query, and the
+        rest of the block, is position-wise, so attention runs with the
+        last query only and the tail on position ``N-1`` alone.  Every
+        dropout site still draws its full-length mask and keeps the last
+        row, which leaves every generator stream unchanged.
+        """
+        attended = self.attention(x, key_padding_mask=key_padding_mask, last_query=True)
+        last = F.getitem(x, (slice(None), slice(-1, None)))
+        return self._position_wise(last, attended, seq_len=x.shape[1])
+
+    def _position_wise(self, x: Tensor, attended: Tensor, seq_len: int | None = None) -> Tensor:
+        x = self.attn_norm(F.add(x, self.attn_dropout(attended, seq_len=seq_len)))
+        return self.ffn_norm(F.add(x, self.ffn_dropout(self.ffn(x), seq_len=seq_len)))
 
 
 class TransformerEncoder(Module):

@@ -14,7 +14,8 @@ outer structure from the paper's Figure 2:
 override :meth:`encode_states`.  Every user vector — training loss,
 contrastive views, evaluation and serving — comes from
 :meth:`SequentialEncoderBase.user_representation`, which a model may
-override to compute only the last position (SLIME4Rec does).
+override to compute only the last position (SLIME4Rec, SASRec and its
+descendants, and BERT4Rec do).
 
 Hot-path notes: the embedding lookup's backward and every dropout site
 here run through the shared per-step workspace

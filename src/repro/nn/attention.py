@@ -12,10 +12,10 @@ and attention probabilities are ``(B, H, N, N)``; output is
 ``(B, N, dim)``.  All activations and gradients stay in the parameter
 dtype (float32 or float64, see :mod:`repro.nn.init`).
 
-Fused fast path
----------------
-By default (``fused=True``) the layer runs on the shared per-step
-workspace (:mod:`repro.nn.workspace`):
+Fast path
+---------
+The layer runs on the shared per-step workspace
+(:mod:`repro.nn.workspace`):
 
 - the three Q/K/V projections collapse into a **single** ``(dim, 3*dim)``
   GEMM against a parameter-version-cached concatenation of the three
@@ -30,12 +30,26 @@ workspace (:mod:`repro.nn.workspace`):
   context directly — no separate transpose/reshape autograd nodes;
 - causal and diagonal mask patterns are cached per sequence length.
 
-``fused=False`` (or any projection built without a bias) falls back to
-the seed implementation composed of primitive autograd ops; the test
-suite checks both paths agree on values and gradients in both dtypes.
-The two paths draw identical dropout masks per seed — the probability
-tensor has the same shape in both — but fused values differ from
-unfused at the usual floating-point reassociation tolerance.
+The reference composition of primitive ops (three projections, an
+explicit score scale, separate head merges) lives in the test suite as
+the oracle this path is checked against, on values, gradients and
+dropout masks, in both dtypes.
+
+Last query only
+---------------
+``forward(x, last_query=True)`` returns the output at the last position
+alone, ``(B, 1, dim)``, for callers that read only ``h_t`` (the
+transformer models' last block).  Keys and values need every position,
+so the fused Q/K/V GEMM stays full; Q is sliced to row ``N-1`` and the
+scores, softmax, probability dropout, context and output projection run
+on one query row.  Each query row of attention depends on that query
+and on all keys and values only, so the row equals row ``N-1`` of the
+full output (to float reassociation), causal or bidirectional.  The
+mask row is a *view* of the block mask, so the in-place block-mask
+refresh of a tape replay still reaches it, and the probability dropout
+draws its full ``(B, H, N, N)`` mask and keeps the last query row
+(``F.dropout(seq_len=N)``), so the generator advances exactly as for
+the full call.
 """
 
 from __future__ import annotations
@@ -221,10 +235,6 @@ class MultiHeadSelfAttention(Module):
     causal:
         When True a causal (left-to-right) mask is applied, as in
         SASRec.  Bidirectional models (BERT4Rec) pass False.
-    fused:
-        Run the fused Q/K/V + output-projection fast path (default).
-        ``False`` uses the reference composition of primitive ops; see
-        the module docstring for the equivalence contract.
     """
 
     def __init__(
@@ -235,7 +245,6 @@ class MultiHeadSelfAttention(Module):
         causal: bool = True,
         rng: np.random.Generator | None = None,
         dtype=None,
-        fused: bool = True,
     ) -> None:
         super().__init__()
         if dim % num_heads != 0:
@@ -245,7 +254,6 @@ class MultiHeadSelfAttention(Module):
         self.num_heads = num_heads
         self.head_dim = dim // num_heads
         self.causal = causal
-        self.fused = fused
         self.query = Linear(dim, dim, rng=rng, dtype=dtype)
         self.key = Linear(dim, dim, rng=rng, dtype=dtype)
         self.value = Linear(dim, dim, rng=rng, dtype=dtype)
@@ -327,11 +335,12 @@ class MultiHeadSelfAttention(Module):
         return block
 
     # ------------------------------------------------------------------
-    def _split_heads(self, x: Tensor, batch: int, length: int) -> Tensor:
-        x = F.reshape(x, (batch, length, self.num_heads, self.head_dim))
-        return F.transpose(x, (0, 2, 1, 3))  # (B, H, N, hd)
-
-    def forward(self, x: Tensor, key_padding_mask: np.ndarray | None = None) -> Tensor:
+    def forward(
+        self,
+        x: Tensor,
+        key_padding_mask: np.ndarray | None = None,
+        last_query: bool = False,
+    ) -> Tensor:
         """Attend over the sequence axis.
 
         Parameters
@@ -341,15 +350,12 @@ class MultiHeadSelfAttention(Module):
         key_padding_mask:
             Optional boolean array of shape ``(B, N)`` that is True at
             padding positions (those keys are never attended to).
+        last_query:
+            Return only the last position's output, ``(B, 1, dim)``;
+            see "Last query only" in the module docstring.
         """
-        batch, length, _ = x.shape
+        length = x.shape[1]
         block = self._block_mask(length, key_padding_mask)
-        biased = all(
-            proj.bias is not None for proj in (self.query, self.key, self.value, self.out)
-        )
-        if not (self.fused and biased):
-            return self._forward_unfused(x, block, batch, length)
-
         q, k, v = _fused_qkv_heads(
             x,
             (
@@ -361,26 +367,13 @@ class MultiHeadSelfAttention(Module):
             self.num_heads,
             float(1.0 / np.sqrt(self.head_dim)),
         )
-        scores = F.matmul(q, F.transpose(k, (0, 1, 3, 2)))  # (B, H, N, N), pre-scaled
+        seq_len = None
+        if last_query:
+            q = F.getitem(q, (slice(None), slice(None), slice(-1, None)))  # (B, H, 1, hd)
+            block = block[..., -1:, :]  # a view: replay refreshes reach it
+            seq_len = length
+        scores = F.matmul(q, F.transpose(k, (0, 1, 3, 2)))  # (B, H, n, N), pre-scaled
         scores = F.masked_fill(scores, block, -1e9)
-        probs = self.attn_dropout(F.softmax(scores, axis=-1))
-        context = F.matmul(probs, v)  # (B, H, N, hd)
+        probs = self.attn_dropout(F.softmax(scores, axis=-1), seq_len=seq_len)
+        context = F.matmul(probs, v)  # (B, H, n, hd)
         return _attention_output(context, self.out.weight, self.out.bias)
-
-    def _forward_unfused(
-        self, x: Tensor, block: np.ndarray, batch: int, length: int
-    ) -> Tensor:
-        """Reference path: three projections, explicit scale and merges."""
-        q = self._split_heads(self.query(x), batch, length)
-        k = self._split_heads(self.key(x), batch, length)
-        v = self._split_heads(self.value(x), batch, length)
-
-        scores = F.matmul(q, F.transpose(k, (0, 1, 3, 2)))  # (B, H, N, N)
-        scores = F.mul(scores, 1.0 / np.sqrt(self.head_dim))
-        scores = F.masked_fill(scores, block, -1e9)
-
-        probs = self.attn_dropout(F.softmax(scores, axis=-1))
-        context = F.matmul(probs, v)  # (B, H, N, hd)
-        context = F.transpose(context, (0, 2, 1, 3))
-        context = F.reshape(context, (batch, length, self.dim))
-        return self.out(context)

@@ -18,8 +18,10 @@ multi-view contrastive encode) the mask is drawn as one per-view block
 draw per view, so a ``(V*B, N, d)`` call consumes this layer's
 generator exactly like ``V`` separate ``(B, N, d)`` calls.  Given
 ``seq_len=N``, a ``(B, n, d)`` input is the last ``n`` positions of a
-``(B, N, d)`` batch: the mask is drawn for the full batch and sliced,
-so the generator advances exactly as for the full-length call.  See
+``(B, N, d)`` batch (a ``(B, H, n, N)`` one the last ``n`` query rows
+of attention probabilities): the mask is drawn at full length and
+sliced on axis -2, so the generator advances exactly as for the
+full-length call.  See
 :func:`repro.autograd.functional.dropout` for the exact contract.
 """
 

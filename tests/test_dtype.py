@@ -366,6 +366,21 @@ def test_baseline_trains_fully_in_float32(name, tiny_dataset):
     assert scores.dtype == np.float32, "evaluation must rank in the model dtype"
 
 
+CONTRASTIVE_MODELS = ["SLIME4Rec", "DuoRec", "CL4SRec", "CoSeRec", "ContrastVAE"]
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("name", CONTRASTIVE_MODELS)
+def test_contrastive_loss_keeps_model_dtype(name, dtype, tiny_dataset):
+    """``rec + cl_weight * cl`` multiplies a 0-d loss by a float32
+    literal; the numpy scalar that product returns must keep the model
+    dtype, not be cast to the literal default."""
+    model = build_baseline(name, tiny_dataset, hidden_dim=16, seed=0, dtype=dtype)
+    iterator = BatchIterator(tiny_dataset, batch_size=16, with_same_target=True, seed=0)
+    loss = model.loss(next(iter(iterator.epoch())))
+    assert loss.dtype == model.dtype == dtype
+
+
 # ----------------------------------------------------------------------
 # 5. System-level: float32 train+eval matches float64 within tolerance
 # ----------------------------------------------------------------------

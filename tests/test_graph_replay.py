@@ -22,8 +22,9 @@ from repro.autograd.graph import (
     capture,
     is_capturing,
 )
-from repro.autograd.tensor import Tensor
+from repro.autograd.tensor import Tensor, set_default_dtype
 from repro.baselines import build_baseline
+from repro.baselines.duorec import DuoRec
 from repro.baselines.fmlprec import FMLPRec
 from repro.baselines.gru4rec import GRU4Rec
 from repro.baselines.s3rec import S3Rec
@@ -40,14 +41,17 @@ NUM_ITEMS = 30
 MAX_LEN = 12
 
 
-def random_batch(seed=0, batch=6, with_positive=True):
+def random_batch(seed=0, batch=6, with_positive=True, ragged=False):
     rng = np.random.default_rng(seed)
     inputs = rng.integers(1, NUM_ITEMS + 1, size=(batch, MAX_LEN))
-    inputs[:, : MAX_LEN // 3] = 0  # left padding
     targets = rng.integers(1, NUM_ITEMS + 1, size=batch)
     positives = None
     if with_positive:
         positives = rng.integers(1, NUM_ITEMS + 1, size=(batch, MAX_LEN))
+    pad = MAX_LEN // 3
+    if ragged:  # per-row history lengths, so the padding differs per step
+        pad = MAX_LEN - rng.integers(1, MAX_LEN + 1, size=(batch, 1))
+    inputs *= np.arange(MAX_LEN) >= pad  # left padding
     return Batch(input_ids=inputs, targets=targets, positive_ids=positives)
 
 
@@ -62,14 +66,14 @@ def build_slime(dtype="float64", batched=True, **overrides):
 def build_model(name, dtype="float64"):
     if name == "SLIME4Rec":
         return build_slime(dtype)
-    cls = {"SASRec": SASRec, "FMLP-Rec": FMLPRec, "GRU4Rec": GRU4Rec}[name]
+    cls = {"SASRec": SASRec, "DuoRec": DuoRec, "FMLP-Rec": FMLPRec, "GRU4Rec": GRU4Rec}[name]
     kwargs = dict(num_items=NUM_ITEMS, max_len=MAX_LEN, hidden_dim=16, seed=0, dtype=dtype)
     if name != "GRU4Rec":
         kwargs["num_layers"] = 1
     return cls(**kwargs)
 
 
-def run_trajectory(model, static, steps=10, seed=0, with_positive=True):
+def run_trajectory(model, static, steps=10, seed=0, with_positive=True, ragged=False):
     """Optimizer-coupled run: per-step losses and per-step named grads.
 
     The grad snapshot is taken *after* clipping, so the comparison pins
@@ -80,7 +84,7 @@ def run_trajectory(model, static, steps=10, seed=0, with_positive=True):
     executor = TapeExecutor(model) if static else None
     losses, grads = [], []
     for step in range(steps):
-        batch = random_batch(seed=seed + step, with_positive=with_positive)
+        batch = random_batch(seed=seed + step, with_positive=with_positive, ragged=ragged)
         optimizer.zero_grad()
         if static:
             result = executor.step(batch)
@@ -122,15 +126,38 @@ def assert_trajectories_bitwise(dynamic, static):
 
 class TestReplayBitwiseMatrix:
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
-    @pytest.mark.parametrize("name", ["SLIME4Rec", "SASRec", "FMLP-Rec", "GRU4Rec"])
+    @pytest.mark.parametrize(
+        "name", ["SLIME4Rec", "SASRec", "DuoRec", "FMLP-Rec", "GRU4Rec"]
+    )
     def test_losses_and_grads_bitwise(self, name, dtype):
-        with_positive = name == "SLIME4Rec"
+        with_positive = name in ("SLIME4Rec", "DuoRec")
         dynamic = run_trajectory(
             build_model(name, dtype), static=False, with_positive=with_positive
         )
         static = run_trajectory(
             build_model(name, dtype), static=True, with_positive=with_positive
         )
+        assert_trajectories_bitwise(dynamic, static)
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("name", ["SLIME4Rec", "DuoRec"])
+    def test_contrastive_bitwise_with_float32_literals(self, name, dtype):
+        """Python-literal constants in float32, the production default:
+        ``F.mul(cl, weight)`` is then a mixed-dtype product, and the
+        loss must keep the model dtype on both engines."""
+        set_default_dtype(np.float32)
+        dynamic = run_trajectory(build_model(name, dtype), static=False)
+        static = run_trajectory(build_model(name, dtype), static=True)
+        assert_trajectories_bitwise(dynamic, static)
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("name", ["SASRec", "DuoRec"])
+    def test_padding_changes_between_steps_bitwise(self, name, dtype):
+        """Each replayed step has a different padding pattern: the block
+        mask, and the last-query mask row viewing it, must follow the
+        in-place padding refresh."""
+        dynamic = run_trajectory(build_model(name, dtype), static=False, ragged=True)
+        static = run_trajectory(build_model(name, dtype), static=True, ragged=True)
         assert_trajectories_bitwise(dynamic, static)
 
     @pytest.mark.parametrize("dtype", ["float64", "float32"])

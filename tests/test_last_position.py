@@ -1,18 +1,29 @@
-"""Last-position pruning of SLIME4Rec's final filter-mixer block.
+"""Last-position pruning of the models' final encoder block.
 
-``Slime4Rec.user_representation`` runs the last block's FFT mix on all
-``N`` positions and its position-wise tail (dropout, LayerNorms, FFN,
-residuals) on position ``N-1`` only.  The oracle is the full path,
-``encode_states(x)[:, -1]``.  Declared equivalence classes:
+Every model scores a user from ``h_t^L`` alone (Eq. 31), so
+``user_representation`` computes only that position of the last block:
+
+- SLIME4Rec runs the last block's FFT mix on all ``N`` positions and its
+  position-wise tail (dropout, LayerNorms, FFN, residuals) on position
+  ``N-1`` only;
+- SASRec (and DuoRec, CL4SRec, CoSeRec and ContrastVAE, which inherit
+  it) runs the last transformer block's attention with the last query
+  only — keys and values stay full — and its tail on position ``N-1``;
+  BERT4Rec does the same on its shifted, ``[mask]``-terminated window.
+
+The oracle is the full path, ``encode_states(x)[:, -1]``.  Declared
+equivalence classes:
 
 - pruned vs full path: **tolerance** on the user vector and on every
   parameter gradient — the GEMMs and row reductions see a different
   row count, so BLAS may block them differently;
 - pruned vs full path: **bitwise** on every random stream — each sliced
-  dropout site still draws its full-length mask, so every generator
-  (dropout, Figure-6 noise) ends the step in the same bit state;
+  dropout site still draws its full-length mask (attention-probability
+  dropout its full ``(B, H, N, N)`` mask), so every generator (dropout,
+  Figure-6 noise, augmentation, reparameterization) ends the step in
+  the same bit state;
 - ``F.dropout(seq_len=N)`` vs the full-length call: **bitwise** on the
-  kept positions, in both mask modes and with per-view streams.
+  kept rows of axis -2, in both mask modes and with per-view streams.
 
 Batched vs unbatched views, dynamic vs tape replay and checkpoint
 resume keep their bitwise pins (``test_batched_views.py``,
@@ -26,7 +37,8 @@ import numpy as np
 import pytest
 
 from repro.autograd import functional as F
-from repro.autograd.tensor import Tensor
+from repro.autograd.tensor import Tensor, is_grad_enabled
+from repro.baselines import BERT4Rec, CL4SRec, CoSeRec, ContrastVAE, DuoRec, SASRec
 from repro.core import Slime4Rec, SlimeConfig
 from repro.core.contrastive import info_nce_loss
 from repro.data.batching import Batch
@@ -54,10 +66,11 @@ def build(dtype, **overrides):
     return Slime4Rec(SlimeConfig(seed=0, dtype=dtype, **fields))
 
 
-def view_inputs(views, seed=0):
+def view_inputs(views, seed=0, padded=True):
     rng = np.random.default_rng(seed)
     ids = rng.integers(1, NUM_ITEMS + 1, size=(views * BATCH, MAX_LEN))
-    ids[:BATCH, : MAX_LEN // 3] = 0  # left padding on the first view
+    if padded:
+        ids[:BATCH, : MAX_LEN // 3] = 0  # left padding on the first view
     return ids
 
 
@@ -173,33 +186,176 @@ def test_eval_scores_match_full_path():
 
 
 # ----------------------------------------------------------------------
+# The transformer models: last block on the last query only
+# ----------------------------------------------------------------------
+
+TRANSFORMERS = {
+    cls.__name__: cls for cls in (SASRec, DuoRec, CL4SRec, CoSeRec, ContrastVAE, BERT4Rec)
+}
+
+
+def build_transformer(name, dtype):
+    return TRANSFORMERS[name](
+        num_items=NUM_ITEMS, max_len=MAX_LEN, hidden_dim=16, num_layers=2, seed=0, dtype=dtype
+    )
+
+
+def transformer_oracle(model, input_ids):
+    """``encode_states(x)[:, -1]`` on the window the model encodes
+    (BERT4Rec: shifted left, ``[mask]`` appended)."""
+    if isinstance(model, BERT4Rec):
+        input_ids = np.roll(input_ids, -1, axis=1)
+        input_ids[:, -1] = model.mask_token
+    return full_oracle(model, input_ids)
+
+
+def assert_grads_close(got_grads, want_grads, dtype):
+    assert set(got_grads) == set(want_grads)
+    scale = max(np.abs(g).max() for g in want_grads.values() if g is not None)
+    for name, want in want_grads.items():
+        got = got_grads[name]
+        assert (got is None) == (want is None), name
+        if want is None:
+            continue
+        assert got.dtype == want.dtype, name
+        if name.endswith("key.bias"):
+            # Analytically zero on both paths (softmax is shift-invariant
+            # along a query row), so only rounding noise is left to
+            # compare: absolute, against the largest gradient entry.
+            err = float(np.abs(got - want).max()) / scale
+            assert err <= TOLERANCE[dtype], f"grad of {name}: absolute error {err:.3g}"
+        else:
+            assert_close(got, want, dtype, f"grad of {name}")
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+@pytest.mark.parametrize("name", sorted(TRANSFORMERS))
+@pytest.mark.parametrize("padded", [True, False])
+@pytest.mark.parametrize("views", [1, 3])
+@pytest.mark.parametrize("mode,fast", CELLS)
+def test_transformer_pruned_matches_full_path(dtype, name, padded, views, mode, fast):
+    pruned = build_transformer(name, dtype)
+    oracle = copy.deepcopy(pruned)
+    for model in (pruned, oracle):
+        model.train(mode == "train")
+    ids = view_inputs(views, padded=padded)
+
+    got, got_grads = run(pruned, TRANSFORMERS[name].user_representation, ids, views, fast)
+    want, want_grads = run(oracle, transformer_oracle, ids, views, fast)
+
+    assert got.shape == want.shape == (views * BATCH, 16)
+    assert got.dtype == want.dtype == np.dtype(dtype)
+    assert_close(got, want, dtype, "user vectors")
+    assert_grads_close(got_grads, want_grads, dtype)
+    assert dropout_states(pruned) == dropout_states(oracle)
+    assert pruned.rng_state_dict() == oracle.rng_state_dict()
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+@pytest.mark.parametrize("name", ["DuoRec", "CL4SRec", "CoSeRec", "ContrastVAE"])
+@pytest.mark.parametrize("fast", [False, True])
+def test_contrastive_loss_matches_full_path(name, dtype, fast):
+    """``loss`` (DuoRec, CL4SRec, CoSeRec: three stacked views) against
+    the same objective with the full path as the user-vector hook."""
+    model = build_transformer(name, dtype)
+    oracle = copy.deepcopy(model)
+    oracle.user_representation = lambda ids: full_oracle(oracle, ids)
+    rng = np.random.default_rng(3)
+    batch = Batch(
+        input_ids=view_inputs(1, seed=1),
+        targets=rng.integers(1, NUM_ITEMS + 1, size=BATCH),
+        positive_ids=view_inputs(1, seed=2),
+    )
+    losses = []
+    for m in (model, oracle):
+        m.train()
+        m.zero_grad()
+        with fast_dropout_masks(fast):
+            loss = m.loss(batch)
+        loss.backward()
+        losses.append(loss)
+
+    assert losses[0].dtype == losses[1].dtype
+    assert_close(np.asarray(losses[0].data), np.asarray(losses[1].data), dtype, "loss")
+    assert_grads_close(
+        {n: p.grad for n, p in model.named_parameters()},
+        {n: p.grad for n, p in oracle.named_parameters()},
+        dtype,
+    )
+    assert model.rng_state_dict() == oracle.rng_state_dict()
+
+
+@pytest.mark.parametrize("name", sorted(TRANSFORMERS))
+def test_transformer_eval_scores_match_full_path(name):
+    model = build_transformer(name, "float64").eval()
+    ids = view_inputs(1)
+    user = transformer_oracle(model, ids).data
+    assert_close(model.encode_users(ids), user, "float64", "users")
+    if name != "ContrastVAE":  # ranks by mu_head(h), see ROADMAP
+        want = user @ model.score_context()
+        assert_close(model.predict_scores(ids), want, "float64", "scores")
+
+
+def test_bert4rec_serves_the_vector_it_evaluates_with():
+    """Serving (``encode_users``) and evaluation (``predict_scores``)
+    score the same ``[mask]`` query vector, and evaluation builds no
+    autograd graph."""
+    model = build_transformer("BERT4Rec", "float64").eval()
+    ids = view_inputs(1)
+    context = model.score_context()
+    grad_modes = []
+    hook = model.user_representation
+
+    def spy(input_ids):
+        grad_modes.append(is_grad_enabled())
+        return hook(input_ids)
+
+    model.user_representation = spy
+    scores = model.predict_scores(ids, context)
+    np.testing.assert_array_equal(model.encode_users(ids) @ context, scores)
+    np.testing.assert_array_equal(model.predict_scores(ids), scores)
+    assert grad_modes == [False, False, False]
+
+
+# ----------------------------------------------------------------------
 # F.dropout(seq_len=N): full-length draw, trailing positions kept
 # ----------------------------------------------------------------------
+
+
+#: Per-row shapes of a sliced dropout site: ``(N, d)`` positions of an
+#: activation, ``(H, N, N)`` attention probabilities (query rows sliced).
+ROW_SHAPES = {"positions": (10, 6), "query_rows": (3, 10, 10)}
 
 
 @pytest.mark.parametrize("fast", [False, True])
 @pytest.mark.parametrize("views", [1, 3])
 @pytest.mark.parametrize("kept", [1, 4])
-def test_dropout_seq_len_is_the_full_call_sliced(fast, views, kept):
-    x = np.random.default_rng(0).standard_normal((views * 4, 10, 6))
+@pytest.mark.parametrize("rows", sorted(ROW_SHAPES))
+def test_dropout_seq_len_is_the_full_call_sliced(rows, fast, views, kept):
+    x = np.random.default_rng(0).standard_normal((views * 4,) + ROW_SHAPES[rows])
+    last = (Ellipsis, slice(-kept, None), slice(None))
     full_rng, sliced_rng = np.random.default_rng(9), np.random.default_rng(9)
     whole = Tensor(x, requires_grad=True)
     full = F.dropout(whole, 0.3, True, full_rng, fast=fast, views=views)
-    part = Tensor(x[:, -kept:], requires_grad=True)
+    part = Tensor(x[last], requires_grad=True)
     sliced = F.dropout(part, 0.3, True, sliced_rng, fast=fast, views=views, seq_len=10)
-    np.testing.assert_array_equal(sliced.data, full.data[:, -kept:])
+    np.testing.assert_array_equal(sliced.data, full.data[last])
     assert full_rng.bit_generator.state == sliced_rng.bit_generator.state
 
     grad = np.zeros(x.shape)
-    grad[:, -kept:] = np.random.default_rng(1).standard_normal(part.shape)
+    grad[last] = np.random.default_rng(1).standard_normal(part.shape)
     full.backward(grad)
-    sliced.backward(grad[:, -kept:])
-    np.testing.assert_array_equal(part.grad, whole.grad[:, -kept:])
+    sliced.backward(grad[last])
+    np.testing.assert_array_equal(part.grad, whole.grad[last])
 
 
 def test_dropout_seq_len_rejects_a_longer_slice():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError, match="length-4"):
         F.dropout(Tensor(np.ones((2, 5, 3))), 0.5, True, rng, seq_len=4)
+    with pytest.raises(ValueError, match="length-4"):
+        F.dropout(Tensor(np.ones((2, 3, 5, 5))), 0.5, True, rng, seq_len=4)
+    with pytest.raises(ValueError, match="length-4"):
+        F.dropout(Tensor(np.ones((5, 3))), 0.5, True, rng, seq_len=4)
     with pytest.raises(ValueError, match="length-4"):
         F.dropout(Tensor(np.ones(5)), 0.5, True, rng, seq_len=4)

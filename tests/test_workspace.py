@@ -3,7 +3,8 @@
 Covers the three hot paths the workspace subsystem rewired:
 
 - fused Q/K/V attention vs. three separate projections (forward and
-  backward, both dtypes, two geometries),
+  backward, both dtypes, two geometries) — the separate-projection
+  composition lives here as the oracle, :class:`UnfusedAttention`,
 - shared-workspace FFT products vs. per-call allocation in the spectral
   ops (repeated/interleaved calls must not corrupt values or grads),
 - the fast dropout-mask path (keep rate in expectation, scaling,
@@ -114,13 +115,40 @@ class TestStepWorkspace:
 # Fused QKV attention vs. three separate projections
 # ----------------------------------------------------------------------
 
+class UnfusedAttention(MultiHeadSelfAttention):
+    """Reference attention composed of primitive autograd ops.
+
+    Three separate projections, an explicit score scale and separate
+    head split/merge nodes, with the same parameters, block mask and
+    probability-dropout stream as the fused layer.
+    """
+
+    def _split_heads(self, x, batch, length):
+        x = F.reshape(x, (batch, length, self.num_heads, self.head_dim))
+        return F.transpose(x, (0, 2, 1, 3))  # (B, H, N, hd)
+
+    def forward(self, x, key_padding_mask=None):
+        batch, length, _ = x.shape
+        block = self._block_mask(length, key_padding_mask)
+        q = self._split_heads(self.query(x), batch, length)
+        k = self._split_heads(self.key(x), batch, length)
+        v = self._split_heads(self.value(x), batch, length)
+
+        scores = F.matmul(q, F.transpose(k, (0, 1, 3, 2)))  # (B, H, N, N)
+        scores = F.mul(scores, 1.0 / np.sqrt(self.head_dim))
+        scores = F.masked_fill(scores, block, -1e9)
+
+        probs = self.attn_dropout(F.softmax(scores, axis=-1))
+        context = F.matmul(probs, v)  # (B, H, N, hd)
+        context = F.transpose(context, (0, 2, 1, 3))
+        context = F.reshape(context, (batch, length, self.dim))
+        return self.out(context)
+
+
 def _attention_pair(dim, heads, dtype, causal=True):
-    fused = MultiHeadSelfAttention(
-        dim, heads, dropout=0.0, causal=causal, rng=np.random.default_rng(0), dtype=dtype
-    )
-    unfused = MultiHeadSelfAttention(
-        dim, heads, dropout=0.0, causal=causal, rng=np.random.default_rng(0),
-        dtype=dtype, fused=False,
+    fused, unfused = (
+        cls(dim, heads, dropout=0.0, causal=causal, rng=np.random.default_rng(0), dtype=dtype)
+        for cls in (MultiHeadSelfAttention, UnfusedAttention)
     )
     return fused, unfused
 
@@ -175,10 +203,10 @@ class TestFusedAttentionEquivalence:
         batch, length, dim, heads = GEOMETRIES[0]
         x = np.random.default_rng(3).standard_normal((batch, length, dim))
         outs = []
-        for fused in (True, False):
-            attn = MultiHeadSelfAttention(
+        for cls in (MultiHeadSelfAttention, UnfusedAttention):
+            attn = cls(
                 dim, heads, dropout=0.4, causal=True,
-                rng=np.random.default_rng(0), dtype=np.float64, fused=fused,
+                rng=np.random.default_rng(0), dtype=np.float64,
             )
             outs.append(attn(Tensor(x)).data)
         np.testing.assert_allclose(outs[0], outs[1], atol=1e-10)
