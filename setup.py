@@ -12,6 +12,7 @@ if __name__ == "__main__":
         name="repro",
         packages=find_packages("src"),
         package_dir={"": "src"},
+        install_requires=["numpy", "scipy"],
         entry_points={
             "console_scripts": [
                 "repro-lint=repro.analysis.lint.cli:main",

@@ -7,9 +7,9 @@ reproduction.  It provides:
   a computation graph and supports broadcasting-aware backpropagation.
 - :mod:`~repro.autograd.functional`: the op library (arithmetic, matmul,
   reductions, activations, softmax/cross-entropy, gather/scatter, ...).
-- :mod:`~repro.autograd.spectral`: the fused FFT -> complex filter ->
-  inverse-FFT operator at the heart of SLIME4Rec, with an analytically
-  derived backward pass.
+- :mod:`~repro.autograd.spectral`: the FFT -> complex filter ->
+  inverse-FFT operator behind every filter-mixer block, with an
+  analytically derived backward pass.
 - :mod:`~repro.autograd.workspace`: the shared per-step compute
   workspace (scratch buffers, derived-constant caches, parameter-keyed
   caches) that the hot-path ops draw their working memory from.
@@ -31,12 +31,7 @@ from repro.autograd.tensor import (
 )
 from repro.autograd import workspace
 from repro.autograd import functional
-from repro.autograd.spectral import (
-    spectral_filter,
-    spectral_filter_mixed,
-    combined_filter,
-    spectral_filter_reference,
-)
+from repro.autograd.spectral import spectral_filter
 from repro.autograd.gradcheck import gradcheck
 from repro.autograd.graph import (
     GraphCaptureError,
@@ -60,8 +55,5 @@ __all__ = [
     "functional",
     "workspace",
     "spectral_filter",
-    "spectral_filter_mixed",
-    "combined_filter",
-    "spectral_filter_reference",
     "gradcheck",
 ]

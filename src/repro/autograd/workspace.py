@@ -27,8 +27,7 @@ Three kinds of state live here, with three different contracts:
 
 :class:`ParamCache`
     A module-owned cache of a value *derived from parameter payloads*
-    (the mixer's combined complex filter, attention's concatenated
-    Q/K/V weight).  Keyed on the global parameter-mutation epoch
+    (attention's concatenated Q/K/V weight).  Keyed on the global parameter-mutation epoch
     (:func:`~repro.autograd.tensor.parameter_version`) plus the
     identity of the payload arrays, so it rebuilds exactly once per
     optimizer step / checkpoint restore and never serves stale data.
@@ -151,8 +150,8 @@ class StepWorkspace:
 class ParamCache:
     """A cache of one value derived from parameter payloads.
 
-    Owned by the module that derives the value (the filter mixer's
-    combined complex filter, attention's concatenated Q/K/V weight).
+    Owned by the module that derives the value (attention's
+    concatenated Q/K/V weight).
     The cache key couples the global parameter-mutation epoch (bumped
     by optimizer steps, ``Module.to`` and checkpoint restores) with the
     *identity* of the payload arrays — held as strong references so a

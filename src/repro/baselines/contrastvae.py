@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.autograd import functional as F
 from repro.autograd.graph import record_host
-from repro.autograd.tensor import Tensor
+from repro.autograd.tensor import Tensor, no_grad
 from repro.baselines.sasrec import SASRec
 from repro.core.contrastive import info_nce_loss
 from repro.data.batching import Batch
@@ -77,12 +77,20 @@ class ContrastVAE(SASRec):
         return F.add(mu, F.mul(std, Tensor(eps_data)))
 
     # ------------------------------------------------------------------
+    def encode_users(self, input_ids: np.ndarray, batch_size: int | None = None) -> np.ndarray:
+        """The posterior mean ``mu`` (the mean latent) per window.
+
+        Serving and evaluation both rank by this vector:
+        :meth:`predict_scores` is ``encode_users(ids) @ context``.
+        """
+        users = super().encode_users(input_ids, batch_size)
+        with no_grad():
+            return self.mu_head(Tensor(users)).data
+
     def predict_scores(self, input_ids: np.ndarray, context: np.ndarray | None = None) -> np.ndarray:
-        mu, _ = self._posterior(input_ids)  # mean latent at inference
-        if context is not None:
-            return mu.data @ context
-        table = F.transpose(self._score_table(), (1, 0))
-        return F.matmul(mu, table).data
+        if context is None:
+            context = self.score_context()
+        return self.encode_users(input_ids) @ context
 
     def loss(self, batch: Batch) -> Tensor:
         mu, logvar = self._posterior(batch.input_ids)

@@ -8,9 +8,10 @@ Each block:
    learnable *static* filter restricted to the layer's split band
    (Eq. 25),
 3. mixes the two spectra ``(1-gamma) * X_D + gamma * X_S`` and inverse
-   FFTs back to time (Eqs. 26-27) — by linearity of the inverse FFT the
-   implementation mixes the two filtered time signals, which is
-   mathematically identical,
+   FFTs back to time (Eqs. 26-27) — by linearity the implementation
+   filters the spectrum once with the mixed filter
+   ``(1-gamma)·mask_D·W_D + gamma·mask_S·W_S``, which is mathematically
+   identical and needs one FFT pair,
 4. residual + LayerNorm + dropout (Eq. 28),
 5. pointwise FFN with the densely-residual LayerNorm of Eq. 30.
 """
@@ -20,17 +21,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.autograd import functional as F
-from repro.autograd.spectral import (
-    combined_filter,
-    num_frequency_bins,
-    spectral_filter,
-    spectral_filter_mixed,
-)
+from repro.autograd.spectral import num_frequency_bins, spectral_filter
 from repro.autograd.tensor import Tensor
 from repro.core.encoder import PointwiseFeedForward
 from repro.nn import Dropout, LayerNorm, Module, Parameter
 from repro.nn import init as nn_init
-from repro.nn.workspace import ParamCache
 
 __all__ = ["FilterMixerLayer"]
 
@@ -81,100 +76,46 @@ class FilterMixerLayer(Module):
         self.gamma = gamma
         self.dtype = dtype
 
-        self.dfs_mask = None
-        if dfs_mask is not None:
-            self.dfs_mask = self._check_mask(dfs_mask, m)
-            self.dfs_real = Parameter(
-                nn_init.normal(rng, (m, hidden_dim), std=filter_init_std, dtype=dtype), name="dfs_real"
+        # One (scale, w_real, w_imag) branch per enabled filter, with
+        # scale = weight * mask as a float64 (M, 1) column; the op casts
+        # it to the input dtype.  A lone branch gets weight 1 (gamma
+        # then mixes nothing).
+        both = dfs_mask is not None and sfs_mask is not None
+        self.dfs_mask = self.sfs_mask = None
+        self._branches = []
+        for branch, mask, weight in (("dfs", dfs_mask, 1.0 - gamma), ("sfs", sfs_mask, gamma)):
+            if mask is None:
+                continue
+            # A mask with the wrong bin count fails this reshape (ValueError).
+            mask = np.asarray(mask, dtype=np.float64).reshape(m)
+            real, imag = (
+                Parameter(
+                    nn_init.normal(rng, (m, hidden_dim), std=filter_init_std, dtype=dtype),
+                    name=f"{branch}_{part}",
+                )
+                for part in ("real", "imag")
             )
-            self.dfs_imag = Parameter(
-                nn_init.normal(rng, (m, hidden_dim), std=filter_init_std, dtype=dtype), name="dfs_imag"
-            )
-
-        self.sfs_mask = None
-        if sfs_mask is not None:
-            self.sfs_mask = self._check_mask(sfs_mask, m)
-            self.sfs_real = Parameter(
-                nn_init.normal(rng, (m, hidden_dim), std=filter_init_std, dtype=dtype), name="sfs_real"
-            )
-            self.sfs_imag = Parameter(
-                nn_init.normal(rng, (m, hidden_dim), std=filter_init_std, dtype=dtype), name="sfs_imag"
-            )
+            setattr(self, f"{branch}_mask", mask)
+            setattr(self, f"{branch}_real", real)
+            setattr(self, f"{branch}_imag", imag)
+            self._branches.append(((weight if both else 1.0) * mask[:, None], real, imag))
 
         self.filter_norm = LayerNorm(hidden_dim, dtype=dtype)
         self.filter_dropout = Dropout(dropout, rng=np.random.default_rng(rng.integers(2**32)))
         self.ffn = PointwiseFeedForward(hidden_dim, rng=rng, dtype=dtype)
         self.ffn_norm = LayerNorm(hidden_dim, dtype=dtype)
         self.ffn_dropout = Dropout(dropout, rng=np.random.default_rng(rng.integers(2**32)))
-        # Parameter-version-keyed combined complex filter for the fused
-        # path; see _combined_filter for the invalidation contract.
-        self._filt_cache = ParamCache()
-
-    @staticmethod
-    def _check_mask(mask: np.ndarray, m: int) -> np.ndarray:
-        mask = np.asarray(mask, dtype=np.float64).reshape(-1)
-        if mask.shape[0] != m:
-            raise ValueError(f"mask has {mask.shape[0]} bins, expected {m}")
-        return mask
-
-    # ------------------------------------------------------------------
-    def _combined_filter(self) -> np.ndarray:
-        """Cached ``(1-γ)·mask_D·W_D + γ·mask_S·W_S`` for the fused op.
-
-        Backed by a :class:`~repro.nn.workspace.ParamCache` (the same
-        mechanism attention uses for its concatenated Q/K/V weight):
-        keyed on the global parameter-mutation epoch plus the identity
-        of the parameter payloads, so the combined filter is rebuilt
-        exactly once per parameter update even though the contrastive
-        objective encodes every batch three times.  Call
-        :meth:`invalidate_filter_cache` after mutating filter parameter
-        ``.data`` in place by hand.
-        """
-        payloads = (
-            self.dfs_real.data,
-            self.dfs_imag.data,
-            self.sfs_real.data,
-            self.sfs_imag.data,
-        )
-
-        def build():
-            return combined_filter(
-                self.dfs_real, self.dfs_imag, self.dfs_mask,
-                self.sfs_real, self.sfs_imag, self.sfs_mask,
-                self.gamma,
-            )
-
-        return self._filt_cache.get(payloads, build, extra=self.gamma)
-
-    def invalidate_filter_cache(self) -> None:
-        """Drop the cached combined filter (after manual weight edits)."""
-        self._filt_cache.invalidate()
 
     def mix_spectra(self, x: Tensor) -> Tensor:
         """Eqs. 21 + 25 + 26-27: filter, mix, return time-domain signal.
 
-        Both branches active -> the fused single-FFT-pair op; single
-        branch (ablations w/oD and w/oS) -> the original per-branch
-        :func:`spectral_filter`, byte-for-byte the seed behaviour.
-
-        The combined filter is handed over as a *provider* (the bound
-        cached method) rather than a precomputed array so static-graph
-        replays re-fetch it after each optimizer step; the
-        :class:`~repro.nn.workspace.ParamCache` behind it still
-        collapses the three contrastive encodes of one step to a single
-        recombination.
+        One :func:`~repro.autograd.spectral.spectral_filter` call over
+        this layer's branches, whichever of DFS/SFS are enabled.  The op
+        recombines the mixed filter from the live parameters on every
+        call (and every static-graph replay), so nothing here can go
+        stale after an optimizer step or a manual weight edit.
         """
-        if self.dfs_mask is None:
-            return spectral_filter(x, self.sfs_real, self.sfs_imag, self.sfs_mask)
-        if self.sfs_mask is None:
-            return spectral_filter(x, self.dfs_real, self.dfs_imag, self.dfs_mask)
-        return spectral_filter_mixed(
-            x,
-            self.dfs_real, self.dfs_imag, self.dfs_mask,
-            self.sfs_real, self.sfs_imag, self.sfs_mask,
-            self.gamma,
-            filt_provider=self._combined_filter,
-        )
+        return spectral_filter(x, self._branches)
 
     def forward(self, x: Tensor) -> Tensor:
         return self._position_wise(x, self.mix_spectra(x))

@@ -10,8 +10,8 @@ Dtype contract: parameters are created in the dtype resolved by
 :mod:`repro.nn.init` (float64 default, float32 fast path) and
 :meth:`Module.to` casts a built module between the two.  Mutations
 that rebind or restore parameter payloads (``to``, ``load_state_dict``)
-bump the global parameter version so parameter-derived caches — the
-filter mixer's combined filter, attention's concatenated Q/K/V weight
+bump the global parameter version so parameter-derived caches —
+attention's concatenated Q/K/V weight
 (:class:`repro.nn.workspace.ParamCache`) — rebuild on the next use;
 editing ``param.data`` in place by hand requires invalidating those
 caches yourself.
@@ -164,7 +164,7 @@ class Module:
         for name, param in own.items():
             param.data = np.asarray(state[name]).astype(param.dtype, copy=True)
         # Restored payloads invalidate parameter-derived caches (e.g.
-        # the filter mixer's combined complex filter).
+        # attention's concatenated Q/K/V weight).
         bump_parameter_version()
 
     # ------------------------------------------------------------------

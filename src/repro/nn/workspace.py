@@ -3,7 +3,7 @@
 ``repro.nn.workspace`` is the documented entry point for the workspace
 subsystem that backs the training hot paths:
 
-- **Scratch buffers** (:meth:`StepWorkspace.scratch`): the spectral ops
+- **Scratch buffers** (:meth:`StepWorkspace.scratch`): the spectral op
   write their frequency-domain filter products into shared ``(B, M, d)``
   complex buffers instead of allocating per call, dropout draws its
   float64 uniforms into a shared buffer, and the embedding backward
@@ -13,9 +13,9 @@ subsystem that backs the training hot paths:
 - **Derived-constant caches** (:meth:`StepWorkspace.cached`): causal /
   anti-diagonal attention masks per sequence length, index rows, and
   other pure functions of the geometry.
-- **Parameter-derived caches** (:class:`ParamCache`): the filter
-  mixer's combined complex filter and attention's concatenated
-  ``(d, 3d)`` Q/K/V weight, rebuilt exactly once per optimizer step.
+- **Parameter-derived caches** (:class:`ParamCache`): attention's
+  concatenated ``(d, 3d)`` Q/K/V weight, rebuilt exactly once per
+  optimizer step.
 - **The dropout seed-compatibility flag**
   (:func:`set_fast_dropout_masks` / :func:`fast_dropout_masks`): opt-in
   cheap mask generation for throughput runs that do not need

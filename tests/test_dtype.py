@@ -3,7 +3,7 @@
 Three layers of guarantees:
 
 1. **Op level** — every differentiable op in ``autograd.functional``
-   and both spectral ops keep float32 inputs in float32, forward and
+   and the spectral op keep float32 inputs in float32, forward and
    backward (complex64 spectra in the filter path).
 2. **Module level** — every ``nn`` module built with ``dtype=float32``
    produces float32 activations and float32 parameter/input gradients.
@@ -23,9 +23,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from repro.autograd import functional as F
-from repro.autograd.spectral import combined_filter, spectral_filter, spectral_filter_mixed
+from repro.autograd.spectral import spectral_filter
 from repro.autograd.tensor import Tensor, set_default_dtype
 from repro.baselines import BASELINE_NAMES, build_baseline
 from repro.baselines.transformer import TransformerBlock
@@ -33,7 +34,7 @@ from repro.core.config import SlimeConfig
 from repro.core.encoder import PointwiseFeedForward
 from repro.core.filter_mixer import FilterMixerLayer
 from repro.core.model import Slime4Rec
-from repro.data.batching import BatchIterator
+from repro.data.batching import Batch, BatchIterator
 from repro.data.synthetic import load_preset
 from repro.evaluation import Evaluator
 from repro.nn import (
@@ -183,19 +184,22 @@ def test_spectral_ops_preserve_dtype(dtype, rng):
     complex_dtype = np.complex64 if dtype == np.float32 else np.complex128
     x = _param_t(rng, (2, n, d), dtype)
     wr, wi = _param_t(rng, (m, d), dtype), _param_t(rng, (m, d), dtype)
-    mask = np.ones(m)
-    _assert_graph_dtype(spectral_filter(x, wr, wi, mask), [x, wr, wi], dtype)
+    scale = np.full((m, 1), 0.3)  # float64, cast to the input dtype
+    out = spectral_filter(x, [(scale, wr, wi)])
+    # Bit for bit the FFT pipeline run wholly in the input's precision
+    # (complex64 for float32): no float64 scale promotes the spectrum.
+    filt = scale.astype(dtype) * (wr.data + 1j * wi.data)
+    want = scipy.fft.irfft(scipy.fft.rfft(x.data, axis=1) * filt, n=n, axis=1)
+    assert filt.dtype == complex_dtype and want.dtype == dtype
+    np.testing.assert_array_equal(out.data, want)
+    _assert_graph_dtype(out, [x, wr, wi], dtype)
 
     x2 = _param_t(rng, (2, n, d), dtype)
     params = [_param_t(rng, (m, d), dtype) for _ in range(4)]
-    dfs_mask = np.array([1, 1, 1, 0, 0], dtype=float)
+    dfs_mask = np.array([[1], [1], [1], [0], [0]], dtype=float)
     sfs_mask = 1.0 - dfs_mask
-    filt = combined_filter(params[0], params[1], dfs_mask, params[2], params[3], sfs_mask, 0.5)
-    assert filt.dtype == complex_dtype
-    out = spectral_filter_mixed(
-        x2, params[0], params[1], dfs_mask, params[2], params[3], sfs_mask, 0.5, filt=filt
-    )
-    _assert_graph_dtype(out, [x2] + params, dtype)
+    branches = [(0.5 * dfs_mask, params[0], params[1]), (0.5 * sfs_mask, params[2], params[3])]
+    _assert_graph_dtype(spectral_filter(x2, branches), [x2] + params, dtype)
 
 
 # ----------------------------------------------------------------------
@@ -326,6 +330,44 @@ def test_module_to_casts_parameters(rng):
     assert model.predict_scores(ids).dtype == np.float32
     with pytest.raises(ValueError):
         model.to(np.float16)  # same float32/float64 contract as construction
+
+
+@pytest.mark.parametrize(
+    "variant", [{}, {"use_dfs": False}, {"use_sfs": False}], ids=["default", "wo_dfs", "wo_sfs"]
+)
+def test_module_to_float32_keeps_spectral_path_single_precision(variant):
+    """A float64 model cast with ``.to(float32)`` trains bit for bit like
+    one built in float32 from the same cast weights: the branch scales
+    follow the parameter dtype, so no spectrum is promoted to complex128."""
+    models = {}
+    for dtype in ("float64", "float32"):
+        cfg = SlimeConfig(
+            num_items=20, max_len=10, hidden_dim=8, num_layers=2, cl_weight=0.1,
+            seed=0, dtype=dtype, **variant,
+        )
+        models[dtype] = Slime4Rec(cfg)
+    cast, built = models["float64"].to(np.float32), models["float32"]
+    built.load_state_dict(cast.state_dict())
+    rng = np.random.default_rng(4)
+    inputs = rng.integers(1, 21, size=(4, 10))
+    inputs[:, :3] = 0
+    batch = Batch(
+        input_ids=inputs,
+        targets=rng.integers(1, 21, size=4),
+        positive_ids=rng.integers(1, 21, size=(4, 10)),
+    )
+    losses = []
+    for model in (cast, built):
+        model.train()
+        loss = model.loss(batch)
+        loss.backward()
+        losses.append(loss.data)
+    assert losses[0].dtype == np.float32
+    assert np.array_equal(losses[0], losses[1])
+    grads = dict(built.named_parameters())
+    for name, param in cast.named_parameters():
+        assert param.grad.dtype == np.float32, name
+        assert np.array_equal(param.grad, grads[name].grad), name
 
 
 def test_float32_init_is_rounded_float64_init(rng):

@@ -63,9 +63,17 @@ def build_slime(dtype="float64", batched=True, **overrides):
     return Slime4Rec(cfg)
 
 
+#: SLIME4Rec and its single-branch ablations w/oD and w/oS.
+SLIME_VARIANTS = {
+    "SLIME4Rec": {},
+    "SLIME4Rec-woD": {"use_dfs": False},
+    "SLIME4Rec-woS": {"use_sfs": False},
+}
+
+
 def build_model(name, dtype="float64"):
-    if name == "SLIME4Rec":
-        return build_slime(dtype)
+    if name in SLIME_VARIANTS:
+        return build_slime(dtype, **SLIME_VARIANTS[name])
     cls = {"SASRec": SASRec, "DuoRec": DuoRec, "FMLP-Rec": FMLPRec, "GRU4Rec": GRU4Rec}[name]
     kwargs = dict(num_items=NUM_ITEMS, max_len=MAX_LEN, hidden_dim=16, seed=0, dtype=dtype)
     if name != "GRU4Rec":
@@ -127,10 +135,10 @@ def assert_trajectories_bitwise(dynamic, static):
 class TestReplayBitwiseMatrix:
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
     @pytest.mark.parametrize(
-        "name", ["SLIME4Rec", "SASRec", "DuoRec", "FMLP-Rec", "GRU4Rec"]
+        "name", [*SLIME_VARIANTS, "SASRec", "DuoRec", "FMLP-Rec", "GRU4Rec"]
     )
     def test_losses_and_grads_bitwise(self, name, dtype):
-        with_positive = name in ("SLIME4Rec", "DuoRec")
+        with_positive = name in SLIME_VARIANTS or name == "DuoRec"
         dynamic = run_trajectory(
             build_model(name, dtype), static=False, with_positive=with_positive
         )

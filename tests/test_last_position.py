@@ -289,18 +289,21 @@ def test_contrastive_loss_matches_full_path(name, dtype, fast):
 def test_transformer_eval_scores_match_full_path(name):
     model = build_transformer(name, "float64").eval()
     ids = view_inputs(1)
-    user = transformer_oracle(model, ids).data
+    user = transformer_oracle(model, ids)
+    if name == "ContrastVAE":  # serves and ranks by the posterior mean
+        user = model.mu_head(user)
+    user = user.data
     assert_close(model.encode_users(ids), user, "float64", "users")
-    if name != "ContrastVAE":  # ranks by mu_head(h), see ROADMAP
-        want = user @ model.score_context()
-        assert_close(model.predict_scores(ids), want, "float64", "scores")
+    want = user @ model.score_context()
+    assert_close(model.predict_scores(ids), want, "float64", "scores")
 
 
-def test_bert4rec_serves_the_vector_it_evaluates_with():
+@pytest.mark.parametrize("name", ["BERT4Rec", "ContrastVAE"])
+def test_serves_the_vector_it_evaluates_with(name):
     """Serving (``encode_users``) and evaluation (``predict_scores``)
-    score the same ``[mask]`` query vector, and evaluation builds no
-    autograd graph."""
-    model = build_transformer("BERT4Rec", "float64").eval()
+    score the same vector (BERT4Rec: the ``[mask]`` query; ContrastVAE:
+    the posterior mean), and evaluation builds no autograd graph."""
+    model = build_transformer(name, "float64").eval()
     ids = view_inputs(1)
     context = model.score_context()
     grad_modes = []

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.autograd.spectral import num_frequency_bins
+from repro.autograd.spectral import num_frequency_bins, spectral_filter
 from repro.autograd.tensor import Tensor
 from repro.core import FilterMixerLayer, SlideMode, Slime4Rec, SlimeConfig
 from repro.data.batching import Batch
@@ -74,42 +74,41 @@ class TestFilterMixerLayer:
         layer.eval()
         x = Tensor(rng.normal(size=(2, 12, 8)))
         mixed = layer.mix_spectra(x).data
-        from repro.autograd.spectral import spectral_filter
-
-        dfs_only = spectral_filter(x, layer.dfs_real, layer.dfs_imag, mask).data
+        dfs_only = spectral_filter(x, [(mask[:, None], layer.dfs_real, layer.dfs_imag)]).data
         assert np.allclose(mixed, dfs_only, atol=1e-10)
 
     def test_mask_bin_count_validated(self, rng):
         with pytest.raises(ValueError):
             FilterMixerLayer(12, 8, np.ones(3), None, rng=rng)
 
-    def test_filter_cache_invalidated_on_payload_replacement(self, rng):
+    def test_mix_follows_replaced_filter_payload(self, rng):
         """Replacing a filter parameter's .data must not serve stale filters."""
         m = num_frequency_bins(12)
         layer = FilterMixerLayer(12, 8, np.ones(m), np.ones(m), rng=np.random.default_rng(0))
         layer.eval()
         x = Tensor(rng.normal(size=(2, 12, 8)))
-        before = layer.mix_spectra(x).data.copy()  # warms the cache
+        before = layer.mix_spectra(x).data.copy()
         layer.dfs_real.data = layer.dfs_real.data + 1.0  # new payload object
         after = layer.mix_spectra(x).data
         assert not np.allclose(before, after)
 
-    def test_filter_cache_manual_invalidation(self, rng):
-        """In-place .data edits require invalidate_filter_cache()."""
+    def test_mix_follows_in_place_filter_edit(self, rng):
+        """In-place .data edits take effect on the next call, no invalidation."""
         m = num_frequency_bins(12)
-        layer = FilterMixerLayer(12, 8, np.ones(m), np.ones(m), rng=np.random.default_rng(0))
+        dfs_mask, sfs_mask = np.ones(m), (np.arange(m) >= 3).astype(float)
+        layer = FilterMixerLayer(12, 8, dfs_mask, sfs_mask, gamma=0.3, rng=np.random.default_rng(0))
         layer.eval()
         x = Tensor(rng.normal(size=(2, 12, 8)))
         layer.mix_spectra(x)
         layer.dfs_real.data += 1.0
-        layer.invalidate_filter_cache()
-        from repro.autograd.spectral import combined_filter
-
-        expected = combined_filter(
-            layer.dfs_real, layer.dfs_imag, layer.dfs_mask,
-            layer.sfs_real, layer.sfs_imag, layer.sfs_mask, layer.gamma,
+        expected = spectral_filter(
+            x,
+            [
+                (0.7 * dfs_mask[:, None], Tensor(layer.dfs_real.data), Tensor(layer.dfs_imag.data)),
+                (0.3 * sfs_mask[:, None], Tensor(layer.sfs_real.data), Tensor(layer.sfs_imag.data)),
+            ],
         )
-        assert np.allclose(layer._combined_filter(), expected)
+        assert np.array_equal(layer.mix_spectra(x).data, expected.data)
 
     def test_gradients_reach_all_parameters(self, rng):
         m = num_frequency_bins(12)

@@ -1,4 +1,8 @@
-"""Tests for the fused spectral-filter op — the heart of SLIME4Rec."""
+"""Tests for the spectral-filter op behind every filter-mixer block.
+
+Values and gradients are checked against the O(N²) DFT-matrix oracle in
+``spectral_reference.py`` and against central finite differences.
+"""
 
 import numpy as np
 import pytest
@@ -6,15 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.autograd import functional as F
 from repro.autograd.gradcheck import gradcheck
-from repro.autograd.spectral import (
-    combined_filter,
-    dft_matrices,
-    num_frequency_bins,
-    spectral_filter,
-    spectral_filter_mixed,
-    spectral_filter_reference,
-)
+from repro.autograd.spectral import num_frequency_bins, spectral_filter
 from repro.autograd.tensor import Tensor
+from spectral_reference import dft_matrices, spectral_filter_reference
 
 
 def make_inputs(rng, batch=2, n=8, d=3):
@@ -23,6 +21,11 @@ def make_inputs(rng, batch=2, n=8, d=3):
     wr = Tensor(rng.normal(size=(m, d)), requires_grad=True)
     wi = Tensor(rng.normal(size=(m, d)), requires_grad=True)
     return x, wr, wi, m
+
+
+def one_branch(wr, wi, mask):
+    """A single branch at weight 1: ``scale = 1·mask`` as an (M, 1) column."""
+    return [(np.asarray(mask, dtype=float)[:, None], wr, wi)]
 
 
 class TestBinCount:
@@ -48,55 +51,62 @@ class TestForward:
         x, _, _, m = make_inputs(rng)
         ones = Tensor(np.ones((m, 3)))
         zeros = Tensor(np.zeros((m, 3)))
-        out = spectral_filter(x, ones, zeros, np.ones(m))
+        out = spectral_filter(x, one_branch(ones, zeros, np.ones(m)))
         assert np.allclose(out.data, x.data, atol=1e-12)
 
     def test_zero_mask_kills_everything(self, rng):
         x, wr, wi, m = make_inputs(rng)
-        out = spectral_filter(x, wr, wi, np.zeros(m))
+        out = spectral_filter(x, one_branch(wr, wi, np.zeros(m)))
         assert np.allclose(out.data, 0.0)
 
     def test_dc_only_mask_gives_constant_over_time(self, rng):
         x, wr, wi, m = make_inputs(rng)
         mask = np.zeros(m)
         mask[0] = 1.0
-        out = spectral_filter(x, wr, wi, mask)
+        out = spectral_filter(x, one_branch(wr, wi, mask))
         # Only the DC bin survives -> output constant along time axis.
         assert np.allclose(out.data, out.data[:, :1, :], atol=1e-10)
 
-    def test_matches_reference_even_n(self, rng):
-        x, wr, wi, m = make_inputs(rng, n=10)
-        mask = (rng.random(m) > 0.5).astype(float)
-        fast = spectral_filter(x, wr, wi, mask)
-        ref = spectral_filter_reference(x, wr, wi, mask)
-        assert np.allclose(fast.data, ref.data, atol=1e-10)
-
-    def test_matches_reference_odd_n(self, rng):
-        x, wr, wi, m = make_inputs(rng, n=9)
-        mask = np.ones(m)
-        fast = spectral_filter(x, wr, wi, mask)
-        ref = spectral_filter_reference(x, wr, wi, mask)
-        assert np.allclose(fast.data, ref.data, atol=1e-10)
+    @pytest.mark.parametrize(
+        "batch,n,d,dtype,full_mask,atol",
+        [
+            (2, 10, 3, np.float64, False, 1e-10),  # even N, random band
+            (2, 9, 3, np.float64, True, 1e-10),  # odd N
+            (64, 64, 64, np.float32, True, 1e-3),  # benchmark scale, float32
+        ],
+        ids=["even_n", "odd_n", "float32_64x64x64"],
+    )
+    def test_matches_reference(self, batch, n, d, dtype, full_mask, atol):
+        r = np.random.default_rng(n)
+        m = num_frequency_bins(n)
+        x = Tensor(r.normal(size=(batch, n, d)).astype(dtype), requires_grad=True)
+        wr = Tensor(r.normal(size=(m, d)).astype(dtype), requires_grad=True)
+        wi = Tensor(r.normal(size=(m, d)).astype(dtype), requires_grad=True)
+        mask = np.ones(m) if full_mask else (r.random(m) > 0.5).astype(float)
+        fast = spectral_filter(x, one_branch(wr, wi, mask))
+        ref = spectral_filter_reference(x, one_branch(wr, wi, mask))
+        assert fast.dtype == ref.dtype == dtype
+        assert np.allclose(fast.data, ref.data, atol=atol)
 
     def test_output_is_real_dtype(self, rng):
         x, wr, wi, m = make_inputs(rng)
-        out = spectral_filter(x, wr, wi, np.ones(m))
+        out = spectral_filter(x, one_branch(wr, wi, np.ones(m)))
         assert out.data.dtype.kind == "f"
 
     def test_linearity_in_input(self, rng):
         x1, wr, wi, m = make_inputs(rng)
         x2 = Tensor(rng.normal(size=x1.shape))
         mask = np.ones(m)
-        lhs = spectral_filter(Tensor(x1.data + 2.0 * x2.data), wr, wi, mask)
-        a = spectral_filter(Tensor(x1.data), wr, wi, mask)
-        b = spectral_filter(x2, wr, wi, mask)
+        lhs = spectral_filter(Tensor(x1.data + 2.0 * x2.data), one_branch(wr, wi, mask))
+        a = spectral_filter(Tensor(x1.data), one_branch(wr, wi, mask))
+        b = spectral_filter(x2, one_branch(wr, wi, mask))
         assert np.allclose(lhs.data, a.data + 2.0 * b.data, atol=1e-10)
 
     def test_equals_circular_convolution(self, rng):
         """The op must equal a time-domain circular conv with the kernel."""
         x, wr, wi, m = make_inputs(rng, batch=1, n=8, d=1)
         mask = np.ones(m)
-        out = spectral_filter(x, wr, wi, mask)
+        out = spectral_filter(x, one_branch(wr, wi, mask))
         filt = (wr.data + 1j * wi.data)[:, 0]
         kernel = np.fft.irfft(filt, n=8)
         expected = np.real(np.fft.ifft(np.fft.fft(x.data[0, :, 0]) * np.fft.fft(kernel)))
@@ -105,11 +115,13 @@ class TestForward:
     def test_shape_validation(self, rng):
         x, wr, wi, m = make_inputs(rng)
         with pytest.raises(ValueError):
-            spectral_filter(Tensor(np.zeros((2, 8))), wr, wi, np.ones(m))
+            spectral_filter(Tensor(np.zeros((2, 8))), one_branch(wr, wi, np.ones(m)))
         with pytest.raises(ValueError):
-            spectral_filter(x, Tensor(np.zeros((m + 1, 3))), wi, np.ones(m))
+            spectral_filter(x, one_branch(Tensor(np.zeros((m + 1, 3))), wi, np.ones(m)))
         with pytest.raises(ValueError):
-            spectral_filter(x, wr, wi, np.ones(m + 2))
+            spectral_filter(x, one_branch(wr, wi, np.ones(m + 2)))
+        with pytest.raises(ValueError):  # a scale must be an (M, 1) column
+            spectral_filter(x, [(np.ones(m), wr, wi)])
 
 
 class TestGradients:
@@ -117,11 +129,11 @@ class TestGradients:
         x, wr, wi, m = make_inputs(rng, n=8)
         mask = np.zeros(m)
         mask[1:4] = 1.0
-        gradcheck(lambda a, b, c: spectral_filter(a, b, c, mask), [x, wr, wi])
+        gradcheck(lambda a, b, c: spectral_filter(a, one_branch(b, c, mask)), [x, wr, wi])
 
     def test_gradcheck_full_mask_odd(self, rng):
         x, wr, wi, m = make_inputs(rng, n=7)
-        gradcheck(lambda a, b, c: spectral_filter(a, b, c, np.ones(m)), [x, wr, wi])
+        gradcheck(lambda a, b, c: spectral_filter(a, one_branch(b, c, np.ones(m))), [x, wr, wi])
 
     def test_fused_and_reference_gradients_agree(self, rng):
         mask = None
@@ -129,12 +141,12 @@ class TestGradients:
         mask = np.zeros(m)
         mask[2:5] = 1.0
 
-        out = spectral_filter(x, wr, wi, mask)
+        out = spectral_filter(x, one_branch(wr, wi, mask))
         out.backward(np.ones_like(out.data))
         fused = (x.grad.copy(), wr.grad.copy(), wi.grad.copy())
 
         x.zero_grad(), wr.zero_grad(), wi.zero_grad()
-        ref = spectral_filter_reference(x, wr, wi, mask)
+        ref = spectral_filter_reference(x, one_branch(wr, wi, mask))
         ref.backward(np.ones_like(ref.data))
 
         assert np.allclose(fused[0], x.grad, atol=1e-10)
@@ -145,7 +157,7 @@ class TestGradients:
         x, wr, wi, m = make_inputs(rng)
         mask = np.zeros(m)
         mask[2] = 1.0
-        out = spectral_filter(x, wr, wi, mask)
+        out = spectral_filter(x, one_branch(wr, wi, mask))
         out.backward(np.ones_like(out.data))
         outside = np.ones(m, dtype=bool)
         outside[2] = False
@@ -154,7 +166,7 @@ class TestGradients:
 
     def test_dc_imaginary_gradient_is_zero(self, rng):
         x, wr, wi, m = make_inputs(rng, n=8)
-        out = spectral_filter(x, wr, wi, np.ones(m))
+        out = spectral_filter(x, one_branch(wr, wi, np.ones(m)))
         out.backward(np.ones_like(out.data))
         assert np.allclose(wi.grad[0], 0.0)
         assert np.allclose(wi.grad[-1], 0.0)  # Nyquist for even N
@@ -172,13 +184,13 @@ class TestGradients:
         wr = Tensor(r.normal(size=(m, d)), requires_grad=True)
         wi = Tensor(r.normal(size=(m, d)), requires_grad=True)
         mask = (r.random(m) > 0.3).astype(float)
-        fast = spectral_filter(x, wr, wi, mask)
-        ref = spectral_filter_reference(x, wr, wi, mask)
+        fast = spectral_filter(x, one_branch(wr, wi, mask))
+        ref = spectral_filter_reference(x, one_branch(wr, wi, mask))
         assert np.allclose(fast.data, ref.data, atol=1e-9)
 
 
 def make_mixed_inputs(rng, batch=2, n=8, d=3):
-    """x plus independent DFS/SFS filter pairs for the fused op."""
+    """x plus independent DFS/SFS filter pairs for a two-branch call."""
     m = num_frequency_bins(n)
     x = Tensor(rng.normal(size=(batch, n, d)), requires_grad=True)
     params = [Tensor(rng.normal(size=(m, d)), requires_grad=True) for _ in range(4)]
@@ -200,10 +212,18 @@ def mask_pair(m, kind, rng):
     return dfs, sfs
 
 
+def two_branches(dr, di, dfs_mask, sr, si, sfs_mask, gamma):
+    """The DFS+SFS branches a two-branch mixer layer passes."""
+    return [
+        ((1.0 - gamma) * np.asarray(dfs_mask, dtype=float)[:, None], dr, di),
+        (gamma * np.asarray(sfs_mask, dtype=float)[:, None], sr, si),
+    ]
+
+
 def mixed_reference(x, dr, di, dfs_mask, sr, si, sfs_mask, gamma):
     """(1-γ)·ref_D + γ·ref_S through the O(N²) DFT-matrix reference."""
-    a = spectral_filter_reference(x, dr, di, dfs_mask)
-    b = spectral_filter_reference(x, sr, si, sfs_mask)
+    a = spectral_filter_reference(x, one_branch(dr, di, dfs_mask))
+    b = spectral_filter_reference(x, one_branch(sr, si, sfs_mask))
     return F.add(F.mul(a, 1.0 - gamma), F.mul(b, gamma))
 
 
@@ -214,42 +234,41 @@ class TestMixedForward:
     def test_matches_reference(self, rng, n, gamma, kind):
         x, dr, di, sr, si, m = make_mixed_inputs(rng, n=n)
         dfs_mask, sfs_mask = mask_pair(m, kind, rng)
-        fused = spectral_filter_mixed(x, dr, di, dfs_mask, sr, si, sfs_mask, gamma)
+        fused = spectral_filter(x, two_branches(dr, di, dfs_mask, sr, si, sfs_mask, gamma))
         ref = mixed_reference(x, dr, di, dfs_mask, sr, si, sfs_mask, gamma)
         assert np.allclose(fused.data, ref.data, atol=1e-10)
 
     def test_matches_two_spectral_filter_calls(self, rng):
         x, dr, di, sr, si, m = make_mixed_inputs(rng, n=10)
         dfs_mask, sfs_mask = mask_pair(m, "overlapping", rng)
-        fused = spectral_filter_mixed(x, dr, di, dfs_mask, sr, si, sfs_mask, 0.3)
-        a = spectral_filter(x, dr, di, dfs_mask)
-        b = spectral_filter(x, sr, si, sfs_mask)
+        fused = spectral_filter(x, two_branches(dr, di, dfs_mask, sr, si, sfs_mask, 0.3))
+        a = spectral_filter(x, one_branch(dr, di, dfs_mask))
+        b = spectral_filter(x, one_branch(sr, si, sfs_mask))
         assert np.allclose(fused.data, 0.7 * a.data + 0.3 * b.data, atol=1e-12)
 
-    def test_precombined_filter_injection(self, rng):
-        """Passing a cached combined_filter result must not change values."""
+    def test_recombines_live_parameters_every_call(self, rng):
+        """An in-place weight edit shows up in the very next call."""
         x, dr, di, sr, si, m = make_mixed_inputs(rng)
         dfs_mask, sfs_mask = mask_pair(m, "overlapping", rng)
-        filt = combined_filter(dr, di, dfs_mask, sr, si, sfs_mask, 0.5)
-        with_cache = spectral_filter_mixed(
-            x, dr, di, dfs_mask, sr, si, sfs_mask, 0.5, filt=filt
-        )
-        without = spectral_filter_mixed(x, dr, di, dfs_mask, sr, si, sfs_mask, 0.5)
-        assert np.array_equal(with_cache.data, without.data)
+        branches = two_branches(dr, di, dfs_mask, sr, si, sfs_mask, 0.5)
+        before = spectral_filter(x, branches).data.copy()
+        dr.data += 1.0
+        after = spectral_filter(x, branches).data
+        assert not np.allclose(before, after)
+        fresh = [(s, Tensor(a.data.copy()), Tensor(b.data.copy())) for s, a, b in branches]
+        assert np.array_equal(after, spectral_filter(x, fresh).data)
 
     def test_shape_validation(self, rng):
         x, dr, di, sr, si, m = make_mixed_inputs(rng)
         with pytest.raises(ValueError):
-            spectral_filter_mixed(
-                Tensor(np.zeros((2, 8))), dr, di, np.ones(m), sr, si, np.ones(m), 0.5
+            spectral_filter(
+                Tensor(np.zeros((2, 8))), two_branches(dr, di, np.ones(m), sr, si, np.ones(m), 0.5)
             )
         with pytest.raises(ValueError):
-            spectral_filter_mixed(
-                x, dr, di, np.ones(m + 1), sr, si, np.ones(m), 0.5
-            )
+            spectral_filter(x, two_branches(dr, di, np.ones(m + 1), sr, si, np.ones(m), 0.5))
         with pytest.raises(ValueError):
-            spectral_filter_mixed(
-                x, Tensor(np.zeros((m + 1, 3))), di, np.ones(m), sr, si, np.ones(m), 0.5
+            spectral_filter(
+                x, two_branches(Tensor(np.zeros((m + 1, 3))), di, np.ones(m), sr, si, np.ones(m), 0.5)
             )
 
 
@@ -261,8 +280,8 @@ class TestMixedGradients:
         x, dr, di, sr, si, m = make_mixed_inputs(rng, n=n)
         dfs_mask, sfs_mask = mask_pair(m, kind, rng)
         gradcheck(
-            lambda a, b, c, d, e: spectral_filter_mixed(
-                a, b, c, dfs_mask, d, e, sfs_mask, gamma
+            lambda a, b, c, d, e: spectral_filter(
+                a, two_branches(b, c, dfs_mask, d, e, sfs_mask, gamma)
             ),
             [x, dr, di, sr, si],
         )
@@ -274,7 +293,7 @@ class TestMixedGradients:
         dfs_mask, sfs_mask = mask_pair(m, "overlapping", rng)
         tensors = (x, dr, di, sr, si)
 
-        out = spectral_filter_mixed(x, dr, di, dfs_mask, sr, si, sfs_mask, gamma)
+        out = spectral_filter(x, two_branches(dr, di, dfs_mask, sr, si, sfs_mask, gamma))
         seed_grad = np.ones_like(out.data)
         out.backward(seed_grad)
         fused = [t.grad.copy() if t.grad is not None else None for t in tensors]
@@ -291,7 +310,7 @@ class TestMixedGradients:
     def test_masked_bins_receive_no_filter_gradient(self, rng):
         x, dr, di, sr, si, m = make_mixed_inputs(rng)
         dfs_mask, sfs_mask = mask_pair(m, "disjoint", rng)
-        out = spectral_filter_mixed(x, dr, di, dfs_mask, sr, si, sfs_mask, 0.5)
+        out = spectral_filter(x, two_branches(dr, di, dfs_mask, sr, si, sfs_mask, 0.5))
         out.backward(np.ones_like(out.data))
         assert np.allclose(dr.grad[dfs_mask == 0], 0.0)
         assert np.allclose(di.grad[dfs_mask == 0], 0.0)
@@ -300,7 +319,7 @@ class TestMixedGradients:
 
     def test_dc_and_nyquist_imaginary_gradients_zero(self, rng):
         x, dr, di, sr, si, m = make_mixed_inputs(rng, n=8)
-        out = spectral_filter_mixed(x, dr, di, np.ones(m), sr, si, np.ones(m), 0.5)
+        out = spectral_filter(x, two_branches(dr, di, np.ones(m), sr, si, np.ones(m), 0.5))
         out.backward(np.ones_like(out.data))
         for imag in (di, si):
             assert np.allclose(imag.grad[0], 0.0)

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from repro.autograd import functional as F
-from repro.autograd.spectral import spectral_filter, spectral_filter_mixed
+from repro.autograd.spectral import spectral_filter
 from repro.autograd.tensor import Tensor, bump_parameter_version
 from repro.nn import MultiHeadSelfAttention
 from repro.nn.workspace import (
@@ -247,9 +247,13 @@ def _mixed_inputs(rng, n, d, dtype):
         Tensor(rng.standard_normal((m, d)).astype(dtype) * 0.1, requires_grad=True)
         for _ in range(4)
     ]
-    dfs_mask = (np.arange(m) < m // 2 + 1).astype(float)
-    sfs_mask = (np.arange(m) >= m // 2 - 1).astype(float)
+    dfs_mask = (np.arange(m) < m // 2 + 1).astype(float)[:, None]
+    sfs_mask = (np.arange(m) >= m // 2 - 1).astype(float)[:, None]
     return x, params, dfs_mask, sfs_mask
+
+
+def _mixed(x, p, dm, sm, gamma):
+    return spectral_filter(x, [((1.0 - gamma) * dm, p[0], p[1]), (gamma * sm, p[2], p[3])])
 
 
 class TestSpectralWorkspaceReuse:
@@ -262,7 +266,7 @@ class TestSpectralWorkspaceReuse:
         results = []
         for trial in range(2):  # second trial runs entirely on reused buffers
             x, p, dm, sm = _mixed_inputs(np.random.default_rng(3), n, d, dtype)
-            fused = spectral_filter_mixed(x, p[0], p[1], dm, p[2], p[3], sm, 0.3)
+            fused = _mixed(x, p, dm, sm, 0.3)
             fused.sum().backward()
             results.append(
                 (fused.data.copy(), x.grad.copy(), [q.grad.copy() for q in p])
@@ -278,8 +282,8 @@ class TestSpectralWorkspaceReuse:
         # Cross-check the reused-buffer result against the two-branch
         # composition of the plain op (the defining identity).
         x, p, dm, sm = _mixed_inputs(np.random.default_rng(3), n, d, dtype)
-        a = spectral_filter(x, p[0], p[1], dm)
-        b = spectral_filter(x, p[2], p[3], sm)
+        a = spectral_filter(x, [(dm, p[0], p[1])])
+        b = spectral_filter(x, [(sm, p[2], p[3])])
         composed = 0.7 * a.data + 0.3 * b.data
         tol = TOL[dtype]
         np.testing.assert_allclose(results[1][0], composed, atol=tol, rtol=tol)
@@ -290,7 +294,7 @@ class TestSpectralWorkspaceReuse:
         for trial in range(2):
             for n, d in [(8, 4), (12, 6)]:
                 x, p, dm, sm = _mixed_inputs(np.random.default_rng(n + d), n, d, np.float64)
-                out = spectral_filter_mixed(x, p[0], p[1], dm, p[2], p[3], sm, 0.5)
+                out = _mixed(x, p, dm, sm, 0.5)
                 out.sum().backward()
                 key = (n, d, trial)
                 outs[key] = (out.data.copy(), x.grad.copy())
@@ -301,7 +305,7 @@ class TestSpectralWorkspaceReuse:
     @pytest.mark.parametrize("dtype", DTYPES)
     def test_plain_spectral_filter_backward_unchanged(self, dtype):
         """The single-branch op still matches its autograd reference."""
-        from repro.autograd.spectral import spectral_filter_reference
+        from spectral_reference import spectral_filter_reference
 
         rng = np.random.default_rng(1)
         n, d = 8, 3
@@ -309,11 +313,11 @@ class TestSpectralWorkspaceReuse:
         x = rng.standard_normal((2, n, d)).astype(dtype)
         wr = (rng.standard_normal((m, d)) * 0.1).astype(dtype)
         wi = (rng.standard_normal((m, d)) * 0.1).astype(dtype)
-        mask = np.ones(m)
+        mask = np.ones((m, 1))
         t1 = [Tensor(v.copy(), requires_grad=True) for v in (x, wr, wi)]
         t2 = [Tensor(v.copy(), requires_grad=True) for v in (x, wr, wi)]
-        out1 = spectral_filter(*t1, mask)
-        out2 = spectral_filter_reference(*t2, mask)
+        out1 = spectral_filter(t1[0], [(mask, t1[1], t1[2])])
+        out2 = spectral_filter_reference(t2[0], [(mask, t2[1], t2[2])])
         tol = TOL[dtype]
         np.testing.assert_allclose(out1.data, out2.data, atol=tol, rtol=tol)
         out1.sum().backward()
