@@ -11,11 +11,8 @@ The models run on the shared per-step workspace fast paths by default
 scratch reuse, seed-compatible dropout, and the stacked ``(3B, N, d)``
 multi-view contrastive encode).  Extra variants measure the opt-in
 non-seed-compatible dropout-mask path
-(``test_train_step_throughput_fast_masks``), the batched-vs-unbatched
-contrastive A/B on the two contrastive headliners
-(``test_train_step_batched_views_ab`` — pytest-benchmark interleaves
-its own rounds, and ``benchmarks/results/batched_views_step_time.json``
-records a committed interleaved comparison), and the chunked
+(``test_train_step_throughput_fast_masks``), the static-graph tape
+replay (``test_train_step_static_graph_ab``), and the chunked
 full-catalog cross-entropy (``test_train_step_chunked_ce``).
 ``docs/PERFORMANCE.md`` documents how to read and record the results.
 """
@@ -46,36 +43,6 @@ def setup(request):
 def test_train_step_throughput(benchmark, setup, name, dtype):
     dataset = setup
     model = build_baseline(name, dataset, hidden_dim=64, seed=0, dtype=dtype)
-    iterator = BatchIterator(dataset, batch_size=128, with_same_target=True, seed=0)
-    batch = next(iter(iterator.epoch()))
-    optimizer = Adam(model.parameters())
-
-    def step():
-        optimizer.zero_grad()
-        loss = model.loss(batch)
-        loss.backward()
-        optimizer.step()
-        return float(loss.data)
-
-    result = benchmark(step)
-    assert np.isfinite(result)
-
-
-@pytest.mark.parametrize("batched", [True, False], ids=["batched", "unbatched"])
-@pytest.mark.parametrize("name", ["SLIME4Rec", "DuoRec"])
-def test_train_step_batched_views_ab(benchmark, setup, name, batched):
-    """Stacked (3B, N, d) multi-view encode vs the three-pass reference.
-
-    Float32 with contrastive loss enabled — the A/B behind the
-    ``batched_views`` flag.  Both variants share every other fast path,
-    so the pair isolates the stacking itself; the committed interleaved
-    comparison lives in
-    ``benchmarks/results/batched_views_step_time.json``.
-    """
-    dataset = setup
-    model = build_baseline(
-        name, dataset, hidden_dim=64, seed=0, dtype="float32", batched_views=batched
-    )
     iterator = BatchIterator(dataset, batch_size=128, with_same_target=True, seed=0)
     batch = next(iter(iterator.epoch()))
     optimizer = Adam(model.parameters())

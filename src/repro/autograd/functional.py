@@ -721,12 +721,7 @@ def log_softmax(a, axis: int = -1) -> Tensor:
     return _make(forward(), (a,), backward, forward)
 
 
-def cross_entropy(
-    logits,
-    targets,
-    ignore_index: Optional[int] = None,
-    chunk_size: Optional[int] = None,
-) -> Tensor:
+def cross_entropy(logits, targets, ignore_index: Optional[int] = None) -> Tensor:
     """Mean softmax cross-entropy over the last axis.
 
     Parameters
@@ -738,25 +733,12 @@ def cross_entropy(
     ignore_index:
         Optional target value whose positions contribute zero loss
         (used for padding in masked-item objectives).
-    chunk_size:
-        When set (and smaller than ``num_classes``), the softmax
-        normalizer and the backward's softmax are streamed over class
-        chunks of this width instead of materializing full-size
-        ``exp``/``log_probs`` temporaries — the memory-bounded path for
-        production-size vocabularies.  Values match the dense path up
-        to floating-point reassociation.  ``chunk_size >= num_classes``
-        clamps to a single chunk (the dense path); ``chunk_size <= 0``
-        raises.  To also avoid materializing the logits themselves, use
-        :func:`linear_cross_entropy`.
+
+    To bound memory on production-size vocabularies, score through
+    :func:`linear_cross_entropy`, which never materializes the logits.
     """
-    if chunk_size is not None and chunk_size < 1:
-        raise ValueError(f"chunk_size must be >= 1 or None, got {chunk_size}")
     logits = as_tensor(logits)
     targets = targets.data if isinstance(targets, Tensor) else np.asarray(targets)
-
-    num_classes = logits.shape[-1]
-    if chunk_size is not None and chunk_size < num_classes:
-        return _chunked_cross_entropy(logits, targets, ignore_index, int(chunk_size))
 
     # Target-derived state is recomputed inside ``forward`` — the target
     # array object is baked into the closure, its *contents* are step
@@ -790,71 +772,11 @@ def cross_entropy(
     return _make(forward(), (logits,), backward, forward)
 
 
-def _chunked_cross_entropy(
-    logits: Tensor,
-    targets: np.ndarray,
-    ignore_index: Optional[int],
-    chunk_size: int,
-) -> Tensor:
-    """Streamed CE over materialized logits: no full-width temporaries.
-
-    Two chunked passes (row max, then ``sum(exp(..))``) replace the
-    dense path's full ``(R, V)`` ``shifted``/``exp``/``log_probs``
-    arrays; the backward writes each softmax chunk straight into the
-    gradient buffer.  Same mean-CE value as the dense path up to
-    summation order.
-    """
-    row_max = log_z = rows = safe_targets = valid = count = None
-
-    def forward():
-        nonlocal row_max, log_z, rows, safe_targets, valid, count
-        flat_logits = logits.data.reshape(-1, logits.data.shape[-1])
-        flat_targets = targets.reshape(-1).astype(np.int64)
-        if ignore_index is not None:
-            valid = flat_targets != ignore_index
-        else:
-            valid = np.ones_like(flat_targets, dtype=bool)
-        count = max(int(valid.sum()), 1)
-        safe_targets = np.where(valid, flat_targets, 0)
-        rows = np.arange(flat_targets.shape[0])
-        num_classes = flat_logits.shape[1]
-        row_max = flat_logits[:, :chunk_size].max(axis=1)
-        for c0 in range(chunk_size, num_classes, chunk_size):
-            np.maximum(
-                row_max, flat_logits[:, c0 : c0 + chunk_size].max(axis=1), out=row_max
-            )
-        sum_exp = np.zeros_like(row_max)
-        for c0 in range(0, num_classes, chunk_size):
-            chunk = flat_logits[:, c0 : c0 + chunk_size] - row_max[:, None]
-            np.exp(chunk, out=chunk)
-            sum_exp += chunk.sum(axis=1)
-        log_z = np.log(sum_exp)
-        picked = flat_logits[rows, safe_targets] - row_max - log_z
-        loss = -(picked * valid).sum() / count
-        return np.asarray(loss, dtype=logits.data.dtype)
-
-    def backward(grad):
-        flat_logits = logits.data.reshape(-1, logits.data.shape[-1])
-        num_classes = flat_logits.shape[1]
-        out = np.empty_like(flat_logits)
-        shift = row_max + log_z
-        for c0 in range(0, num_classes, chunk_size):
-            sl = slice(c0, c0 + chunk_size)
-            np.subtract(flat_logits[:, sl], shift[:, None], out=out[:, sl])
-            np.exp(out[:, sl], out=out[:, sl])
-        out[rows, safe_targets] -= 1.0
-        out *= (grad * valid / count)[:, None]
-        return (out.reshape(logits.shape).astype(logits.dtype, copy=False),)
-
-    return _make(forward(), (logits,), backward, forward)
-
-
 def linear_cross_entropy(
     inputs,
     weight,
     targets,
     chunk_size: Optional[int] = None,
-    ignore_index: Optional[int] = None,
 ) -> Tensor:
     """Fused ``cross_entropy(inputs @ weight.T, targets)`` streamed by rows.
 
@@ -873,8 +795,8 @@ def linear_cross_entropy(
     weight:
         Tensor of shape ``(V, d)``; class ``c`` scores against row
         ``weight[c]`` (the natural layout of an embedding table).
-    targets, ignore_index:
-        As in :func:`cross_entropy`.
+    targets:
+        Integer array of shape ``(...,)`` with class indices.
     chunk_size:
         Class-chunk width.  ``None`` (or ``>= V``, which clamps to one
         chunk) falls back to the dense composition
@@ -890,34 +812,27 @@ def linear_cross_entropy(
     inputs, weight = as_tensor(inputs), as_tensor(weight)
     num_classes = weight.shape[0]
     if chunk_size is None or chunk_size >= num_classes:
-        return cross_entropy(
-            matmul(inputs, transpose(weight, (1, 0))), targets, ignore_index=ignore_index
-        )
+        return cross_entropy(matmul(inputs, transpose(weight, (1, 0))), targets)
 
     targets = targets.data if isinstance(targets, Tensor) else np.asarray(targets)
     dim = inputs.shape[-1]
-    row_max = log_z = safe_targets = valid = count = None
+    row_max = log_z = flat_targets = count = None
 
     def forward():
-        nonlocal row_max, log_z, safe_targets, valid, count
+        nonlocal row_max, log_z, flat_targets, count
         x = inputs.data.reshape(-1, dim)
         w = weight.data
         flat_targets = targets.reshape(-1).astype(np.int64)
-        if ignore_index is not None:
-            valid = flat_targets != ignore_index
-        else:
-            valid = np.ones_like(flat_targets, dtype=bool)
-        count = max(int(valid.sum()), 1)
-        safe_targets = np.where(valid, flat_targets, 0)
-        if safe_targets.size and (
-            int(safe_targets.min()) < 0 or int(safe_targets.max()) >= num_classes
+        count = max(flat_targets.shape[0], 1)
+        if flat_targets.size and (
+            int(flat_targets.min()) < 0 or int(flat_targets.max()) >= num_classes
         ):
             # The dense path would raise on the fancy-index gather; the
             # chunked gather would silently skip out-of-range rows and
             # train on uninitialized memory instead — fail loudly.
             raise IndexError(
                 f"targets out of range for {num_classes} classes "
-                f"(got min {int(safe_targets.min())}, max {int(safe_targets.max())})"
+                f"(got min {int(flat_targets.min())}, max {int(flat_targets.max())})"
             )
 
         # Online log-sum-exp over class chunks: one GEMM pass, running
@@ -929,9 +844,9 @@ def linear_cross_entropy(
         for c0 in range(0, num_classes, chunk_size):
             c1 = min(c0 + chunk_size, num_classes)
             block = x @ w[c0:c1].T  # (R, C)
-            in_chunk = np.nonzero((safe_targets >= c0) & (safe_targets < c1))[0]
+            in_chunk = np.nonzero((flat_targets >= c0) & (flat_targets < c1))[0]
             if in_chunk.size:
-                picked[in_chunk] = block[in_chunk, safe_targets[in_chunk] - c0]
+                picked[in_chunk] = block[in_chunk, flat_targets[in_chunk] - c0]
             new_max = np.maximum(row_max, block.max(axis=1))
             sum_exp *= np.exp(row_max - new_max)
             row_max = new_max
@@ -939,7 +854,7 @@ def linear_cross_entropy(
             np.exp(block, out=block)
             sum_exp += block.sum(axis=1)
         log_z = np.log(sum_exp)  # log-sum-exp relative to the final row max
-        loss = -((picked - row_max - log_z) * valid).sum() / count
+        loss = -(picked - row_max - log_z).sum() / count
         return np.asarray(loss, dtype=inputs.data.dtype)
 
     def backward(grad):
@@ -947,17 +862,17 @@ def linear_cross_entropy(
         w = weight.data
         g_x = np.zeros_like(x)
         g_w = np.zeros_like(w)
-        coef = (grad * valid / count).astype(x.dtype, copy=False)
+        coef = np.asarray(grad / count, dtype=x.dtype)
         shift = row_max + log_z
         for c0 in range(0, num_classes, chunk_size):
             c1 = min(c0 + chunk_size, num_classes)
             block = x @ w[c0:c1].T
             block -= shift[:, None]
             np.exp(block, out=block)
-            in_chunk = np.nonzero((safe_targets >= c0) & (safe_targets < c1))[0]
+            in_chunk = np.nonzero((flat_targets >= c0) & (flat_targets < c1))[0]
             if in_chunk.size:
-                block[in_chunk, safe_targets[in_chunk] - c0] -= 1.0
-            block *= coef[:, None]
+                block[in_chunk, flat_targets[in_chunk] - c0] -= 1.0
+            block *= coef
             g_x += block @ w[c0:c1]
             g_w[c0:c1] = block.T @ x
         return (

@@ -38,9 +38,9 @@ _grad_state = threading.local()
 
 #: Monotonic counter bumped whenever parameter payloads are mutated in
 #: place (optimizer steps, checkpoint restores).  Consumers that cache
-#: values derived from parameter data — e.g. attention's concatenated
-#: Q/K/V weight (:class:`~repro.autograd.workspace.ParamCache`) — key
-#: their caches on this counter to stay coherent.
+#: values derived from parameter data — the serving tier, through
+#: ``SequentialEncoderBase.inference_version`` — key their caches on
+#: this counter to stay coherent.
 _parameter_version = 0
 
 

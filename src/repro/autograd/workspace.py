@@ -1,4 +1,4 @@
-"""Shared per-step compute workspace: scratch buffers and derived caches.
+"""Shared per-step compute workspace: scratch buffers and derived constants.
 
 One optimizer step of every model in this repo runs over a single
 ``(B, N, d)`` geometry, yet before this module existed each hot-path op
@@ -11,7 +11,7 @@ ops one place to park reusable memory, keyed by ``(tag, shape, dtype)``,
 so all ``L`` layers of a step — and all steps of a run — share one set
 of scratch arrays per geometry.
 
-Three kinds of state live here, with three different contracts:
+Two kinds of state live here, with two different contracts:
 
 ``scratch(tag, shape, dtype)``
     A *transient* buffer.  The caller may use it only until the next
@@ -25,12 +25,9 @@ Three kinds of state live here, with three different contracts:
     weights).  Built once per key, returned read-only where possible.
     Never invalidated — entries are pure functions of their key.
 
-:class:`ParamCache`
-    A module-owned cache of a value *derived from parameter payloads*
-    (attention's concatenated Q/K/V weight).  Keyed on the global parameter-mutation epoch
-    (:func:`~repro.autograd.tensor.parameter_version`) plus the
-    identity of the payload arrays, so it rebuilds exactly once per
-    optimizer step / checkpoint restore and never serves stale data.
+Values derived from parameter payloads are not cached here: attention
+re-concatenates its Q/K/V weight on every forward (microseconds against
+the GEMM it feeds), so an in-place weight edit is seen by the next call.
 
 The workspace is **thread-local** (one per thread via
 :func:`get_workspace`): scratch reuse is only safe when at most one op
@@ -48,8 +45,8 @@ consumes the generator stream differently, so per-seed masks change
 (the marginal keep probability is quantized to 1/65536, an expectation
 error below 8e-6).  See ``docs/PERFORMANCE.md``.
 
-Layering: this module imports only :mod:`repro.autograd.tensor`; both
-the autograd op library and the ``repro.nn`` stack build on it.  The
+Layering: this module imports nothing else from ``repro``; both the
+autograd op library and the ``repro.nn`` stack build on it.  The
 public, documented entry point is :mod:`repro.nn.workspace`.
 """
 
@@ -58,15 +55,12 @@ from __future__ import annotations
 import contextlib
 import copy
 import threading
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Tuple
 
 import numpy as np
 
-from repro.autograd.tensor import parameter_version
-
 __all__ = [
     "StepWorkspace",
-    "ParamCache",
     "get_workspace",
     "reset_workspace",
     "set_fast_dropout_masks",
@@ -145,58 +139,6 @@ class StepWorkspace:
             f"StepWorkspace(scratch={len(self._scratch)}, cached={len(self._cached)}, "
             f"hits={self.hits}, misses={self.misses}, nbytes={self.nbytes()})"
         )
-
-
-class ParamCache:
-    """A cache of one value derived from parameter payloads.
-
-    Owned by the module that derives the value (attention's
-    concatenated Q/K/V weight).
-    The cache key couples the global parameter-mutation epoch (bumped
-    by optimizer steps, ``Module.to`` and checkpoint restores) with the
-    *identity* of the payload arrays — held as strong references so a
-    freed buffer's address can never be mistaken for a live one — plus
-    an optional ``extra`` equality key (e.g. a mixing coefficient).
-    The derived value is therefore rebuilt exactly once per parameter
-    update even when the step evaluates the module several times.
-
-    Call :meth:`invalidate` after mutating parameter ``.data`` buffers
-    in place *without* going through an optimizer/``load_state_dict``
-    (those bump the version themselves).
-    """
-
-    __slots__ = ("_token", "_payloads", "_value")
-
-    def __init__(self) -> None:
-        self._token: Optional[Tuple] = None
-        self._payloads: Optional[Tuple[np.ndarray, ...]] = None
-        self._value: Any = None
-
-    def get(
-        self,
-        payloads: Tuple[np.ndarray, ...],
-        build: Callable[[], Any],
-        extra: Any = None,
-    ) -> Any:
-        token = (parameter_version(), extra)
-        if (
-            self._payloads is not None
-            and self._token == token
-            and len(self._payloads) == len(payloads)
-            and all(a is b for a, b in zip(self._payloads, payloads))
-        ):
-            return self._value
-        value = build()
-        self._token = token
-        self._payloads = tuple(payloads)
-        self._value = value
-        return value
-
-    def invalidate(self) -> None:
-        """Drop the cached value (after manual in-place weight edits)."""
-        self._token = None
-        self._payloads = None
-        self._value = None
 
 
 # ----------------------------------------------------------------------

@@ -5,8 +5,7 @@ views: each sequence is augmented twice by a random choice of crop,
 mask or reorder, and the two views are positives under InfoNCE.
 
 All three encodes per step (original + two augmented views) run on the
-fused attention fast path (:mod:`repro.nn.attention`); with
-``batched_views`` (the default) they are additionally stacked into one
+fused attention fast path (:mod:`repro.nn.attention`), stacked into one
 ``(3B, N, d)`` forward with per-view dropout streams
 (:meth:`~repro.core.encoder.SequentialEncoderBase.encode_views`).
 """
@@ -34,24 +33,17 @@ def augmented_contrastive_loss(model, batch: Batch) -> Tensor:
 
     Used by the CL4SRec-style models (CL4SRec, CoSeRec) whose views
     come from index-level augmentation: the model must expose
-    ``cl_weight``, ``cl_temperature``, ``batched_views`` and
-    ``_augment_batch``.  With ``batched_views`` the
-    original batch and both augmented views run as one stacked
-    ``(3B, N, d)`` walk (:meth:`~repro.core.encoder.SequentialEncoderBase.encode_views`);
-    otherwise the sequential three-pass reference.  Both augment in the
-    same ``_aug_rng`` order, so the two paths see identical views.
+    ``cl_weight``, ``cl_temperature`` and ``_augment_batch``.  Both
+    views are augmented from ``_aug_rng`` in order, then the original
+    batch and the two views run as one stacked ``(3B, N, d)`` walk
+    (:meth:`~repro.core.encoder.SequentialEncoderBase.encode_views`).
     """
     if model.cl_weight <= 0.0:
         return model.recommendation_loss(batch.input_ids, batch.targets)
-    if model.batched_views:
-        aug_a = model._augment_batch(batch.input_ids)
-        aug_b = model._augment_batch(batch.input_ids)
-        user, view_a, view_b = model.encode_views((batch.input_ids, aug_a, aug_b))
-        rec = model.prediction_loss(user, batch.targets)
-    else:
-        rec = model.recommendation_loss(batch.input_ids, batch.targets)
-        view_a = model.user_representation(model._augment_batch(batch.input_ids))
-        view_b = model.user_representation(model._augment_batch(batch.input_ids))
+    aug_a = model._augment_batch(batch.input_ids)
+    aug_b = model._augment_batch(batch.input_ids)
+    user, view_a, view_b = model.encode_views((batch.input_ids, aug_a, aug_b))
+    rec = model.prediction_loss(user, batch.targets)
     cl = info_nce_loss(view_a, view_b, temperature=model.cl_temperature)
     return F.add(rec, F.mul(cl, model.cl_weight))
 
@@ -69,7 +61,6 @@ class CL4SRec(SASRec):
         aug_ratio: float = 0.6,
         embed_dropout: float = 0.3,
         hidden_dropout: float = 0.3,
-        batched_views: bool = True,
         seed: int = 0,
         dtype=None,
     ) -> None:
@@ -87,7 +78,6 @@ class CL4SRec(SASRec):
         self.cl_weight = cl_weight
         self.cl_temperature = cl_temperature
         self.aug_ratio = aug_ratio
-        self.batched_views = batched_views
         # The mask augmentation uses item id 0 (padding) as the blank,
         # following the original which adds a dedicated mask item.
         self._aug_rng = np.random.default_rng(seed + 12)

@@ -6,9 +6,8 @@ them their most co-occurrence-correlated neighbours, producing harder
 but semantically consistent positive views.
 
 Like CL4SRec, every encode runs on the fused attention fast path
-(:mod:`repro.nn.attention`), and with ``batched_views`` (the default)
-the step's three encodes stack into one ``(3B, N, d)`` forward with
-per-view dropout streams
+(:mod:`repro.nn.attention`), and the step's three encodes stack into
+one ``(3B, N, d)`` forward with per-view dropout streams
 (:meth:`~repro.core.encoder.SequentialEncoderBase.encode_views`); the
 augmentation itself is index-level work outside the autograd graph.
 """
@@ -44,7 +43,6 @@ class CoSeRec(SASRec):
         aug_ratio: float = 0.3,
         embed_dropout: float = 0.3,
         hidden_dropout: float = 0.3,
-        batched_views: bool = True,
         seed: int = 0,
         dtype=None,
     ) -> None:
@@ -62,7 +60,6 @@ class CoSeRec(SASRec):
         self.cl_weight = cl_weight
         self.cl_temperature = cl_temperature
         self.aug_ratio = aug_ratio
-        self.batched_views = batched_views
         self._aug_rng = np.random.default_rng(seed + 13)
         self._correlation: ItemCorrelation | None = None
 

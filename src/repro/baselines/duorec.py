@@ -7,9 +7,8 @@ training sequence sharing the same target item.  SLIME4Rec borrows this
 exact contrastive recipe, so DuoRec differs from it only in the encoder
 (self-attention vs slide filter mixer), which is what Table V isolates.
 
-With ``batched_views`` (the default) the step's three encodes — main
-pass, dropout view, same-target view — run as one stacked
-``(3B, N, d)`` forward with per-view dropout streams
+The step's three encodes — main pass, dropout view, same-target view —
+run as one stacked ``(3B, N, d)`` forward with per-view dropout streams
 (:meth:`~repro.core.encoder.SequentialEncoderBase.encode_views`), all
 on the fused attention fast path (:mod:`repro.nn.attention`); the many
 dropout sites also make DuoRec the baseline that benefits most from
@@ -41,7 +40,6 @@ class DuoRec(SASRec):
         embed_dropout: float = 0.3,
         hidden_dropout: float = 0.3,
         noise_eps: float = 0.0,
-        batched_views: bool = True,
         seed: int = 0,
         dtype=None,
     ) -> None:
@@ -59,21 +57,15 @@ class DuoRec(SASRec):
         )
         self.cl_weight = cl_weight
         self.cl_temperature = cl_temperature
-        self.batched_views = batched_views
 
     def loss(self, batch: Batch) -> Tensor:
         if self.cl_weight <= 0.0 or batch.positive_ids is None:
             return self.recommendation_loss(batch.input_ids, batch.targets)
-        if self.batched_views and self.noise_eps <= 0.0:
-            # One stacked (3B, N, d) walk: main + dropout + same-target
-            # views under per-view dropout streams (see encode_views).
-            user, unsup, sup = self.encode_views(
-                (batch.input_ids, batch.input_ids, batch.positive_ids)
-            )
-            rec = self.prediction_loss(user, batch.targets)
-        else:
-            rec = self.recommendation_loss(batch.input_ids, batch.targets)
-            unsup = self.user_representation(batch.input_ids)  # dropout view of the same input
-            sup = self.user_representation(batch.positive_ids)  # same-target sequence view
+        # One stacked (3B, N, d) walk: main + dropout + same-target
+        # views under per-view dropout streams (see encode_views).
+        user, unsup, sup = self.encode_views(
+            (batch.input_ids, batch.input_ids, batch.positive_ids)
+        )
+        rec = self.prediction_loss(user, batch.targets)
         cl = info_nce_loss(unsup, sup, temperature=self.cl_temperature)
         return F.add(rec, F.mul(cl, self.cl_weight))

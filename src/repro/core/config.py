@@ -57,19 +57,12 @@ class SlimeConfig:
         Dropout rates (paper searches {0.1 .. 0.5}).
     cl_weight:
         Lambda, strength of the contrastive regularizer (Eq. 36);
-        0 disables contrastive learning (the w/oC variant).
+        0 disables contrastive learning (the w/oC variant).  When
+        positive, the step's three encodes (main pass, dropout view,
+        same-target view) run as one stacked ``(3B, N, d)`` forward
+        with per-view dropout streams (``encode_views``).
     cl_temperature:
         Softmax temperature of the InfoNCE objective.
-    batched_views:
-        When True (the default) the three contrastive encodes of each
-        training step (main pass, dropout view, same-target view) run
-        as **one** stacked ``(3B, N, d)`` forward with per-view dropout
-        streams — the same stochastic model as three separate passes
-        (identical masks per seed, float64 losses equal to
-        reassociation tolerance) at ~1/3 the python/op count.
-        ``False`` keeps the reference three-pass path for equivalence
-        testing; runs with ``noise_eps > 0`` fall back to it
-        automatically (the noise scale couples the views).
     ce_chunk_size:
         Class-chunk width for the prediction cross-entropy.  ``None``
         keeps the dense ``(B, V+1)`` logits GEMM+softmax; a positive
@@ -99,7 +92,8 @@ class SlimeConfig:
         ``docs/ARCHITECTURE.md``.
     noise_eps:
         When positive, uniform noise of this relative magnitude is
-        injected into every layer input (the Figure 6 robustness knob).
+        injected into every layer input (the Figure 6 robustness knob),
+        scaled by the std of each view block of that input.
     seed:
         Parameter-init and dropout seed.
     dtype:
@@ -128,7 +122,6 @@ class SlimeConfig:
     hidden_dropout: float = 0.3
     cl_weight: float = 0.1
     cl_temperature: float = 1.0
-    batched_views: bool = True
     ce_chunk_size: int | None = None
     train_num_negatives: int | None = None
     negative_sampling: str = "uniform"

@@ -37,7 +37,7 @@ from repro.autograd.tensor import Tensor, no_grad
 from repro.data.negative_sampling import NegativeSampler
 from repro.nn import Dropout, Embedding, GELU, LayerNorm, Linear, Module
 from repro.nn import init as nn_init
-from repro.nn.workspace import dropout_views
+from repro.nn.workspace import dropout_view_count, dropout_views
 
 __all__ = ["SequentialEncoderBase", "PointwiseFeedForward"]
 
@@ -164,7 +164,10 @@ class SequentialEncoderBase(Module):
 
         Implements the Figure 6 robustness protocol: noise
         ``eps * U(-1, 1) * std(x)`` added to the layer input.  A no-op
-        when ``noise_eps`` is zero.
+        when ``noise_eps`` is zero.  Inside a stacked multi-view encode
+        (:meth:`encode_views`) each view block of the leading axis is
+        scaled by its own std and drawn in view order, so the views stay
+        uncoupled; with one view this is the single whole-batch draw.
         """
         if self.noise_eps <= 0.0:
             return x
@@ -175,9 +178,11 @@ class SequentialEncoderBase(Module):
                 "which a tape replay cannot reproduce without rebuilding the "
                 "graph; run noise-robustness sweeps with static_graph=False"
             )
-        scale = float(x.data.std()) * self.noise_eps
-        noise = self._noise_rng.uniform(-scale, scale, size=x.shape).astype(x.dtype)
-        return F.add(x, Tensor(noise))
+        blocks = []
+        for part in np.split(x.data, dropout_view_count()):
+            scale = float(part.std()) * self.noise_eps
+            blocks.append(self._noise_rng.uniform(-scale, scale, size=part.shape).astype(x.dtype))
+        return F.add(x, Tensor(np.concatenate(blocks)))
 
     # ------------------------------------------------------------------
     def encode_states(self, input_ids: np.ndarray) -> Tensor:
@@ -211,12 +216,12 @@ class SequentialEncoderBase(Module):
         each generator exactly like ``V`` separate passes would, so
         the stacked encode is the same stochastic model as the
         sequential one: per-view masks identical, float64 losses equal
-        to the unbatched path to reassociation tolerance.
-
-        Not valid under the Figure-6 noise protocol: ``inject_noise``
-        scales by the *whole-batch* std, which would couple the views;
-        callers gate on ``noise_eps <= 0`` and fall back to separate
-        passes (see ``Slime4Rec.loss``).
+        to a sequential encode of the views to reassociation tolerance
+        (the test suite keeps that sequential encode as the oracle).
+        Under the Figure-6 noise protocol :meth:`inject_noise` scales
+        each view block by its own std, so the views stay uncoupled;
+        its one generator serves the views layer by layer, so the noise
+        draws are not the sequential encode's.
         """
         arrays = [np.asarray(v) for v in view_inputs]
         if len(arrays) < 2:

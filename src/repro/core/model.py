@@ -121,23 +121,17 @@ class Slime4Rec(SequentialEncoderBase):
         encodes of the batch: the main pass (recommendation term), the
         same inputs under fresh dropout masks (the unsupervised view
         ``h'``), and the same-target positives (the supervised view
-        ``h'_s``).  With ``config.batched_views`` (the default) all
-        three run as **one** stacked ``(3B, N, d)`` graph walk with
-        per-view dropout streams (:meth:`encode_views`); the reference
-        path encodes them sequentially — same masks per seed, same
-        losses to float64 reassociation tolerance.
+        ``h'_s``).  All three run as **one** stacked ``(3B, N, d)``
+        graph walk (:meth:`encode_views`): each view draws the dropout
+        masks three separate encodes would, so the losses equal theirs
+        to float reassociation.
         """
         if self.config.cl_weight <= 0.0 or batch.positive_ids is None:
             return self.recommendation_loss(batch.input_ids, batch.targets)
 
-        if self.config.batched_views and self.noise_eps <= 0.0:
-            user, unsup_view, sup_view = self.encode_views(
-                (batch.input_ids, batch.input_ids, batch.positive_ids)
-            )
-        else:
-            user = self.user_representation(batch.input_ids)
-            unsup_view = self.user_representation(batch.input_ids)
-            sup_view = self.user_representation(batch.positive_ids)
+        user, unsup_view, sup_view = self.encode_views(
+            (batch.input_ids, batch.input_ids, batch.positive_ids)
+        )
         rec_loss = self.prediction_loss(user, batch.targets)
         cl = info_nce_loss(unsup_view, sup_view, temperature=self.config.cl_temperature)
         return F.add(rec_loss, F.mul(cl, self.config.cl_weight))

@@ -18,10 +18,11 @@ The layer runs on the shared per-step workspace
 (:mod:`repro.nn.workspace`):
 
 - the three Q/K/V projections collapse into a **single** ``(dim, 3*dim)``
-  GEMM against a parameter-version-cached concatenation of the three
-  weight matrices (the parameters themselves stay three separate
-  ``Linear`` modules, so checkpoints, seeds and ``state_dict`` layouts
-  are unchanged);
+  GEMM against the concatenation of the three weight matrices, rebuilt
+  on every forward from the live payloads (microseconds against the
+  GEMM, and never stale); the parameters themselves stay three
+  separate ``Linear`` modules, so checkpoints, seeds and ``state_dict``
+  layouts are unchanged;
 - the ``1/sqrt(head_dim)`` score scale is folded into the Q slab of
   that GEMM's output, removing two full ``(B, H, N, N)`` multiplies per
   step;
@@ -62,7 +63,7 @@ from repro.autograd.tensor import Tensor, is_grad_enabled
 from repro.nn.dropout import Dropout
 from repro.nn.linear import Linear
 from repro.nn.module import Module
-from repro.nn.workspace import ParamCache, get_workspace
+from repro.nn.workspace import get_workspace
 
 __all__ = ["MultiHeadSelfAttention", "causal_mask"]
 
@@ -92,7 +93,7 @@ def _fused_qkv_heads(
     parameters — gradients are routed back to them by splitting the
     fused GEMM's weight/bias gradients, so the fusion is invisible to
     optimizers and checkpoints.  ``qkv_cat`` is a zero-argument
-    callable returning the cached ``(w_cat, b_cat)`` concatenation; it
+    callable returning the ``(w_cat, b_cat)`` concatenation; it
     is invoked on every forward evaluation (build and static-graph
     replay alike) so replays observe post-optimizer weights.
 
@@ -259,33 +260,15 @@ class MultiHeadSelfAttention(Module):
         self.value = Linear(dim, dim, rng=rng, dtype=dtype)
         self.out = Linear(dim, dim, rng=rng, dtype=dtype)
         self.attn_dropout = Dropout(dropout, rng=np.random.default_rng(rng.integers(2**32)))
-        # Parameter-version-keyed concatenated (d, 3d) projection weight
-        # for the fused GEMM; rebuilt once per optimizer step.
-        self._qkv_cache = ParamCache()
 
     # ------------------------------------------------------------------
     def _qkv_cat(self) -> tuple:
-        payloads = (
-            self.query.weight.data, self.query.bias.data,
-            self.key.weight.data, self.key.bias.data,
-            self.value.weight.data, self.value.bias.data,
+        """The ``(d, 3d)`` weight and ``(3d,)`` bias of the fused GEMM."""
+        w = np.concatenate(
+            [self.query.weight.data, self.key.weight.data, self.value.weight.data], axis=1
         )
-
-        def build():
-            w = np.concatenate(
-                [self.query.weight.data, self.key.weight.data, self.value.weight.data],
-                axis=1,
-            )
-            b = np.concatenate(
-                [self.query.bias.data, self.key.bias.data, self.value.bias.data]
-            )
-            return w, b
-
-        return self._qkv_cache.get(payloads, build)
-
-    def invalidate_qkv_cache(self) -> None:
-        """Drop the concatenated projection weight (after manual edits)."""
-        self._qkv_cache.invalidate()
+        b = np.concatenate([self.query.bias.data, self.key.bias.data, self.value.bias.data])
+        return w, b
 
     def _block_mask(self, length: int, key_padding_mask: np.ndarray | None) -> np.ndarray:
         """The boolean "attention blocked" pattern, cached per length.

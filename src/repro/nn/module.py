@@ -11,10 +11,10 @@ Dtype contract: parameters are created in the dtype resolved by
 :meth:`Module.to` casts a built module between the two.  Mutations
 that rebind or restore parameter payloads (``to``, ``load_state_dict``)
 bump the global parameter version so parameter-derived caches —
-attention's concatenated Q/K/V weight
-(:class:`repro.nn.workspace.ParamCache`) — rebuild on the next use;
-editing ``param.data`` in place by hand requires invalidating those
-caches yourself.
+the serving tier's item table and per-user vectors, keyed on
+``inference_version`` — rebuild on the next use; editing ``param.data``
+in place by hand requires calling
+:func:`repro.autograd.tensor.bump_parameter_version` yourself.
 """
 
 from __future__ import annotations
@@ -164,7 +164,7 @@ class Module:
         for name, param in own.items():
             param.data = np.asarray(state[name]).astype(param.dtype, copy=True)
         # Restored payloads invalidate parameter-derived caches (e.g.
-        # attention's concatenated Q/K/V weight).
+        # the serving tier's item table).
         bump_parameter_version()
 
     # ------------------------------------------------------------------

@@ -13,9 +13,6 @@ subsystem that backs the training hot paths:
 - **Derived-constant caches** (:meth:`StepWorkspace.cached`): causal /
   anti-diagonal attention masks per sequence length, index rows, and
   other pure functions of the geometry.
-- **Parameter-derived caches** (:class:`ParamCache`): attention's
-  concatenated ``(d, 3d)`` Q/K/V weight, rebuilt exactly once per
-  optimizer step.
 - **The dropout seed-compatibility flag**
   (:func:`set_fast_dropout_masks` / :func:`fast_dropout_masks`): opt-in
   cheap mask generation for throughput runs that do not need
@@ -29,7 +26,7 @@ subsystem that backs the training hot paths:
   :meth:`repro.core.encoder.SequentialEncoderBase.encode_views`).
   The context restores the previous count in a ``finally`` block —
   an exception inside a batched forward cannot leak view state into
-  the next step (``tests/test_batched_views.py`` pins this); code
+  the next step (a test pins this); code
   that calls :func:`set_dropout_view_count` directly must wrap the
   restore in its own try/finally.
 
@@ -60,7 +57,6 @@ measured effect in ``docs/PERFORMANCE.md``.
 """
 
 from repro.autograd.workspace import (
-    ParamCache,
     StepWorkspace,
     dropout_view_count,
     dropout_views,
@@ -76,7 +72,6 @@ from repro.autograd.workspace import (
 
 __all__ = [
     "StepWorkspace",
-    "ParamCache",
     "get_workspace",
     "reset_workspace",
     "set_fast_dropout_masks",

@@ -20,8 +20,7 @@ format"):
   of the above and continues mid-epoch from the exact batch after the
   checkpoint; the resumed trajectory (losses, parameters, metrics) is
   bitwise-equal to the uninterrupted run in both dtypes
-  (``tests/test_fault_tolerance.py`` pins this the same way
-  ``batched_views`` equality was pinned).
+  (``tests/test_fault_tolerance.py`` pins this).
 - **Numeric guards** — non-finite loss/gradient detection with a
   configurable policy (``raise`` / ``skip`` / ``rollback``), loss-spike
   counting, and guard counters surfaced on :class:`TrainHistory`.

@@ -1,72 +1,115 @@
-"""Batched multi-view contrastive encode: equivalence and semantics.
+"""Stacked multi-view contrastive encode: equivalence and semantics.
 
-Covers the PR-4 fast path:
+Every contrastive model (SLIME4Rec, DuoRec, CL4SRec, CoSeRec) encodes
+its three views per step as one stacked ``(3B, N, d)`` walk
+(:meth:`~repro.core.encoder.SequentialEncoderBase.encode_views`).
+Covered here:
 
-- batched (one stacked ``(3B, N, d)`` walk) vs unbatched (three
-  sequential encodes) **loss and training-trajectory equivalence** for
-  SLIME4Rec and DuoRec, in both dtypes, with ``cl_weight`` zero and
-  positive;
+- the stacked loss against a test-side **sequential oracle**
+  (:func:`sequential_loss`: three ``user_representation`` calls, then
+  ``prediction_loss`` and ``info_nce_loss``) — loss trajectories and
+  parameter gradients to 1e-9 in float64 and 1e-4 in float32, with
+  ``cl_weight`` zero and positive;
+- **per-view Figure-6 noise**: with one view ``inject_noise`` is the
+  whole-batch ``uniform(-eps*std(x), eps*std(x))`` draw bit for bit;
+  inside a stacked encode each view block is scaled by its own std;
 - the **per-view dropout stream** contract
   (:func:`repro.nn.workspace.dropout_views` /
   ``F.dropout(views=...)``): a stacked draw consumes each generator
   exactly like V separate per-view draws, in both mask modes;
-- **chunked cross-entropy** (``F.cross_entropy(chunk_size=...)``,
-  :func:`repro.autograd.functional.linear_cross_entropy`, and the
-  model-level ``ce_chunk_size`` knob) against the dense path.
+- the **chunked prediction head**
+  (:func:`repro.autograd.functional.linear_cross_entropy` and the
+  model-level ``ce_chunk_size`` knob) against the dense path: values
+  and gradients to reassociation tolerance, bitwise once the chunk
+  covers the whole table.
 """
+
+import copy
 
 import numpy as np
 import pytest
 
 from repro.autograd import functional as F
 from repro.autograd.tensor import Tensor
-from repro.baselines.duorec import DuoRec
+from repro.baselines import CL4SRec, CoSeRec, DuoRec
 from repro.core import Slime4Rec, SlimeConfig
+from repro.core.contrastive import info_nce_loss
+from repro.data.augmentation import ItemCorrelation
 from repro.data.batching import Batch
 from repro.nn.workspace import dropout_view_count, dropout_views, fast_dropout_masks
 from repro.optim import Adam
 
+NUM_ITEMS, MAX_LEN = 30, 12
+CONTRASTIVE = ["SLIME4Rec", "DuoRec", "CL4SRec", "CoSeRec"]
 
-def t(a):
-    return Tensor(np.asarray(a, dtype=np.float64))
 
-
-def random_batch(num_items=30, max_len=12, batch=6, seed=0, with_positive=True):
+def random_batch(batch=6, seed=0, with_positive=True):
     rng = np.random.default_rng(seed)
-    inputs = rng.integers(1, num_items + 1, size=(batch, max_len))
-    inputs[:, : max_len // 3] = 0  # left padding
-    targets = rng.integers(1, num_items + 1, size=batch)
+    inputs = rng.integers(1, NUM_ITEMS + 1, size=(batch, MAX_LEN))
+    inputs[:, : MAX_LEN // 3] = 0  # left padding
+    targets = rng.integers(1, NUM_ITEMS + 1, size=batch)
     positives = None
     if with_positive:
-        positives = rng.integers(1, num_items + 1, size=(batch, max_len))
+        positives = rng.integers(1, NUM_ITEMS + 1, size=(batch, MAX_LEN))
     return Batch(input_ids=inputs, targets=targets, positive_ids=positives)
 
 
-def build_slime(batched, dtype="float64", cl_weight=0.1, **overrides):
-    cfg = SlimeConfig(
-        num_items=30, max_len=12, hidden_dim=16, num_layers=2,
-        cl_weight=cl_weight, batched_views=batched, seed=0, dtype=dtype,
-        **overrides,
+def build(name, dtype="float64", cl_weight=0.1, **overrides):
+    if name == "SLIME4Rec":
+        return Slime4Rec(SlimeConfig(
+            num_items=NUM_ITEMS, max_len=MAX_LEN, hidden_dim=16, num_layers=2,
+            cl_weight=cl_weight, seed=0, dtype=dtype, **overrides,
+        ))
+    cls = {"DuoRec": DuoRec, "CL4SRec": CL4SRec, "CoSeRec": CoSeRec}[name]
+    model = cls(
+        num_items=NUM_ITEMS, max_len=MAX_LEN, hidden_dim=16, num_layers=1, num_heads=2,
+        cl_weight=cl_weight, seed=0, dtype=dtype, **overrides,
     )
-    return Slime4Rec(cfg)
+    if name == "CoSeRec":
+        # Fitted co-occurrence statistics, so the augmentations draw.
+        rng = np.random.default_rng(9)
+        model._correlation = ItemCorrelation(
+            [rng.integers(1, NUM_ITEMS + 1, size=8).tolist() for _ in range(40)]
+        )
+    return model
 
 
-def build_duorec(batched, dtype="float64", cl_weight=0.1):
-    return DuoRec(
-        num_items=30, max_len=12, hidden_dim=16, num_layers=1, num_heads=2,
-        cl_weight=cl_weight, batched_views=batched, seed=0, dtype=dtype,
-    )
+def sequential_loss(model, batch):
+    """The oracle: each view through its own ``user_representation`` call.
+
+    Exactly the sequential composition the stacked encode replaced.
+    Dropout sites own their generators and CL4SRec/CoSeRec draw both
+    augmentations from ``_aug_rng`` in order, so the oracle sees the
+    stacked path's masks and views.
+    """
+    config = getattr(model, "config", model)
+    augmented = hasattr(model, "_augment_batch")
+    if config.cl_weight <= 0.0 or (not augmented and batch.positive_ids is None):
+        return model.recommendation_loss(batch.input_ids, batch.targets)
+    user = model.user_representation(batch.input_ids)
+    if augmented:
+        view_a = model.user_representation(model._augment_batch(batch.input_ids))
+        view_b = model.user_representation(model._augment_batch(batch.input_ids))
+    else:
+        view_a = model.user_representation(batch.input_ids)
+        view_b = model.user_representation(batch.positive_ids)
+    rec = model.prediction_loss(user, batch.targets)
+    cl = info_nce_loss(view_a, view_b, temperature=config.cl_temperature)
+    return F.add(rec, F.mul(cl, config.cl_weight))
 
 
-def train_losses(model, steps=3, seed=0, with_positive=True):
+def stacked_loss(model, batch):
+    return model.loss(batch)
+
+
+def train_losses(model, loss_fn, steps=3):
     """Optimizer-coupled loss trajectory: any divergence compounds."""
     model.train()
     optimizer = Adam(model.parameters())
     losses = []
     for step in range(steps):
-        batch = random_batch(seed=seed + step, with_positive=with_positive)
         optimizer.zero_grad()
-        loss = model.loss(batch)
+        loss = loss_fn(model, random_batch(seed=step))
         loss.backward()
         optimizer.step()
         losses.append(float(loss.data))
@@ -74,35 +117,46 @@ def train_losses(model, steps=3, seed=0, with_positive=True):
 
 
 # ----------------------------------------------------------------------
-# Batched vs unbatched loss equivalence
+# Stacked encode vs the sequential oracle
 # ----------------------------------------------------------------------
 
 
-class TestBatchedViewEquivalence:
+class TestStackedMatchesSequentialOracle:
     @pytest.mark.parametrize("cl_weight", [0.0, 0.2])
-    def test_slime4rec_float64_trajectory_matches(self, cl_weight):
-        a = train_losses(build_slime(True, cl_weight=cl_weight))
-        b = train_losses(build_slime(False, cl_weight=cl_weight))
+    @pytest.mark.parametrize("name", CONTRASTIVE)
+    def test_float64_trajectory_matches(self, name, cl_weight):
+        a = train_losses(build(name, cl_weight=cl_weight), stacked_loss)
+        b = train_losses(build(name, cl_weight=cl_weight), sequential_loss)
         np.testing.assert_allclose(a, b, rtol=0, atol=1e-9)
 
-    @pytest.mark.parametrize("cl_weight", [0.0, 0.2])
-    def test_duorec_float64_trajectory_matches(self, cl_weight):
-        a = train_losses(build_duorec(True, cl_weight=cl_weight))
-        b = train_losses(build_duorec(False, cl_weight=cl_weight))
-        np.testing.assert_allclose(a, b, rtol=0, atol=1e-9)
-
-    @pytest.mark.parametrize("builder", [build_slime, build_duorec])
-    def test_float32_trajectory_matches_loosely(self, builder):
-        a = train_losses(builder(True, dtype="float32"))
-        b = train_losses(builder(False, dtype="float32"))
+    @pytest.mark.parametrize("name", CONTRASTIVE)
+    def test_float32_trajectory_matches_loosely(self, name):
+        a = train_losses(build(name, dtype="float32"), stacked_loss)
+        b = train_losses(build(name, dtype="float32"), sequential_loss)
         np.testing.assert_allclose(a, b, rtol=0, atol=1e-4)
+
+    @pytest.mark.parametrize("name", CONTRASTIVE)
+    def test_gradients_match(self, name):
+        batch = random_batch()
+        grads = {}
+        for loss_fn in (stacked_loss, sequential_loss):
+            model = build(name)
+            model.train()
+            loss_fn(model, batch).backward()
+            grads[loss_fn] = {key: p.grad.copy() for key, p in model.named_parameters()}
+        stacked, sequential = grads[stacked_loss], grads[sequential_loss]
+        assert stacked.keys() == sequential.keys()
+        for key in stacked:
+            np.testing.assert_allclose(
+                stacked[key], sequential[key], rtol=0, atol=1e-9, err_msg=key
+            )
 
     def test_missing_positive_falls_back_to_rec_loss(self):
         # Two identically-seeded models so both calls consume identical
         # dropout streams: loss(batch) without positives must be exactly
         # the plain recommendation loss.
-        model = build_slime(True)
-        twin = build_slime(True)
+        model = build("SLIME4Rec")
+        twin = build("SLIME4Rec")
         batch = random_batch(with_positive=False)
         model.train()
         twin.train()
@@ -110,43 +164,83 @@ class TestBatchedViewEquivalence:
         rec = twin.recommendation_loss(batch.input_ids, batch.targets)
         assert float(loss.data) == pytest.approx(float(rec.data), abs=1e-12)
 
-    def test_noise_protocol_uses_reference_path(self):
-        """noise_eps > 0 couples views through the batch std -> unbatched."""
-        model = build_slime(True, noise_eps=0.1)
-        ref = build_slime(False, noise_eps=0.1)
-        a = train_losses(model)
-        b = train_losses(ref)
-        np.testing.assert_allclose(a, b, rtol=0, atol=1e-9)
-
-    def test_gradients_match_unbatched(self):
-        batch = random_batch()
-        grads = {}
-        for batched in (True, False):
-            model = build_slime(batched)
-            model.train()
-            loss = model.loss(batch)
-            loss.backward()
-            grads[batched] = {
-                name: p.grad.copy() for name, p in model.named_parameters()
-            }
-        assert grads[True].keys() == grads[False].keys()
-        for name in grads[True]:
-            np.testing.assert_allclose(
-                grads[True][name], grads[False][name], rtol=0, atol=1e-9,
-                err_msg=name,
-            )
-
     def test_encode_views_rejects_shape_mismatch(self):
-        model = build_slime(True)
+        model = build("SLIME4Rec")
         with pytest.raises(ValueError):
             model.encode_views(
                 (np.zeros((4, 12), dtype=np.int64), np.zeros((3, 12), dtype=np.int64))
             )
 
     def test_encode_views_needs_two_views(self):
-        model = build_slime(True)
+        model = build("SLIME4Rec")
         with pytest.raises(ValueError):
             model.encode_views((np.zeros((4, 12), dtype=np.int64),))
+
+
+# ----------------------------------------------------------------------
+# Per-view Figure-6 noise
+# ----------------------------------------------------------------------
+
+
+class TestPerViewNoise:
+    EPS = 0.1
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_single_view_is_whole_batch_formula(self, dtype):
+        """V=1 (evaluation, the Figure-6 sweep): the historical draw."""
+        model = build("SLIME4Rec", dtype=dtype, noise_eps=self.EPS)
+        x = Tensor(np.random.default_rng(4).normal(size=(5, MAX_LEN, 16)).astype(dtype))
+        reference_rng = copy.deepcopy(model._noise_rng)
+        got = model.inject_noise(x)
+        scale = float(x.data.std()) * self.EPS
+        noise = reference_rng.uniform(-scale, scale, size=x.shape).astype(x.dtype)
+        np.testing.assert_array_equal(got.data, x.data + noise)
+        assert model._noise_rng.bit_generator.state == reference_rng.bit_generator.state
+
+    def test_view_blocks_scale_by_their_own_std(self):
+        """Three blocks four decades apart: each one's noise is bounded
+        by its own std, far below the whole-batch std's bound."""
+        model = build("SLIME4Rec", noise_eps=self.EPS)
+        rng = np.random.default_rng(5)
+        blocks = [rng.normal(scale=s, size=(4, MAX_LEN, 16)) for s in (1.0, 100.0, 0.01)]
+        x = np.concatenate(blocks)
+        with dropout_views(3):
+            noise = model.inject_noise(Tensor(x)).data - x
+        for i, block in enumerate(blocks):
+            bound = self.EPS * block.std()
+            part = np.abs(noise[i * 4 : (i + 1) * 4])
+            assert part.max() <= bound * (1 + 1e-9), i
+            assert part.max() > 0.5 * bound, i  # drawn at its block's scale
+        assert np.abs(noise[8:]).max() < 1e-3 * self.EPS * x.std()
+
+    @pytest.mark.parametrize("name", ["SLIME4Rec", "DuoRec"])
+    def test_encode_views_draws_per_view_block_in_order(self, name):
+        """Under the stacked training encode every layer input gets one
+        draw per view block, scaled by that block's std, in view order."""
+        model = build(name, noise_eps=self.EPS)
+        model.train()
+        reference_rng = copy.deepcopy(model._noise_rng)
+        records = []
+        original = model.inject_noise
+
+        def spy(x):
+            out = original(x)
+            records.append((x.data.copy(), out.data.copy()))
+            return out
+
+        model.inject_noise = spy
+        batch = random_batch(batch=4)
+        model.loss(batch)
+        num_layers = len(model.layers) if name == "SLIME4Rec" else len(model.encoder.blocks)
+        assert len(records) == num_layers
+        for x, out in records:
+            assert x.shape[0] == 12
+            for i in range(3):
+                part = x[i * 4 : (i + 1) * 4]
+                scale = float(part.std()) * self.EPS
+                noise = reference_rng.uniform(-scale, scale, size=part.shape).astype(x.dtype)
+                np.testing.assert_array_equal(out[i * 4 : (i + 1) * 4], part + noise)
+                assert np.abs(out[i * 4 : (i + 1) * 4] - part).max() <= scale * (1 + 1e-9)
 
 
 # ----------------------------------------------------------------------
@@ -224,7 +318,7 @@ class TestDropoutViewStreams:
 
     def test_view_count_restored_after_raising_forward(self):
         """An exception inside a batched encode must not leak view state."""
-        model = build_slime(batched=True)
+        model = build("SLIME4Rec")
         model.train()
         bad = random_batch()
         # Sabotage the stacked pass *inside* the dropout_views context:
@@ -267,39 +361,14 @@ class TestDropoutViewStreams:
 
 
 # ----------------------------------------------------------------------
-# Chunked cross-entropy
+# Chunked prediction head
 # ----------------------------------------------------------------------
 
 
 class TestChunkedCrossEntropy:
-    @pytest.mark.parametrize("chunk", [1, 5, 32, 1000])
-    def test_chunked_matches_dense(self, rng, chunk):
-        logits = rng.normal(size=(9, 41))
-        targets = rng.integers(0, 41, size=9)
-        a = Tensor(logits.copy(), requires_grad=True)
-        b = Tensor(logits.copy(), requires_grad=True)
-        dense = F.cross_entropy(a, targets)
-        chunked = F.cross_entropy(b, targets, chunk_size=chunk)
-        dense.backward()
-        chunked.backward()
-        np.testing.assert_allclose(float(dense.data), float(chunked.data), atol=1e-12)
-        np.testing.assert_allclose(a.grad, b.grad, atol=1e-12)
-
-    def test_chunked_respects_ignore_index(self, rng):
-        logits = rng.normal(size=(8, 17))
-        targets = rng.integers(0, 17, size=8)
-        targets[::2] = -1
-        a = Tensor(logits.copy(), requires_grad=True)
-        b = Tensor(logits.copy(), requires_grad=True)
-        dense = F.cross_entropy(a, targets, ignore_index=-1)
-        chunked = F.cross_entropy(b, targets, ignore_index=-1, chunk_size=4)
-        dense.backward()
-        chunked.backward()
-        np.testing.assert_allclose(float(dense.data), float(chunked.data), atol=1e-12)
-        np.testing.assert_allclose(a.grad, b.grad, atol=1e-12)
-
+    @pytest.mark.parametrize("chunk", [1, 5, 7, 30])
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_linear_ce_matches_dense_composition(self, rng, dtype):
+    def test_linear_ce_matches_dense_composition(self, rng, dtype, chunk):
         atol = 1e-11 if dtype is np.float64 else 1e-4
         user = rng.normal(size=(7, 8)).astype(dtype)
         weight = rng.normal(size=(31, 8)).astype(dtype)
@@ -307,7 +376,7 @@ class TestChunkedCrossEntropy:
         ua, wa = Tensor(user.copy(), requires_grad=True), Tensor(weight.copy(), requires_grad=True)
         ub, wb = Tensor(user.copy(), requires_grad=True), Tensor(weight.copy(), requires_grad=True)
         dense = F.linear_cross_entropy(ua, wa, targets)  # falls back to dense
-        chunked = F.linear_cross_entropy(ub, wb, targets, chunk_size=7)
+        chunked = F.linear_cross_entropy(ub, wb, targets, chunk_size=chunk)
         dense.backward()
         chunked.backward()
         assert chunked.data.dtype == np.dtype(dtype)
@@ -315,22 +384,24 @@ class TestChunkedCrossEntropy:
         np.testing.assert_allclose(ua.grad, ub.grad, atol=atol)
         np.testing.assert_allclose(wa.grad, wb.grad, atol=atol)
 
-    def test_linear_ce_gradcheck(self, rng):
+    @pytest.mark.parametrize("chunk", [1, 5])
+    def test_linear_ce_gradcheck(self, rng, chunk):
         from repro.autograd.gradcheck import gradcheck
 
         user = Tensor(rng.normal(size=(4, 6)), requires_grad=True)
         weight = Tensor(rng.normal(size=(13, 6)), requires_grad=True)
         targets = rng.integers(0, 13, size=4)
         gradcheck(
-            lambda u, w: F.linear_cross_entropy(u, w, targets, chunk_size=5),
+            lambda u, w: F.linear_cross_entropy(u, w, targets, chunk_size=chunk),
             [user, weight],
         )
 
-    def test_linear_ce_rejects_bad_chunk(self, rng):
+    @pytest.mark.parametrize("chunk", [-4, -1, 0])
+    def test_linear_ce_rejects_nonpositive_chunk(self, rng, chunk):
         user = Tensor(rng.normal(size=(3, 4)))
         weight = Tensor(rng.normal(size=(9, 4)))
-        with pytest.raises(ValueError):
-            F.linear_cross_entropy(user, weight, np.zeros(3, dtype=np.int64), chunk_size=0)
+        with pytest.raises(ValueError, match="chunk_size"):
+            F.linear_cross_entropy(user, weight, np.zeros(3, dtype=np.int64), chunk_size=chunk)
 
     def test_linear_ce_rejects_out_of_range_targets(self, rng):
         """Chunked gather must fail loudly like the dense fancy-index would."""
@@ -342,63 +413,43 @@ class TestChunkedCrossEntropy:
         with pytest.raises(IndexError):
             F.linear_cross_entropy(user, weight, np.array([1, -3, 2]), chunk_size=4)
 
-    @pytest.mark.parametrize("batched", [True, False])
-    def test_model_ce_chunk_size_matches_dense(self, batched):
+    @pytest.mark.parametrize("chunk", [13, 999])
+    def test_oversized_chunk_clamps_to_dense(self, rng, chunk):
+        """chunk_size >= V is one chunk: bitwise the dense path."""
+        user = rng.normal(size=(4, 5))
+        table = rng.normal(size=(13, 5))
+        targets = rng.integers(0, 13, size=4)
+        ua, wa = Tensor(user.copy(), requires_grad=True), Tensor(table.copy(), requires_grad=True)
+        ub, wb = Tensor(user.copy(), requires_grad=True), Tensor(table.copy(), requires_grad=True)
+        dense = F.cross_entropy(F.matmul(ua, F.transpose(wa, (1, 0))), targets)
+        clamped = F.linear_cross_entropy(ub, wb, targets, chunk_size=chunk)
+        dense.backward()
+        clamped.backward()
+        assert float(dense.data) == float(clamped.data)
+        np.testing.assert_array_equal(ua.grad, ub.grad)
+        np.testing.assert_array_equal(wa.grad, wb.grad)
+
+    @pytest.mark.parametrize("chunk", [1, 7, NUM_ITEMS + 1])
+    def test_model_ce_chunk_size_matches_dense(self, chunk):
+        """The model knob: tolerance below V+1 rows, bitwise at V+1."""
         batch = random_batch()
-        dense_model = build_slime(batched)
-        chunked_model = build_slime(batched, ce_chunk_size=7)
+        dense_model = build("SLIME4Rec")
+        chunked_model = build("SLIME4Rec", ce_chunk_size=chunk)
         dense_model.train()
         chunked_model.train()
         dense = dense_model.loss(batch)
         chunked = chunked_model.loss(batch)
         dense.backward()
         chunked.backward()
-        np.testing.assert_allclose(float(dense.data), float(chunked.data), atol=1e-10)
+        atol = 0.0 if chunk > NUM_ITEMS else 1e-10
+        np.testing.assert_allclose(float(dense.data), float(chunked.data), rtol=0, atol=atol)
         dense_grads = dict(dense_model.named_parameters())
         for name, p in chunked_model.named_parameters():
             np.testing.assert_allclose(
-                p.grad, dense_grads[name].grad, atol=1e-10, err_msg=name
+                p.grad, dense_grads[name].grad, rtol=0, atol=atol, err_msg=name
             )
 
-    def test_config_rejects_bad_chunk_size(self):
-        with pytest.raises(ValueError):
-            SlimeConfig(num_items=10, ce_chunk_size=0)
-
     @pytest.mark.parametrize("chunk", [0, -4])
-    def test_cross_entropy_rejects_nonpositive_chunk(self, rng, chunk):
-        logits = Tensor(rng.normal(size=(5, 11)))
-        targets = rng.integers(0, 11, size=5)
-        with pytest.raises(ValueError, match="chunk_size"):
-            F.cross_entropy(logits, targets, chunk_size=chunk)
-
-    @pytest.mark.parametrize("chunk", [-1, 0])
-    def test_linear_ce_rejects_nonpositive_chunk(self, rng, chunk):
-        user = Tensor(rng.normal(size=(3, 4)))
-        weight = Tensor(rng.normal(size=(9, 4)))
-        with pytest.raises(ValueError, match="chunk_size"):
-            F.linear_cross_entropy(user, weight, np.zeros(3, dtype=np.int64), chunk_size=chunk)
-
-    def test_oversized_chunk_clamps_to_dense(self, rng):
-        """chunk_size > V is one chunk: bitwise the dense path, no range games."""
-        logits = rng.normal(size=(6, 13))
-        targets = rng.integers(0, 13, size=6)
-        a = Tensor(logits.copy(), requires_grad=True)
-        b = Tensor(logits.copy(), requires_grad=True)
-        dense = F.cross_entropy(a, targets)
-        clamped = F.cross_entropy(b, targets, chunk_size=13_000)
-        dense.backward()
-        clamped.backward()
-        assert float(dense.data) == float(clamped.data)
-        np.testing.assert_array_equal(a.grad, b.grad)
-
-        user = rng.normal(size=(4, 5))
-        table = rng.normal(size=(13, 5))
-        ua, wa = Tensor(user.copy(), requires_grad=True), Tensor(table.copy(), requires_grad=True)
-        ub, wb = Tensor(user.copy(), requires_grad=True), Tensor(table.copy(), requires_grad=True)
-        dense_lin = F.linear_cross_entropy(ua, wa, targets[:4])
-        clamped_lin = F.linear_cross_entropy(ub, wb, targets[:4], chunk_size=999)
-        dense_lin.backward()
-        clamped_lin.backward()
-        assert float(dense_lin.data) == float(clamped_lin.data)
-        np.testing.assert_array_equal(ua.grad, ub.grad)
-        np.testing.assert_array_equal(wa.grad, wb.grad)
+    def test_config_rejects_nonpositive_chunk_size(self, chunk):
+        with pytest.raises(ValueError, match="ce_chunk_size"):
+            SlimeConfig(num_items=10, ce_chunk_size=chunk)

@@ -4,7 +4,7 @@ The contract under test (``repro.autograd.graph``): a training step
 captured once into a :class:`~repro.autograd.graph.Tape` and replayed
 on subsequent same-shape batches produces **bitwise-identical** losses,
 gradients and parameter trajectories to the dynamic engine — across
-models, dtypes, batched-view modes and dropout mask modes — and every
+models, dtypes and dropout mask modes — and every
 divergence the tape cannot absorb (ragged batch, ambient config change,
 parameter rebind, replay-unsafe op) triggers the documented fallback or
 recapture instead of silently wrong numbers.
@@ -55,10 +55,10 @@ def random_batch(seed=0, batch=6, with_positive=True, ragged=False):
     return Batch(input_ids=inputs, targets=targets, positive_ids=positives)
 
 
-def build_slime(dtype="float64", batched=True, **overrides):
+def build_slime(dtype="float64", **overrides):
     cfg = SlimeConfig(
         num_items=NUM_ITEMS, max_len=MAX_LEN, hidden_dim=16, num_layers=2,
-        cl_weight=0.1, batched_views=batched, seed=0, dtype=dtype, **overrides,
+        cl_weight=0.1, seed=0, dtype=dtype, **overrides,
     )
     return Slime4Rec(cfg)
 
@@ -166,12 +166,6 @@ class TestReplayBitwiseMatrix:
         in-place padding refresh."""
         dynamic = run_trajectory(build_model(name, dtype), static=False, ragged=True)
         static = run_trajectory(build_model(name, dtype), static=True, ragged=True)
-        assert_trajectories_bitwise(dynamic, static)
-
-    @pytest.mark.parametrize("dtype", ["float64", "float32"])
-    def test_slime_unbatched_views_bitwise(self, dtype):
-        dynamic = run_trajectory(build_slime(dtype, batched=False), static=False)
-        static = run_trajectory(build_slime(dtype, batched=False), static=True)
         assert_trajectories_bitwise(dynamic, static)
 
     @pytest.mark.parametrize("dtype", ["float64", "float32"])

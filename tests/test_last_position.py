@@ -25,10 +25,10 @@ equivalence classes:
 - ``F.dropout(seq_len=N)`` vs the full-length call: **bitwise** on the
   kept rows of axis -2, in both mask modes and with per-view streams.
 
-Batched vs unbatched views, dynamic vs tape replay and checkpoint
-resume keep their bitwise pins (``test_batched_views.py``,
-``test_graph_replay.py``, ``test_fault_tolerance.py``): both sides of
-each pin run the pruned block.
+Stacked vs sequential views (tolerance, ``test_batched_views.py``),
+dynamic vs tape replay and checkpoint resume (bitwise,
+``test_graph_replay.py``, ``test_fault_tolerance.py``) keep their
+pins: both sides of each pin run the pruned block.
 """
 
 import copy

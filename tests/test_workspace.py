@@ -11,7 +11,7 @@ Covers the three hot paths the workspace subsystem rewired:
   backward consistency) and the bitwise fidelity of the default path.
 
 Plus the workspace primitives themselves (scratch reuse, derived-
-constant caching, ParamCache invalidation).
+constant caching).
 """
 
 import numpy as np
@@ -19,10 +19,9 @@ import pytest
 
 from repro.autograd import functional as F
 from repro.autograd.spectral import spectral_filter
-from repro.autograd.tensor import Tensor, bump_parameter_version
+from repro.autograd.tensor import Tensor
 from repro.nn import MultiHeadSelfAttention
 from repro.nn.workspace import (
-    ParamCache,
     fast_dropout_masks,
     fast_dropout_masks_enabled,
     get_workspace,
@@ -70,45 +69,6 @@ class TestStepWorkspace:
         assert ws.nbytes() == 64
         ws.clear()
         assert ws.nbytes() == 0
-
-    def test_param_cache_rebuilds_on_version_bump(self):
-        cache = ParamCache()
-        payload = np.ones(3)
-        calls = []
-        build = lambda: calls.append(1) or payload * 2
-        cache.get((payload,), build)
-        cache.get((payload,), build)
-        assert len(calls) == 1
-        bump_parameter_version()
-        cache.get((payload,), build)
-        assert len(calls) == 2
-
-    def test_param_cache_rebuilds_on_payload_identity_change(self):
-        cache = ParamCache()
-        calls = []
-        build = lambda: calls.append(1)
-        cache.get((np.ones(3),), build)  # payload freed afterwards
-        cache.get((np.ones(3),), build)  # new array, same values
-        assert len(calls) == 2
-
-    def test_param_cache_extra_key(self):
-        cache = ParamCache()
-        payload = np.ones(3)
-        calls = []
-        build = lambda: calls.append(1)
-        cache.get((payload,), build, extra=0.5)
-        cache.get((payload,), build, extra=0.7)
-        assert len(calls) == 2
-
-    def test_param_cache_invalidate(self):
-        cache = ParamCache()
-        payload = np.ones(3)
-        calls = []
-        build = lambda: calls.append(1)
-        cache.get((payload,), build)
-        cache.invalidate()
-        cache.get((payload,), build)
-        assert len(calls) == 2
 
 
 # ----------------------------------------------------------------------
@@ -211,15 +171,19 @@ class TestFusedAttentionEquivalence:
             outs.append(attn(Tensor(x)).data)
         np.testing.assert_allclose(outs[0], outs[1], atol=1e-10)
 
-    def test_qkv_cache_rebuilds_after_weight_update(self):
+    def test_in_place_weight_edit_reaches_next_forward(self):
+        """An in-place Q weight edit, with no version bump and no
+        invalidation, changes the next forward: the fused GEMM reads
+        the live projection weights, never a stale concatenation."""
         batch, length, dim, heads = GEOMETRIES[0]
-        attn, _ = _attention_pair(dim, heads, np.float64)
+        fused, unfused = _attention_pair(dim, heads, np.float64)
         x = Tensor(np.random.default_rng(1).standard_normal((batch, length, dim)))
-        before = attn(x).data.copy()
-        attn.query.weight.data += 1.0  # manual in-place edit
-        attn.invalidate_qkv_cache()
-        after = attn(x).data
+        before = fused(x).data.copy()
+        for attn in (fused, unfused):
+            attn.query.weight.data += 1.0
+        after = fused(x).data
         assert not np.allclose(before, after)
+        np.testing.assert_allclose(after, unfused(x).data, atol=1e-10)
 
     def test_double_backward_over_shared_graph(self):
         """Two backward passes over one graph accumulate like unfused."""
