@@ -1178,13 +1178,15 @@ def dropout(
     ``seq_len=N`` declares ``a`` the last ``a.shape[-2]`` positions of a
     length-``N`` sequence axis (``x[..., -n:, :]`` of an ``(R, ..., N, k)``
     tensor: the positions of an ``(R, N, d)`` activation, or the query
-    rows of ``(R, H, N, N)`` attention probabilities).  The mask is
-    still drawn for the whole ``(R, ..., N, k)`` shape, per view as above,
-    and only its trailing ``n`` rows on axis -2 are kept: ``rng``
-    advances exactly as for the full-length call and the output equals
-    the same slice of the full-length output, so a caller that only
-    reads the last position can skip the other ``N - n`` without
-    changing any mask.
+    rows of ``(R, H, N, N)`` attention probabilities).  The mask and
+    ``rng``'s end state equal the trailing ``n`` rows of the full-length
+    call's mask, so a caller that only reads the last position can skip
+    the other ``N - n`` without changing any mask.  The seed-compatible
+    path draws only the kept values: for each leading row it advances
+    the bit generator past the ``(N - n)·k`` skipped uniforms and draws
+    the ``n·k`` kept ones (see :func:`_draw_trailing_rows`).  The fast path draws the full-length
+    uint16 bits per view and keeps the trailing rows, since its bit
+    consumption is call-shaped.
     """
     a = as_tensor(a)
     if not training or p <= 0.0:
@@ -1206,14 +1208,17 @@ def dropout(
         block = a.shape[0] // views
         draw_shape = (block,) + a.shape[1:]
     kept = Ellipsis
+    skip = 0
     if seq_len is not None:
         if a.ndim < 3 or not 0 < a.shape[-2] <= seq_len:
             raise ValueError(
                 f"dropout over the last positions of a length-{seq_len} sequence "
                 f"needs an (R, ..., n, k) input with n in 1..{seq_len}, got shape {a.shape}"
             )
-        draw_shape = draw_shape[:-2] + (seq_len, a.shape[-1])
-        kept = (Ellipsis, slice(seq_len - a.shape[-2], None), slice(None))
+        skip = (seq_len - a.shape[-2]) * a.shape[-1]
+        if fast:
+            draw_shape = draw_shape[:-2] + (seq_len, a.shape[-1])
+            kept = (Ellipsis, slice(seq_len - a.shape[-2], None), slice(None))
     # Per-view draws use a *view-sized* scratch buffer — the same
     # workspace key the separate-pass (B, ...) sites use, so the
     # stacked (V*B, ...) geometry and the single-view eval geometry
@@ -1230,15 +1235,22 @@ def dropout(
     def forward():
         nonlocal mask
         mask = np.empty(a.shape, dtype=bool)
-        for v in range(views):
-            rows = mask[v * block : (v + 1) * block] if views > 1 else mask
-            if fast:
-                bits = rng.integers(0, 65536, size=draw_shape, dtype=np.uint16)
-                np.less(bits[kept], threshold, out=rows)
-            else:
-                draw = get_workspace().scratch("dropout.draw", draw_shape, np.float64)
-                rng.random(out=draw)
-                np.less(draw[kept], keep, out=rows)
+        if skip and not fast:
+            # Consecutive view blocks are consecutive leading rows, so
+            # one pass over all rows serves every view.
+            draw = get_workspace().scratch("dropout.draw", a.shape, np.float64)
+            _draw_trailing_rows(rng, draw.reshape(-1, a.shape[-2] * a.shape[-1]), skip)
+            np.less(draw, keep, out=mask)
+        else:
+            for v in range(views):
+                rows = mask[v * block : (v + 1) * block] if views > 1 else mask
+                if fast:
+                    bits = rng.integers(0, 65536, size=draw_shape, dtype=np.uint16)
+                    np.less(bits[kept], threshold, out=rows)
+                else:
+                    draw = get_workspace().scratch("dropout.draw", draw_shape, np.float64)
+                    rng.random(out=draw)
+                    np.less(draw, keep, out=rows)
         out = a.data * mask
         out *= scale
         return out
@@ -1249,6 +1261,34 @@ def dropout(
         return (g,)
 
     return _make(forward(), (a,), backward, forward)
+
+
+def _draw_trailing_rows(rng: np.random.Generator, out: np.ndarray, skip: int) -> None:
+    """Fill each row of ``out`` as ``rng.random`` would fill the same
+    row's tail after ``skip`` leading uniforms, skipping those.
+
+    ``out`` is ``(rows, kept)``; the generator ends where a full
+    ``rng.random((rows, skip + kept))`` draw leaves it.  One float64
+    uniform is one 64-bit output, which PCG64's ``advance`` skips in
+    O(log skip).  ``advance`` also drops a buffered uint32 half (left
+    by an odd count of 32-bit draws, e.g. a fast-mode uint16 call),
+    which a float64 draw never touches, so it is put back afterwards.
+    Other bit generators skip by drawing.
+    """
+    bits = rng.bit_generator
+    if not isinstance(bits, (np.random.PCG64, np.random.PCG64DXSM)):
+        for row in out:
+            rng.random(skip)
+            rng.random(out=row)
+        return
+    before = bits.state
+    for row in out:
+        bits.advance(skip)
+        rng.random(out=row)
+    if before["has_uint32"]:
+        after = bits.state
+        after.update(has_uint32=before["has_uint32"], uinteger=before["uinteger"])
+        bits.state = after
 
 
 def layer_norm(a, gamma, beta, eps: float = 1e-12) -> Tensor:

@@ -30,6 +30,25 @@ The test suite checks values and gradients against an O(N²) oracle built
 from primitive autograd ops through explicit DFT matrices, and against
 central finite differences.
 
+Last-position mode
+------------------
+``spectral_filter(x, branches, last=True)`` returns only row ``N-1``,
+``(B, 1, d)``: the user vector of a last block (Eq. 31) reads nothing
+else.  Row ``N-1`` of a circular convolution is one weighted sum over
+positions, so no FFT of the activations is needed in either
+direction::
+
+    h       = irfft(Σ_b scale_b * W_b, n=N, axis=0)    # (N, d), per call
+    y[:, 0] = Σ_n x[:, n] · h[N-1-n]
+
+    dx      = g ⊗ h[::-1]                              # (B, N, d)
+    dh      = (Σ_batch x · g)[::-1]                    # (N, d)
+    dW_b    = scale_b * rfft(dh, axis=0) * mirror/N    # adjoint of the irfft
+
+with the same DC/Nyquist imaginary gradients zeroed as the full mode.
+The kernel ``h`` is rebuilt from the live weights inside the replay
+closure, like the full mode's filter.
+
 Workspace contract
 ------------------
 All ``L`` mixer layers of a step share one ``(B, N, d)`` geometry, so
@@ -184,7 +203,7 @@ def _conj_mul_into(a: np.ndarray, b: np.ndarray, tag: str) -> np.ndarray:
     return buf
 
 
-def spectral_filter(x, branches: Sequence[tuple]) -> Tensor:
+def spectral_filter(x, branches: Sequence[tuple], last: bool = False) -> Tensor:
     """Filter a real sequence with ``Σ scale·(w_real + i·w_imag)``.
 
     Parameters
@@ -197,25 +216,33 @@ def spectral_filter(x, branches: Sequence[tuple]) -> Tensor:
         complex filter, where ``M = N // 2 + 1``; ``scale`` is a constant
         ``(M, 1)`` array — the branch weight times its 0/1 frequency
         band (the sliding window of the frequency ramp structure).
+    last:
+        Return only the last output position, ``(B, 1, d)``: the same
+        value as ``spectral_filter(x, branches)[:, -1:]`` (to float
+        reassociation), computed as one weighted sum over positions with
+        no FFT of ``x`` or of its gradient.
 
     Returns
     -------
     Tensor
-        Real tensor of shape ``(B, N, d)``.
+        Real tensor of shape ``(B, N, d)``, or ``(B, 1, d)`` when
+        ``last``.
     """
     x = as_tensor(x)
     if x.ndim != 3:
         raise ValueError(f"x must be (B, N, d), got shape {x.shape}")
-    n = x.shape[1]
+    if not branches:
+        raise ValueError(f"spectral_filter needs at least one branch, got none for x {x.shape}")
+    _, n, d = x.shape
     m = num_frequency_bins(n)
     checked = []
     for scale, w_real, w_imag in branches:
         w_real, w_imag = as_tensor(w_real), as_tensor(w_imag)
         if w_real.shape != w_imag.shape:
             raise ValueError(f"w_real {w_real.shape} and w_imag {w_imag.shape} differ")
-        if w_real.shape[0] != m:
+        if w_real.shape != (m, d):
             raise ValueError(
-                f"filter has {w_real.shape[0]} bins but sequence length {n} needs {m}"
+                f"filter has shape {w_real.shape} but x of shape {x.shape} needs ({m}, {d})"
             )
         scale = np.asarray(scale, dtype=x.dtype)
         if scale.shape != (m, 1):
@@ -223,21 +250,32 @@ def spectral_filter(x, branches: Sequence[tuple]) -> Tensor:
         checked.append((scale, w_real, w_imag))
     params = [w for _, w_real, w_imag in checked for w in (w_real, w_imag)]
 
-    filt = spectrum = None
-
-    def forward():
-        # Replay closure: recombines the filter from the live parameter
-        # arrays on every call, so a static-graph replay picks up
-        # post-optimizer weights; ``filt``/``spectrum`` are rebound for
-        # the backward closure, which shares these cells.
-        nonlocal filt, spectrum
+    def combined_filter() -> np.ndarray:
+        # Recombined from the live parameter arrays on every call, so a
+        # static-graph replay picks up post-optimizer weights.
         scale, w_real, w_imag = checked[0]
         filt = scale * (w_real.data + 1j * w_imag.data)  # (M, d) complex
         for scale, w_real, w_imag in checked[1:]:
             filt += scale * (w_real.data + 1j * w_imag.data)
+        return filt
+
+    # Replay closures rebind these cells for the backward closure.
+    filt = spectrum = kernel = signal = None
+
+    def forward_full():
+        nonlocal filt, spectrum
+        filt = combined_filter()
         spectrum = scipy.fft.rfft(x.data, axis=1)  # (B, M, d) complex
         return _filtered_irfft(spectrum, filt, n, "spectral.prod").astype(x.dtype, copy=False)
 
+    def forward_last():
+        nonlocal kernel, signal
+        # Row n of the time-reversed impulse response weights x[:, n].
+        kernel = np.ascontiguousarray(scipy.fft.irfft(combined_filter(), n=n, axis=0)[::-1])
+        signal = x.data
+        return np.einsum("bnj,nj->bj", signal, kernel)[:, None, :].astype(x.dtype, copy=False)
+
+    forward = forward_last if last else forward_full
     out = forward()
 
     if not (
@@ -250,16 +288,9 @@ def spectral_filter(x, branches: Sequence[tuple]) -> Tensor:
 
     mirror = _mirror_weights(n, x.dtype)[:, None]  # (M, 1)
 
-    def backward(grad):
-        grad_spec = scipy.fft.rfft(grad, axis=1)  # (B, M, d)
-        gx = _filtered_irfft(grad_spec, np.conj(filt), n, "spectral.gprod").astype(
-            x.dtype, copy=False
-        )
-        # One batch-summed spectrum product serves every branch; the
-        # blocked product reuses the grad-side scratch (each block is
-        # consumed by the irfft above before the sum re-fills it).
-        base = _conj_mul_batch_sum(spectrum, grad_spec, "spectral.gprod") * (mirror / n)
-        grads = [gx]
+    def filter_grads(base: np.ndarray) -> list:
+        """``(dW_real_b, dW_imag_b)`` for every branch from ``base = dF``."""
+        grads = []
         for scale, _, _ in checked:
             dw = base * scale  # gradient only flows inside the band
             dw_real = dw.real.astype(x.dtype, copy=False)
@@ -270,8 +301,29 @@ def spectral_filter(x, branches: Sequence[tuple]) -> Tensor:
             if n % 2 == 0:
                 dw_imag[-1] = 0.0
             grads.extend((dw_real, dw_imag))
-        return tuple(grads)
+        return grads
 
+    def backward_full(grad):
+        grad_spec = scipy.fft.rfft(grad, axis=1)  # (B, M, d)
+        gx = _filtered_irfft(grad_spec, np.conj(filt), n, "spectral.gprod").astype(
+            x.dtype, copy=False
+        )
+        # One batch-summed spectrum product serves every branch; the
+        # blocked product reuses the grad-side scratch (each block is
+        # consumed by the irfft above before the sum re-fills it).
+        base = _conj_mul_batch_sum(spectrum, grad_spec, "spectral.gprod") * (mirror / n)
+        return tuple([gx] + filter_grads(base))
+
+    def backward_last(grad):
+        g = grad[:, 0, :]  # (B, d)
+        gx = (g[:, None, :] * kernel).astype(x.dtype, copy=False)
+        # dh[t] = Σ_b x[b, N-1-t]·g[b]: the reversed kernel's gradient,
+        # flipped back; rfft·mirror/N is the adjoint of the (N, d) irfft.
+        dh = np.einsum("bnj,bj->nj", signal, g)[::-1]
+        base = scipy.fft.rfft(dh, axis=0) * (mirror / n)
+        return tuple([gx] + filter_grads(base))
+
+    backward = backward_last if last else backward_full
     result = Tensor(out, _parents=tuple([x] + params), _backward=backward)
     record_node(result, forward, "spectral_filter")
     return result

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.autograd import functional as F
 from repro.autograd.spectral import num_frequency_bins
 from repro.autograd.tensor import Tensor
 from repro.core.encoder import SequentialEncoderBase
-from repro.core.filter_mixer import FilterMixerLayer
+from repro.core.filter_mixer import FilterMixerLayer, run_mixer_layers
 from repro.nn import ModuleList
 
 __all__ = ["FMLPRec"]
@@ -59,7 +60,12 @@ class FMLPRec(SequentialEncoderBase):
         )
 
     def encode_states(self, input_ids: np.ndarray) -> Tensor:
-        hidden = self.embed(input_ids)
-        for layer in self.layers:
-            hidden = layer(hidden)
-        return hidden
+        return run_mixer_layers(self.layers, self.embed(input_ids), self.inject_noise)
+
+    def user_representation(self, input_ids: np.ndarray) -> Tensor:
+        """``h_t^L`` with the last block on position ``N-1`` only
+        (:meth:`FilterMixerLayer.forward_last`), as SLIME4Rec does."""
+        hidden = run_mixer_layers(
+            self.layers, self.embed(input_ids), self.inject_noise, last_only=True
+        )
+        return F.getitem(hidden, (slice(None), -1))

@@ -54,8 +54,9 @@ class TransformerBlock(Module):
         and values need all ``N`` input positions; the query, and the
         rest of the block, is position-wise, so attention runs with the
         last query only and the tail on position ``N-1`` alone.  Every
-        dropout site still draws its full-length mask and keeps the last
-        row, which leaves every generator stream unchanged.
+        dropout site draws the last row of its full-length mask and
+        skips its generator past the rest, which leaves every mask and
+        generator stream unchanged.
         """
         attended = self.attention(x, key_padding_mask=key_padding_mask, last_query=True)
         last = F.getitem(x, (slice(None), slice(-1, None)))

@@ -14,6 +14,10 @@ Each block:
    identical and needs one FFT pair,
 4. residual + LayerNorm + dropout (Eq. 28),
 5. pointwise FFN with the densely-residual LayerNorm of Eq. 30.
+
+The last block of a user-vector encode computes position ``N-1`` only
+(:meth:`FilterMixerLayer.forward_last`): its filter output is one
+weighted sum over positions, with no FFT of the activations.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from repro.core.encoder import PointwiseFeedForward
 from repro.nn import Dropout, LayerNorm, Module, Parameter
 from repro.nn import init as nn_init
 
-__all__ = ["FilterMixerLayer"]
+__all__ = ["FilterMixerLayer", "run_mixer_layers"]
 
 
 class FilterMixerLayer(Module):
@@ -106,16 +110,17 @@ class FilterMixerLayer(Module):
         self.ffn_norm = LayerNorm(hidden_dim, dtype=dtype)
         self.ffn_dropout = Dropout(dropout, rng=np.random.default_rng(rng.integers(2**32)))
 
-    def mix_spectra(self, x: Tensor) -> Tensor:
+    def mix_spectra(self, x: Tensor, last: bool = False) -> Tensor:
         """Eqs. 21 + 25 + 26-27: filter, mix, return time-domain signal.
 
         One :func:`~repro.autograd.spectral.spectral_filter` call over
         this layer's branches, whichever of DFS/SFS are enabled.  The op
         recombines the mixed filter from the live parameters on every
         call (and every static-graph replay), so nothing here can go
-        stale after an optimizer step or a manual weight edit.
+        stale after an optimizer step or a manual weight edit.  With
+        ``last`` it returns position ``N-1`` only, ``(B, 1, d)``.
         """
-        return spectral_filter(x, self._branches)
+        return spectral_filter(x, self._branches, last=last)
 
     def forward(self, x: Tensor) -> Tensor:
         return self._position_wise(x, self.mix_spectra(x))
@@ -123,18 +128,16 @@ class FilterMixerLayer(Module):
     def forward_last(self, x: Tensor) -> Tensor:
         """The block's output at the last position only: ``(B, 1, d)``.
 
-        Equals ``forward(x)[:, -1:]`` (to float reassociation).  The FFT
-        mix needs all ``N`` input positions, so it runs in full; the
-        rest of the block is position-wise, so it runs on position
-        ``N-1`` alone.  Both dropout sites still draw their full-length
-        masks and keep the last row, which leaves every generator
-        stream, and so every other mask, unchanged.
+        Equals ``forward(x)[:, -1:]`` (to float reassociation).  The
+        filter's last output row is one weighted sum over the ``N``
+        input positions (``mix_spectra(x, last=True)``, no FFT of ``x``),
+        and the rest of the block is position-wise, so it runs on
+        position ``N-1`` alone.  Both dropout sites draw only the last
+        row of their masks and skip their generators past the rest, so
+        every mask and every generator stream is the full-length one.
         """
-        filtered = self.mix_spectra(x)
-        last = (slice(None), slice(-1, None))
-        return self._position_wise(
-            F.getitem(x, last), F.getitem(filtered, last), seq_len=x.shape[1]
-        )
+        last = F.getitem(x, (slice(None), slice(-1, None)))
+        return self._position_wise(last, self.mix_spectra(x, last=True), seq_len=x.shape[1])
 
     def _position_wise(self, x: Tensor, filtered: Tensor, seq_len: int | None = None) -> Tensor:
         # Eq. 28: residual + dropout + LayerNorm.
@@ -143,3 +146,20 @@ class FilterMixerLayer(Module):
         # residual runs as one fused add node (bitwise the chained sum).
         ffn_out = self.ffn(hidden)
         return self.ffn_norm(F.add3(x, hidden, self.ffn_dropout(ffn_out, seq_len=seq_len)))
+
+
+def run_mixer_layers(layers, hidden: Tensor, inject_noise, last_only: bool = False) -> Tensor:
+    """Run a stack of :class:`FilterMixerLayer` blocks over ``hidden``.
+
+    ``inject_noise`` maps each block's input (the Figure-6 noise hook,
+    an identity when ``noise_eps`` is zero).  With ``last_only`` the
+    last block runs :meth:`FilterMixerLayer.forward_last` and the result
+    is ``(B, 1, d)``; otherwise ``(B, N, d)``.  SLIME4Rec and FMLP-Rec
+    share this loop for both ``encode_states`` and
+    ``user_representation``.
+    """
+    *body, last = layers
+    for layer in body:
+        hidden = layer(inject_noise(hidden))
+    run_last = last.forward_last if last_only else last
+    return run_last(inject_noise(hidden))

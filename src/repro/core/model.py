@@ -10,7 +10,7 @@ from repro.autograd.tensor import Tensor
 from repro.core.config import SlimeConfig
 from repro.core.contrastive import info_nce_loss
 from repro.core.encoder import SequentialEncoderBase
-from repro.core.filter_mixer import FilterMixerLayer
+from repro.core.filter_mixer import FilterMixerLayer, run_mixer_layers
 from repro.core.filters import ramp_masks
 from repro.data.batching import Batch
 from repro.nn import ModuleList
@@ -92,25 +92,21 @@ class Slime4Rec(SequentialEncoderBase):
 
     # ------------------------------------------------------------------
     def encode_states(self, input_ids: np.ndarray) -> Tensor:
-        hidden = self.embed(input_ids)
-        for layer in self.layers:
-            hidden = layer(self.inject_noise(hidden))
-        return hidden
+        return run_mixer_layers(self.layers, self.embed(input_ids), self.inject_noise)
 
     def user_representation(self, input_ids: np.ndarray) -> Tensor:
         """``h_t^L`` (Eq. 31) without the rest of the last block's output.
 
-        Blocks ``0..L-2`` run on every position; the last block runs its
-        FFT mix in full and its position-wise tail on position ``N-1``
-        only (:meth:`FilterMixerLayer.forward_last`).  Same masks and
+        Blocks ``0..L-2`` run on every position; the last block computes
+        position ``N-1`` only: its filter as one weighted sum over
+        positions and its position-wise tail on that row
+        (:meth:`FilterMixerLayer.forward_last`).  Same masks and
         generator streams as ``encode_states(x)[:, -1]``, same value to
         float reassociation.
         """
-        *body, last = self.layers
-        hidden = self.embed(input_ids)
-        for layer in body:
-            hidden = layer(self.inject_noise(hidden))
-        hidden = last.forward_last(self.inject_noise(hidden))
+        hidden = run_mixer_layers(
+            self.layers, self.embed(input_ids), self.inject_noise, last_only=True
+        )
         return F.getitem(hidden, (slice(None), -1))
 
     # ------------------------------------------------------------------

@@ -48,9 +48,9 @@ and on all keys and values only, so the row equals row ``N-1`` of the
 full output (to float reassociation), causal or bidirectional.  The
 mask row is a *view* of the block mask, so the in-place block-mask
 refresh of a tape replay still reaches it, and the probability dropout
-draws its full ``(B, H, N, N)`` mask and keeps the last query row
-(``F.dropout(seq_len=N)``), so the generator advances exactly as for
-the full call.
+draws the last query row of its ``(B, H, N, N)`` mask and skips the
+generator past the other rows (``F.dropout(seq_len=N)``), so the mask
+row and the generator's end state are the full call's.
 """
 
 from __future__ import annotations

@@ -19,9 +19,10 @@ draw per view, so a ``(V*B, N, d)`` call consumes this layer's
 generator exactly like ``V`` separate ``(B, N, d)`` calls.  Given
 ``seq_len=N``, a ``(B, n, d)`` input is the last ``n`` positions of a
 ``(B, N, d)`` batch (a ``(B, H, n, N)`` one the last ``n`` query rows
-of attention probabilities): the mask is drawn at full length and
-sliced on axis -2, so the generator advances exactly as for the
-full-length call.  See
+of attention probabilities): the seed-compatible path draws only the
+kept rows and skips the generator past the others, so the mask equals
+the full-length mask sliced on axis -2 and the generator ends where the
+full-length call leaves it.  See
 :func:`repro.autograd.functional.dropout` for the exact contract.
 """
 
@@ -54,8 +55,8 @@ class Dropout(Module):
 
     def forward(self, x: Tensor, seq_len: int | None = None) -> Tensor:
         """``seq_len`` marks ``x`` as the trailing positions of a longer
-        sequence batch: the mask is drawn at full length and sliced (see
-        :func:`repro.autograd.functional.dropout`)."""
+        sequence batch: the mask is the full-length mask's trailing rows
+        (see :func:`repro.autograd.functional.dropout`)."""
         return F.dropout(x, self.p, training=self.training, rng=self.rng, seq_len=seq_len)
 
     def __repr__(self) -> str:

@@ -45,8 +45,9 @@ def dft_matrices(n: int, dtype=np.float64) -> Tuple[np.ndarray, np.ndarray, np.n
     return cos_mat, sin_mat, icos, isin
 
 
-def spectral_filter_reference(x, branches) -> Tensor:
-    """``spectral_filter(x, branches)`` built from primitive autograd ops."""
+def spectral_filter_reference(x, branches, last: bool = False) -> Tensor:
+    """``spectral_filter(x, branches, last)`` built from primitive autograd
+    ops; ``last`` keeps only the inverse-DFT rows for time ``N-1``."""
     x = as_tensor(x)
     n = x.shape[1]
     cos_mat, sin_mat, icos, isin = dft_matrices(n, dtype=x.dtype)
@@ -70,6 +71,8 @@ def spectral_filter_reference(x, branches) -> Tensor:
     yr = F.sub(F.mul(xr, wr), F.mul(xi, wi))
     yi = F.add(F.mul(xr, wi), F.mul(xi, wr))
 
+    if last:
+        icos, isin = icos[-1:], isin[-1:]  # (1, M): time N-1 only
     yr_t = F.transpose(yr, (0, 2, 1))  # (B, d, M)
     yi_t = F.transpose(yi, (0, 2, 1))
     out = F.add(F.matmul(yr_t, Tensor(icos.T)), F.matmul(yi_t, Tensor(isin.T)))

@@ -3,9 +3,10 @@
 Every model scores a user from ``h_t^L`` alone (Eq. 31), so
 ``user_representation`` computes only that position of the last block:
 
-- SLIME4Rec runs the last block's FFT mix on all ``N`` positions and its
-  position-wise tail (dropout, LayerNorms, FFN, residuals) on position
-  ``N-1`` only;
+- SLIME4Rec and FMLP-Rec run the last block's filter as one weighted
+  sum over the ``N`` input positions (``spectral_filter(..., last=True)``,
+  no FFT) and its position-wise tail (dropout, LayerNorms, FFN,
+  residuals) on position ``N-1`` only;
 - SASRec (and DuoRec, CL4SRec, CoSeRec and ContrastVAE, which inherit
   it) runs the last transformer block's attention with the last query
   only — keys and values stay full — and its tail on position ``N-1``;
@@ -18,12 +19,14 @@ equivalence classes:
   parameter gradient — the GEMMs and row reductions see a different
   row count, so BLAS may block them differently;
 - pruned vs full path: **bitwise** on every random stream — each sliced
-  dropout site still draws its full-length mask (attention-probability
-  dropout its full ``(B, H, N, N)`` mask), so every generator (dropout,
+  dropout site draws the kept rows of its full-length mask and skips
+  its generator past the rest (attention-probability dropout: the last
+  query row of its ``(B, H, N, N)`` mask), so every generator (dropout,
   Figure-6 noise, augmentation, reparameterization) ends the step in
   the same bit state;
 - ``F.dropout(seq_len=N)`` vs the full-length call: **bitwise** on the
-  kept rows of axis -2, in both mask modes and with per-view streams.
+  kept rows of axis -2 and on the generator's end state, in both mask
+  modes, with per-view streams and across a pending buffered uint32.
 
 Stacked vs sequential views (tolerance, ``test_batched_views.py``),
 dynamic vs tape replay and checkpoint resume (bitwise,
@@ -38,7 +41,7 @@ import pytest
 
 from repro.autograd import functional as F
 from repro.autograd.tensor import Tensor, is_grad_enabled
-from repro.baselines import BERT4Rec, CL4SRec, CoSeRec, ContrastVAE, DuoRec, SASRec
+from repro.baselines import BERT4Rec, CL4SRec, CoSeRec, ContrastVAE, DuoRec, FMLPRec, SASRec
 from repro.core import Slime4Rec, SlimeConfig
 from repro.core.contrastive import info_nce_loss
 from repro.data.batching import Batch
@@ -116,18 +119,16 @@ CELLS = [
 ]
 
 
-@pytest.mark.parametrize("dtype", ["float64", "float32"])
-@pytest.mark.parametrize("variant", sorted(VARIANTS))
-@pytest.mark.parametrize("views", [1, 3])
-@pytest.mark.parametrize("mode,fast", CELLS)
-def test_pruned_matches_full_path(dtype, variant, views, mode, fast):
-    pruned = build(dtype, **VARIANTS[variant])
+def check_pruned_matches_full_path(pruned, hook, dtype, views, mode, fast):
+    """The pruned ``hook`` against ``encode_states(x)[:, -1]`` on a deep
+    copy: values and every gradient in the tolerance class, every random
+    stream bitwise."""
     oracle = copy.deepcopy(pruned)
     for model in (pruned, oracle):
         model.train(mode == "train")
     ids = view_inputs(views)
 
-    got, got_grads = run(pruned, Slime4Rec.user_representation, ids, views, fast)
+    got, got_grads = run(pruned, hook, ids, views, fast)
     want, want_grads = run(oracle, full_oracle, ids, views, fast)
 
     assert got.shape == want.shape == (views * BATCH, 16)
@@ -142,6 +143,25 @@ def test_pruned_matches_full_path(dtype, variant, views, mode, fast):
     # Same masks drawn, so every stream ends in the same bit state.
     assert dropout_states(pruned) == dropout_states(oracle)
     assert pruned.rng_state_dict() == oracle.rng_state_dict()
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+@pytest.mark.parametrize("views", [1, 3])
+@pytest.mark.parametrize("mode,fast", CELLS)
+def test_pruned_matches_full_path(dtype, variant, views, mode, fast):
+    pruned = build(dtype, **VARIANTS[variant])
+    check_pruned_matches_full_path(pruned, Slime4Rec.user_representation, dtype, views, mode, fast)
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+@pytest.mark.parametrize("views", [1, 3])
+@pytest.mark.parametrize("mode,fast", CELLS)
+def test_fmlprec_pruned_matches_full_path(dtype, views, mode, fast):
+    pruned = FMLPRec(
+        num_items=NUM_ITEMS, max_len=MAX_LEN, hidden_dim=16, num_layers=2, seed=0, dtype=dtype
+    )
+    check_pruned_matches_full_path(pruned, FMLPRec.user_representation, dtype, views, mode, fast)
 
 
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
@@ -321,7 +341,7 @@ def test_serves_the_vector_it_evaluates_with(name):
 
 
 # ----------------------------------------------------------------------
-# F.dropout(seq_len=N): full-length draw, trailing positions kept
+# F.dropout(seq_len=N): the trailing rows of the full-length draw
 # ----------------------------------------------------------------------
 
 
@@ -330,14 +350,22 @@ def test_serves_the_vector_it_evaluates_with(name):
 ROW_SHAPES = {"positions": (10, 6), "query_rows": (3, 10, 10)}
 
 
+@pytest.mark.parametrize("buffered", [False, True])
 @pytest.mark.parametrize("fast", [False, True])
 @pytest.mark.parametrize("views", [1, 3])
 @pytest.mark.parametrize("kept", [1, 4])
 @pytest.mark.parametrize("rows", sorted(ROW_SHAPES))
-def test_dropout_seq_len_is_the_full_call_sliced(rows, fast, views, kept):
+def test_dropout_seq_len_is_the_full_call_sliced(rows, fast, views, kept, buffered):
     x = np.random.default_rng(0).standard_normal((views * 4,) + ROW_SHAPES[rows])
     last = (Ellipsis, slice(-kept, None), slice(None))
     full_rng, sliced_rng = np.random.default_rng(9), np.random.default_rng(9)
+    if buffered:
+        # One fast-mode uint16 draw leaves half of a 64-bit output
+        # buffered; the row-skipping draw must keep it, as a full-length
+        # float64 draw does (the state comparison below covers it).
+        for rng in (full_rng, sliced_rng):
+            F.dropout(Tensor(np.ones((1, 1, 1))), 0.3, True, rng, fast=True)
+            assert rng.bit_generator.state["has_uint32"] == 1
     whole = Tensor(x, requires_grad=True)
     full = F.dropout(whole, 0.3, True, full_rng, fast=fast, views=views)
     part = Tensor(x[last], requires_grad=True)
@@ -350,6 +378,19 @@ def test_dropout_seq_len_is_the_full_call_sliced(rows, fast, views, kept):
     full.backward(grad)
     sliced.backward(grad[last])
     np.testing.assert_array_equal(part.grad, whole.grad[last])
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.Philox])
+def test_dropout_seq_len_on_other_bit_generators(bit_generator):
+    """Generators without PCG64's per-output ``advance`` skip by drawing."""
+    x = np.random.default_rng(0).standard_normal((6, 10, 4))
+    full_rng = np.random.Generator(bit_generator(9))
+    sliced_rng = np.random.Generator(bit_generator(9))
+    full = F.dropout(Tensor(x), 0.3, True, full_rng, fast=False)
+    sliced = F.dropout(Tensor(x[:, -2:]), 0.3, True, sliced_rng, fast=False, seq_len=10)
+    np.testing.assert_array_equal(sliced.data, full.data[:, -2:])
+    # Same stream position (MT19937's state holds an array).
+    np.testing.assert_array_equal(full_rng.random(8), sliced_rng.random(8))
 
 
 def test_dropout_seq_len_rejects_a_longer_slice():

@@ -123,6 +123,21 @@ class TestForward:
         with pytest.raises(ValueError):  # a scale must be an (M, 1) column
             spectral_filter(x, [(np.ones(m), wr, wi)])
 
+    def test_rejects_an_empty_branch_list(self, rng):
+        x, _, _, _ = make_inputs(rng)
+        with pytest.raises(ValueError, match=r"at least one branch.*\(2, 8, 3\)"):
+            spectral_filter(x, [])
+
+    @pytest.mark.parametrize("last", [False, True])
+    def test_rejects_a_filter_narrower_than_the_hidden_dim(self, rng, last):
+        """A ``(M, 1)`` filter on ``(B, N, 4)`` input used to broadcast
+        across ``d`` and hand back an ``(M, 4)`` gradient."""
+        x = Tensor(rng.normal(size=(2, 8, 4)), requires_grad=True)
+        m = num_frequency_bins(8)
+        wr, wi = Tensor(rng.normal(size=(m, 1))), Tensor(rng.normal(size=(m, 1)))
+        with pytest.raises(ValueError, match=r"\(5, 1\).*\(2, 8, 4\).*\(5, 4\)"):
+            spectral_filter(x, one_branch(wr, wi, np.ones(m)), last=last)
+
 
 class TestGradients:
     def test_gradcheck_banded_mask_even(self, rng):
@@ -324,6 +339,73 @@ class TestMixedGradients:
         for imag in (di, si):
             assert np.allclose(imag.grad[0], 0.0)
             assert np.allclose(imag.grad[-1], 0.0)  # Nyquist for even N
+
+
+class TestLastPosition:
+    """``last=True``: row ``N-1`` only, as one weighted sum over positions."""
+
+    @pytest.mark.parametrize("n", [8, 9])
+    @pytest.mark.parametrize("num_branches", [1, 2])
+    def test_matches_reference_and_the_full_op(self, rng, n, num_branches):
+        x, dr, di, sr, si, m = make_mixed_inputs(rng, n=n)
+        dfs_mask, sfs_mask = mask_pair(m, "overlapping", rng)
+        branches = two_branches(dr, di, dfs_mask, sr, si, sfs_mask, 0.3)[:num_branches]
+        tensors = (x, dr, di, sr, si)
+        grad = rng.normal(size=(2, 1, 3))
+
+        results = []
+        for op in (
+            lambda: spectral_filter(x, branches, last=True),
+            lambda: spectral_filter_reference(x, branches, last=True),
+            lambda: F.getitem(spectral_filter(x, branches), (slice(None), slice(-1, None))),
+        ):
+            for t in tensors:
+                t.zero_grad()
+            out = op()
+            out.backward(grad)
+            results.append([out.data] + [t.grad for t in tensors])
+        got, reference, sliced = results
+        assert got[0].shape == (2, 1, 3)
+        for want in (reference, sliced):
+            for g, w in zip(got, want):
+                assert (g is None) == (w is None)
+                if w is not None:
+                    np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [8, 9])
+    def test_gradcheck_two_branches(self, rng, n):
+        x, dr, di, sr, si, m = make_mixed_inputs(rng, n=n)
+        dfs_mask, sfs_mask = mask_pair(m, "overlapping", rng)
+        gradcheck(
+            lambda a, b, c, d, e: spectral_filter(
+                a, two_branches(b, c, dfs_mask, d, e, sfs_mask, 0.3), last=True
+            ),
+            [x, dr, di, sr, si],
+        )
+
+    def test_gradcheck_banded_mask_odd(self, rng):
+        x, wr, wi, m = make_inputs(rng, n=7)
+        mask = np.zeros(m)
+        mask[1:3] = 1.0
+        gradcheck(lambda a, b, c: spectral_filter(a, one_branch(b, c, mask), last=True), [x, wr, wi])
+
+    def test_float32_stays_float32(self, rng):
+        x, wr, wi, m = make_inputs(rng, n=10)
+        x32, wr32, wi32 = (Tensor(t.data.astype(np.float32), requires_grad=True) for t in (x, wr, wi))
+        out = spectral_filter(x32, one_branch(wr32, wi32, np.ones(m)), last=True)
+        out.backward(np.ones_like(out.data))
+        assert out.dtype == x32.grad.dtype == wr32.grad.dtype == wi32.grad.dtype == np.float32
+        want = spectral_filter(x, one_branch(wr, wi, np.ones(m)), last=True).data
+        np.testing.assert_allclose(out.data, want, rtol=1e-5, atol=1e-5)
+
+    def test_recombines_live_parameters_every_call(self, rng):
+        x, wr, wi, m = make_inputs(rng)
+        branches = one_branch(wr, wi, np.ones(m))
+        before = spectral_filter(x, branches, last=True).data.copy()
+        wr.data += 1.0
+        after = spectral_filter(x, branches, last=True).data
+        assert not np.allclose(before, after)
+        np.testing.assert_allclose(after, spectral_filter(x, branches).data[:, -1:], atol=1e-12)
 
 
 class TestDftMatrices:
