@@ -13,15 +13,10 @@ epoch (A/B/A/B, cancelling thermal/cache drift): one saves a full
 run-state checkpoint at every epoch boundary, one never saves.  The
 save time is *included* in the checkpointing variant's epoch wall time
 — amortized checkpoint cost is exactly what the comparison is about —
-and also reported separately.  Writes:
-
-- ``benchmarks/results/checkpoint_overhead.json`` — the committed
-  comparison record;
-- one ``variant``-tagged line per variant (``ckpt_never`` /
-  ``ckpt_epoch``) to ``benchmarks/results/step_time_history.jsonl``
-  (skipped with ``--no-record`` or ``PERF_SMOKE_NO_RECORD=1``).  The
-  perf-smoke rolling-median gate compares strictly within a variant,
-  so these lines never contaminate the default-geometry baseline.
+and also reported separately.  Writes the comparison record to
+``benchmarks/results/checkpoint_overhead.json``.  Timings are wall
+clock on purpose: a save's cost is mostly ``fsync`` I/O, which process
+CPU time does not count.
 
 Usage::
 
@@ -33,7 +28,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import subprocess
 import tempfile
 import time
@@ -44,7 +38,6 @@ import numpy as np
 
 RESULTS_DIR = Path(__file__).resolve().parent / "results"
 OUT_PATH = RESULTS_DIR / "checkpoint_overhead.json"
-HISTORY_PATH = RESULTS_DIR / "step_time_history.jsonl"
 
 
 def _git_revision() -> str | None:
@@ -70,8 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--epochs", type=int, default=5,
                         help="interleaved epochs timed per variant")
     parser.add_argument("--keep-last", type=int, default=3)
-    parser.add_argument("--no-record", action="store_true",
-                        help="do not append history lines")
     return parser
 
 
@@ -182,23 +173,6 @@ def main() -> int:
     OUT_PATH.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
     print(f"comparison record written to {OUT_PATH}")
 
-    if not args.no_record and not os.environ.get("PERF_SMOKE_NO_RECORD"):
-        with HISTORY_PATH.open("a", encoding="utf-8") as fh:
-            for name in trainers:
-                fh.write(json.dumps({
-                    "date": record["date"],
-                    "git": record["git"],
-                    "dtype": args.dtype,
-                    "variant": name,
-                    "step_ms": summary[name]["min_step_ms"],
-                    "dataset": args.dataset,
-                    "scale": args.scale,
-                    "max_len": args.max_len,
-                    "hidden_dim": args.hidden_dim,
-                    "batch_size": args.batch_size,
-                    "model": "SLIME4Rec",
-                }) + "\n")
-        print(f"variant-tagged step-time records appended to {HISTORY_PATH}")
     return 0
 
 

@@ -13,15 +13,8 @@ Runs one-optimizer-step timings of SLIME4Rec (``cl_weight=0`` so the
 prediction layer dominates) on a synthetic ``--num-items`` catalog
 (default 100k, no dataset build — random id batches at the training
 geometry), interleaving the two variants A/B/A/B to cancel thermal /
-cache drift, and writes:
-
-- ``benchmarks/results/sampled_softmax_step_time.json`` — the
-  committed comparison record;
-- one ``variant``-tagged line per variant to
-  ``benchmarks/results/step_time_history.jsonl`` (skipped with
-  ``--no-record`` or ``PERF_SMOKE_NO_RECORD=1``).  The perf-smoke
-  rolling-median gate compares strictly within a variant, so these
-  lines never contaminate the default-geometry baseline.
+cache drift, and writes the comparison record to
+``benchmarks/results/sampled_softmax_step_time.json``.
 
 Usage::
 
@@ -33,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import subprocess
 import time
 from datetime import datetime, timezone
@@ -43,7 +35,6 @@ import numpy as np
 
 RESULTS_DIR = Path(__file__).resolve().parent / "results"
 OUT_PATH = RESULTS_DIR / "sampled_softmax_step_time.json"
-HISTORY_PATH = RESULTS_DIR / "step_time_history.jsonl"
 
 
 def _git_revision() -> str | None:
@@ -68,8 +59,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--ce-chunk-size", type=int, default=8192)
     parser.add_argument("--dtype", choices=("float32", "float64"), default="float32")
     parser.add_argument("--reps", type=int, default=7, help="timed steps per variant")
-    parser.add_argument("--no-record", action="store_true",
-                        help="do not append history lines")
     return parser
 
 
@@ -163,23 +152,6 @@ def main() -> int:
     OUT_PATH.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
     print(f"comparison record written to {OUT_PATH}")
 
-    if not args.no_record and not os.environ.get("PERF_SMOKE_NO_RECORD"):
-        with HISTORY_PATH.open("a", encoding="utf-8") as fh:
-            for name in variants:
-                fh.write(json.dumps({
-                    "date": record["date"],
-                    "git": record["git"],
-                    "dtype": args.dtype,
-                    "variant": name,
-                    "step_ms": summary[name]["min_ms"],
-                    "dataset": "random-ids",
-                    "num_items": args.num_items,
-                    "max_len": args.max_len,
-                    "hidden_dim": args.hidden_dim,
-                    "batch_size": args.batch_size,
-                    "model": "SLIME4Rec",
-                }) + "\n")
-        print(f"variant-tagged step-time records appended to {HISTORY_PATH}")
     return 0
 
 

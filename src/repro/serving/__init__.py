@@ -21,10 +21,12 @@ The production-facing counterpart of the training stack (ROADMAP
   :class:`~repro.serving.service.Overloaded`).
 
 Entry points: ``python -m repro.serving.cli`` (the ``repro-serve``
-command) for replay benchmarks and ad-hoc queries;
-``benchmarks/bench_serving_latency.py`` for the committed p50/p99/QPS
-A/B under Zipfian traffic; ``tests/test_serving_faults.py`` for the
-chaos matrix pinning the failure semantics.
+command) for replays and ad-hoc queries, optionally restoring a
+``repro-train --checkpoint-dir`` store; perfbench's
+``serve_mixed_100k`` workload for latency under a 100k-item catalog;
+``tests/test_serving.py`` for the fast-vs-reference fidelity pins and
+``tests/test_serving_faults.py`` for the chaos matrix pinning the
+failure semantics.
 """
 
 from repro.serving.fallback import PopularityRanker

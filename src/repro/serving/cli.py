@@ -1,8 +1,9 @@
 """Command-line serving entry point (``repro-serve``).
 
-Builds a model (optionally restoring a ``repro-train`` checkpoint),
-stands up a :class:`~repro.serving.RecommenderService`, seeds it with
-the dataset's user histories, and then either:
+Builds a model (optionally restoring the weights a ``repro-train``
+run tested from its ``--checkpoint-dir`` store), stands up a
+:class:`~repro.serving.RecommenderService`, seeds it with the
+dataset's user histories, and then either:
 
 - answers one ad-hoc query (``--history "3 17 42"``), or
 - replays a Zipfian request stream and reports per-request latency
@@ -11,7 +12,7 @@ the dataset's user histories, and then either:
 Usage::
 
     python -m repro.serving.cli --model SLIME4Rec --dataset beauty \
-        --checkpoint out/slime.npz --requests 2000 --concurrency 4
+        --checkpoint out/run1 --requests 2000 --concurrency 4
 
     python -m repro.serving.cli --history "3 17 42" --k 5
 
@@ -39,7 +40,8 @@ from repro.serving.service import (
     RecommenderService,
     ServingConfig,
 )
-from repro.utils.io import load_checkpoint
+from repro.train.trainer import unpack_run_state
+from repro.utils.io import CheckpointStore
 
 __all__ = ["main", "build_parser"]
 
@@ -60,7 +62,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="model compute precision (serving default float32)",
     )
     parser.add_argument(
-        "--checkpoint", help="repro-train .npz checkpoint to restore weights from"
+        "--checkpoint", metavar="DIR",
+        help="repro-train --checkpoint-dir store to restore weights from: the "
+        "newest verifiable entry's best-validation weights (its live weights "
+        "when the run never validated); build flags and --dtype must match "
+        "the training run",
     )
     # serving knobs
     parser.add_argument("--k", type=int, default=10)
@@ -267,9 +273,10 @@ def main(argv=None) -> int:
         dtype=args.dtype,
     )
     if args.checkpoint:
-        load_checkpoint(args.checkpoint, model=model)
+        snapshot = CheckpointStore(args.checkpoint).load_latest()
+        model.load_state_dict(unpack_run_state(snapshot)["weights"])
         if not args.quiet:
-            print(f"restored weights from {args.checkpoint}", file=out)
+            print(f"restored weights from {snapshot['path']}", file=out)
     if not args.quiet:
         print(dataset.stats().as_row(), file=out)
         print(f"{args.model}: {model.num_parameters():,} parameters", file=out)

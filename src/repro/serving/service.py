@@ -32,8 +32,8 @@ Every piece degrades independently through :class:`ServingConfig` —
 ``batching=False`` serves inline in the caller's thread,
 ``reuse_user_state=False`` re-encodes every request,
 ``table_dtype="float32"`` / ``topk="full_sort"`` select the reference
-arms — which is exactly how ``benchmarks/bench_serving_latency.py``
-builds its naive baseline.  All robustness knobs default **off** (no
+arms — which is how ``tests/test_serving.py`` builds the reference the
+fast arm is pinned against.  All robustness knobs default **off** (no
 deadlines, unbounded queue, blocking admission), and with them off the
 request path is byte-for-byte the classic fast arm.
 

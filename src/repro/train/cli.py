@@ -4,17 +4,20 @@ Usage::
 
     python -m repro.train.cli --model SLIME4Rec --dataset beauty \
         --scale 0.3 --epochs 10 --max-len 24 --hidden-dim 32 \
-        --checkpoint out/slime.npz
+        --checkpoint-dir out/run1
 
 Trains one model on one synthetic preset (or a real interaction file
 via ``--data-file``) and prints validation history plus test metrics.
 
-Crash-safe runs keep a rotated full-run-state store and can continue a
-killed run bitwise-identically::
+``--checkpoint-dir`` is the run's one artifact: a rotated, checksummed
+full-run-state store written at every epoch boundary.  A killed run
+continues from it bitwise-identically, and ``repro-serve --checkpoint``
+serves the best-validation weights the run tested from it::
 
     python -m repro.train.cli --model SLIME4Rec --checkpoint-dir out/run1
     # ... process dies ...
     python -m repro.train.cli --model SLIME4Rec --checkpoint-dir out/run1 --resume
+    python -m repro.serving.cli --model SLIME4Rec --checkpoint out/run1 --dtype float64
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from repro.data.dataset import SequenceDataset
 from repro.data.loaders import load_interactions_file
 from repro.data.synthetic import PRESETS, load_preset
 from repro.train.trainer import TrainConfig, Trainer
-from repro.utils.io import save_checkpoint
 
 __all__ = ["main", "build_parser"]
 
@@ -79,12 +81,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="stream the full-catalog cross-entropy over item-table chunks of "
         "C rows (memory-bounded path; ignored when --train-num-negatives is set)",
     )
-    parser.add_argument("--checkpoint", help="where to save the trained weights (.npz)")
     parser.add_argument(
         "--checkpoint-dir",
         help="directory for rotated full-run-state checkpoints (model + "
-        "optimizer + RNG streams + history); written at every epoch "
-        "boundary, enabling --resume after a crash",
+        "best-validation weights + optimizer + RNG streams + history); "
+        "written at every epoch boundary, enabling --resume after a crash "
+        "and repro-serve --checkpoint",
     )
     parser.add_argument(
         "--checkpoint-every",
@@ -199,18 +201,8 @@ def main(argv=None) -> int:
     print(f"\n{history.summary()}")
     print(f"test: {result.as_row()}")
 
-    if args.checkpoint:
-        path = save_checkpoint(
-            model,
-            args.checkpoint,
-            metadata={
-                "model": args.model,
-                "dataset": dataset.name,
-                "test_metrics": dict(result.metrics),
-                "best_epoch": history.best_epoch,
-            },
-        )
-        print(f"checkpoint written to {path}")
+    if args.checkpoint_dir:
+        print(f"run-state checkpoints in {args.checkpoint_dir}")
     return 0
 
 

@@ -45,10 +45,58 @@ from repro.optim import Adam, clip_grad_norm
 from repro.utils import faults
 from repro.utils.io import CheckpointStore
 
-__all__ = ["TrainConfig", "TrainHistory", "Trainer"]
+__all__ = ["TrainConfig", "TrainHistory", "Trainer", "unpack_run_state"]
 
 #: Valid values of :attr:`TrainConfig.guard_policy`.
 GUARD_POLICIES = ("raise", "skip", "rollback")
+
+#: ``metadata["format"]`` of every archive the trainer writes.
+_RUN_STATE_FORMAT = "repro-run-state-v1"
+
+
+def unpack_run_state(snapshot: Dict) -> Dict:
+    """Split a loaded run-state archive into its array groups.
+
+    ``snapshot`` is a :meth:`CheckpointStore.load_latest` result.  This
+    is the one place that reads the archive layout: ``model/<name>``
+    holds the live parameters, ``best/<name>`` the best-validation
+    snapshot and ``optim/<key>/<index>`` the optimizer's array lists.
+
+    Returns ``{"model", "best", "optim", "weights"}``: ``best`` is
+    ``None`` unless the run recorded a best-validation snapshot,
+    ``optim`` maps each key to its arrays in index order, and
+    ``weights`` is the state :meth:`Trainer.fit` leaves in the model it
+    tests — ``best`` when recorded, else ``model``.  Raises
+    ``ValueError`` when the archive was not written by a trainer.
+    """
+    meta = snapshot["metadata"]
+    if meta.get("format") != _RUN_STATE_FORMAT:
+        raise ValueError(
+            f"{snapshot.get('path')} is not a run-state checkpoint "
+            f"(format={meta.get('format')!r}); pass a CheckpointStore "
+            f"directory written by Trainer.fit"
+        )
+    model_state: Dict[str, np.ndarray] = {}
+    best_state: Dict[str, np.ndarray] = {}
+    optim_arrays: Dict[str, List] = {}
+    for key, array in snapshot["state"].items():
+        if key.startswith("model/"):
+            model_state[key[len("model/"):]] = array
+        elif key.startswith("best/"):
+            best_state[key[len("best/"):]] = array
+        elif key.startswith("optim/"):
+            group, index = key[len("optim/"):].rsplit("/", 1)
+            optim_arrays.setdefault(group, []).append((int(index), array))
+    best = best_state if meta.get("has_best") else None
+    return {
+        "model": model_state,
+        "best": best,
+        "optim": {
+            group: [array for _, array in sorted(arrays, key=lambda pair: pair[0])]
+            for group, arrays in optim_arrays.items()
+        },
+        "weights": model_state if best is None else best,
+    }
 
 
 @dataclass
@@ -208,12 +256,13 @@ class Trainer:
         """Run (or continue) training; returns the :class:`TrainHistory`.
 
         ``resume_from`` is a :class:`~repro.utils.io.CheckpointStore`
-        directory (typically ``config.checkpoint_dir``) or a single
-        run-state ``.npz`` file.  The model/trainer must be *built* the
-        same way as the killed run (same constructor seeds, dtype,
-        geometry); everything trained or drawn since construction is
-        restored from the archive, and the continued trajectory is
-        bitwise-identical to one that never stopped.
+        directory (typically ``config.checkpoint_dir``); any other path
+        raises the store's ``FileNotFoundError``.  The model/trainer
+        must be *built* the same way as the killed run (same
+        constructor seeds, dtype, geometry); everything trained or drawn
+        since construction is restored from the archive, and the
+        continued trajectory is bitwise-identical to one that never
+        stopped.
         """
         cfg = self.config
         self.history = TrainHistory()
@@ -223,7 +272,7 @@ class Trainer:
         self._global_step = 0
         self._epoch_losses = []
         if resume_from is not None:
-            self._restore_run_state(self._load_run_state(resume_from))
+            self._restore_run_state(CheckpointStore(resume_from).load_latest())
             if cfg.verbose:
                 print(
                     f"resumed at epoch {self._epoch + 1}, step {self._global_step} "
@@ -396,7 +445,7 @@ class Trainer:
                 payload[f"best/{name}"] = array
         history = self.history
         metadata = {
-            "format": "repro-run-state-v1",
+            "format": _RUN_STATE_FORMAT,
             "epoch": self._epoch,
             "global_step": self._global_step,
             "epoch_losses": list(self._epoch_losses),
@@ -424,48 +473,20 @@ class Trainer:
         }
         return self.store.save(payload, metadata, step=self._global_step)
 
-    def _load_run_state(self, resume_from: str | Path) -> Dict:
-        """Read a run-state archive from a store directory or one file."""
-        path = Path(resume_from)
-        if path.is_dir():
-            return CheckpointStore(path, keep_last=self.config.keep_last).load_latest()
-        from repro.utils.io import load_checkpoint
-
-        result = load_checkpoint(path)
-        result["path"] = path
-        return result
-
     def _restore_run_state(self, snapshot: Dict) -> None:
         """Restore model/optimizer/rng/history state from an archive."""
-        state = snapshot["state"]
         meta = snapshot["metadata"]
-        if meta.get("format") != "repro-run-state-v1":
-            raise ValueError(
-                f"{snapshot.get('path')} is not a run-state checkpoint "
-                f"(format={meta.get('format')!r}); pass a CheckpointStore "
-                f"directory written by Trainer.fit"
-            )
-        model_state: Dict[str, np.ndarray] = {}
-        best_state: Dict[str, np.ndarray] = {}
-        optim_arrays: Dict[str, List[np.ndarray]] = {}
-        for key, array in state.items():
-            if key.startswith("model/"):
-                model_state[key[len("model/"):]] = array
-            elif key.startswith("best/"):
-                best_state[key[len("best/"):]] = array
-            elif key.startswith("optim/"):
-                group, index = key[len("optim/"):].rsplit("/", 1)
-                optim_arrays.setdefault(group, []).append((int(index), array))
-        self.model.load_state_dict(model_state)
+        groups = unpack_run_state(snapshot)
+        self.model.load_state_dict(groups["model"])
         optim_state: Dict = {}
         for key, value in meta["optim"].items():
             if isinstance(value, dict) and "__arrays__" in value:
-                arrays = sorted(optim_arrays.get(key, []))
+                arrays = groups["optim"].get(key, [])
                 if len(arrays) != value["__arrays__"]:
                     raise ValueError(
                         f"run-state archive is missing optimizer arrays for {key!r}"
                     )
-                optim_state[key] = [array for _, array in arrays]
+                optim_state[key] = arrays
             else:
                 optim_state[key] = value
         self.optimizer.load_state_dict(optim_state)
@@ -484,7 +505,7 @@ class Trainer:
             self.model.negative_sampler()
         self.model.load_rng_state_dict(model_rng)
         self.iterator.load_state_dict(meta["rng"]["iterator"])
-        self._best_state = best_state if meta.get("has_best") else None
+        self._best_state = groups["best"]
         hist_meta = meta["history"]
         self.history = TrainHistory(
             losses=list(hist_meta["losses"]),

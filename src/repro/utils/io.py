@@ -2,8 +2,10 @@
 
 Checkpoints are ``.npz`` archives of numpy arrays plus a JSON metadata
 side-channel stored under a reserved key, so a checkpoint is
-self-describing.  Experiment results are plain JSON, making them
-diffable in review.
+self-describing.  They live in one format, the :class:`CheckpointStore`
+directory; which arrays a training run puts in it is the trainer's
+business (:func:`repro.train.trainer.unpack_run_state`).  Experiment
+results are plain JSON, making them diffable in review.
 
 Durability contract (the crash-safe half of the fault-tolerant training
 runtime; see ``docs/ARCHITECTURE.md``):
@@ -12,8 +14,7 @@ runtime; see ``docs/ARCHITECTURE.md``):
   target directory, are flushed and ``fsync``-ed, and the temp file is
   ``os.replace``-d over the destination (followed by a directory
   fsync).  A crash mid-write leaves either the old file or the new one,
-  never a truncated hybrid — this covers the legacy single-file
-  :func:`save_checkpoint` path too.
+  never a truncated hybrid.
 - **Run checkpoints live in a** :class:`CheckpointStore` **directory**:
   ``ckpt-<step>.npz`` files plus a ``manifest.json`` recording each
   file's step and SHA-256.  The manifest gains the new entry *before*
@@ -23,6 +24,11 @@ runtime; see ``docs/ARCHITECTURE.md``):
   checks the newest entry's checksum and archive integrity and, when it
   is truncated/corrupt/missing, warns and falls back to the previous
   entry instead of crashing the resume.
+- **The manifest is untrusted input**: an entry whose ``file`` is not a
+  bare ``<prefix>-<10 digits>.npz`` name or whose ``step`` is not an
+  int discards the manifest (with a warning) in favour of a directory
+  scan, so a hostile or damaged manifest can neither make rotation
+  delete files outside the store nor crash a load.
 
 Fault-injection trip points (``repro.utils.faults``) are embedded in
 the real save path — ``checkpoint.pre_save`` / ``checkpoint.write`` /
@@ -37,6 +43,7 @@ import hashlib
 import io as _io
 import json
 import os
+import re
 import warnings
 from pathlib import Path
 from typing import Any, Dict, List, Optional
@@ -46,8 +53,6 @@ import numpy as np
 from repro.utils import faults
 
 __all__ = [
-    "save_checkpoint",
-    "load_checkpoint",
     "save_results",
     "load_results",
     "atomic_savez",
@@ -113,7 +118,7 @@ def atomic_write_text(path: str | Path, text: str) -> Path:
 
 
 # ----------------------------------------------------------------------
-# Single-file model checkpoints (the legacy public API)
+# Archive metadata side-channel
 # ----------------------------------------------------------------------
 
 def _pack_metadata(payload: Dict[str, np.ndarray], meta: Dict[str, Any]) -> None:
@@ -124,55 +129,12 @@ def _pack_metadata(payload: Dict[str, np.ndarray], meta: Dict[str, Any]) -> None
     )
 
 
-def save_checkpoint(model, path: str | Path, metadata: Optional[Dict[str, Any]] = None) -> Path:
-    """Write ``model.state_dict()`` (and optional metadata) to ``path``.
-
-    The write is atomic (temp file + fsync + ``os.replace``): a crash
-    mid-save can no longer leave a truncated archive over a good one.
-
-    Parameters
-    ----------
-    model:
-        Any object with a ``state_dict() -> Dict[str, ndarray]`` method.
-    path:
-        Target file; the ``.npz`` suffix is added when missing.
-    metadata:
-        JSON-serializable extras (epoch, metrics, config dict, ...).
-    """
-    path = Path(path)
-    if path.suffix != ".npz":
-        path = path.with_suffix(".npz")
-    payload = dict(model.state_dict())
-    meta = dict(metadata or {})
-    meta.setdefault("model_class", type(model).__name__)
-    _pack_metadata(payload, meta)
-    return atomic_savez(path, payload)
-
-
 def _unpack_archive(archive) -> Dict[str, Any]:
     state = {k: archive[k] for k in archive.files if k != _META_KEY}
     metadata: Dict[str, Any] = {}
     if _META_KEY in archive.files:
         metadata = json.loads(bytes(archive[_META_KEY].tobytes()).decode("utf-8"))
     return {"state": state, "metadata": metadata}
-
-
-def load_checkpoint(path: str | Path, model=None) -> Dict[str, Any]:
-    """Load a checkpoint; optionally restore it into ``model``.
-
-    Returns ``{"state": {...}, "metadata": {...}}``.  When ``model`` is
-    given, ``model.load_state_dict(state)`` is called (raising on any
-    key/shape/dtype mismatch, so silent partial or precision-losing
-    restores cannot happen).
-    """
-    path = Path(path)
-    if path.suffix != ".npz":
-        path = path.with_suffix(".npz")
-    with np.load(path) as archive:
-        result = _unpack_archive(archive)
-    if model is not None:
-        model.load_state_dict(result["state"])
-    return result
 
 
 # ----------------------------------------------------------------------
@@ -195,8 +157,9 @@ class CheckpointStore:
     ``load_latest`` walks entries newest-first, verifying the SHA-256
     and the archive's readability, and falls back (with a warning) past
     any truncated or corrupt file — the recovery behavior a crash
-    during ``save`` relies on.  A missing or unparseable manifest is
-    rebuilt from the ``ckpt-*.npz`` files on disk (without checksums).
+    during ``save`` relies on.  A missing, unparseable or malformed
+    manifest is rebuilt from the ``ckpt-*.npz`` files on disk (without
+    checksums).
     """
 
     MANIFEST = "manifest.json"
@@ -207,26 +170,44 @@ class CheckpointStore:
         self.directory = Path(directory)
         self.keep_last = int(keep_last)
         self.prefix = prefix
+        self._name = re.compile(re.escape(prefix) + r"-\d{10}\.npz")
 
     # ------------------------------------------------------------------
     def _manifest_path(self) -> Path:
         return self.directory / self.MANIFEST
 
+    def _is_entry(self, entry: Any) -> bool:
+        """A manifest entry the store can act on without leaving its directory.
+
+        ``file`` must be a bare ``<prefix>-<10 digits>.npz`` name (no
+        path separators, so rotation can only unlink store files),
+        ``step`` an int, and ``sha256`` absent, null or a string.
+        """
+        return (
+            isinstance(entry, dict)
+            and isinstance(entry.get("file"), str)
+            and self._name.fullmatch(entry["file"]) is not None
+            and type(entry.get("step")) is int
+            and isinstance(entry.get("sha256"), (str, type(None)))
+        )
+
     def entries(self) -> List[Dict[str, Any]]:
         """Manifest entries sorted by step (oldest first), self-healing.
 
-        A corrupt or missing manifest degrades to a directory scan:
-        every ``<prefix>-*.npz`` present becomes an entry without a
-        checksum (so loads still verify archive integrity, just not the
-        digest).
+        A missing manifest, an unparseable one, or one with any entry
+        that fails :meth:`_is_entry` degrades to a directory scan:
+        every ``<prefix>-<10 digits>.npz`` present becomes an entry
+        without a checksum (so loads still verify archive integrity,
+        just not the digest).  Only the last two cases warn.
         """
         manifest = self._manifest_path()
         entries: List[Dict[str, Any]] = []
         if manifest.exists():
             try:
-                raw = json.loads(manifest.read_text(encoding="utf-8"))
-                entries = [e for e in raw.get("checkpoints", []) if isinstance(e, dict)]
-            except (json.JSONDecodeError, OSError, AttributeError):
+                entries = json.loads(manifest.read_text(encoding="utf-8"))["checkpoints"]
+                if not isinstance(entries, list) or not all(map(self._is_entry, entries)):
+                    raise ValueError("malformed checkpoint entry")
+            except (ValueError, OSError, KeyError, TypeError):
                 warnings.warn(
                     f"checkpoint manifest {manifest} is unreadable; "
                     f"rebuilding the entry list from the directory",
@@ -236,12 +217,10 @@ class CheckpointStore:
                 entries = []
         if not entries:
             for path in sorted(self.directory.glob(f"{self.prefix}-*.npz")):
-                try:
+                if self._name.fullmatch(path.name):
                     step = int(path.stem.rsplit("-", 1)[1])
-                except (IndexError, ValueError):
-                    continue
-                entries.append({"file": path.name, "step": step, "sha256": None})
-        return sorted(entries, key=lambda e: (e.get("step", -1), e.get("file", "")))
+                    entries.append({"file": path.name, "step": step, "sha256": None})
+        return sorted(entries, key=lambda e: (e["step"], e["file"]))
 
     def _write_manifest(self, entries: List[Dict[str, Any]]) -> None:
         atomic_write_text(
@@ -272,11 +251,11 @@ class CheckpointStore:
         name = f"{self.prefix}-{step:010d}.npz"
         path = atomic_savez(self.directory / name, payload)
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        entries = [e for e in self.entries() if e.get("file") != name]
+        entries = [e for e in self.entries() if e["file"] != name]
         entries.append(
             {"file": name, "step": step, "sha256": digest, "bytes": path.stat().st_size}
         )
-        entries.sort(key=lambda e: (e.get("step", -1), e.get("file", "")))
+        entries.sort(key=lambda e: (e["step"], e["file"]))
         self._write_manifest(entries)
         faults.trip("checkpoint.post_save", step)
         if len(entries) > self.keep_last:
@@ -303,7 +282,7 @@ class CheckpointStore:
         except Exception as exc:  # zipfile/numpy raise a zoo of types on truncation
             raise CheckpointCorruptError(f"unreadable archive {path.name}: {exc}") from exc
         result["path"] = path
-        result["step"] = int(entry.get("step", -1))
+        result["step"] = entry["step"]
         return result
 
     def load_latest(self) -> Dict[str, Any]:
@@ -323,9 +302,9 @@ class CheckpointStore:
             try:
                 return self._verify_and_load(entry)
             except (OSError, CheckpointCorruptError) as exc:
-                failures.append((entry.get("file"), exc))
+                failures.append((entry["file"], exc))
                 warnings.warn(
-                    f"checkpoint {entry.get('file')} failed verification ({exc}); "
+                    f"checkpoint {entry['file']} failed verification ({exc}); "
                     f"falling back to the previous checkpoint",
                     RuntimeWarning,
                     stacklevel=2,
@@ -338,7 +317,7 @@ class CheckpointStore:
     def latest_step(self) -> Optional[int]:
         """Step of the newest manifest entry (no verification), or ``None``."""
         entries = self.entries()
-        return int(entries[-1]["step"]) if entries else None
+        return entries[-1]["step"] if entries else None
 
     def __repr__(self) -> str:
         return (

@@ -20,13 +20,10 @@ from repro.data.negative_sampling import NegativeSampler
 from repro.data.synthetic import SyntheticConfig, generate_interactions
 from repro.optim import SGD, Adam, clip_grad_norm
 from repro.train import TrainConfig, Trainer
+from repro.train.trainer import unpack_run_state
 from repro.utils import faults
 from repro.utils.faults import FaultInjector, InjectedCrash, InjectedIOError
-from repro.utils.io import (
-    CheckpointStore,
-    load_checkpoint,
-    save_checkpoint,
-)
+from repro.utils.io import CheckpointStore, atomic_savez
 
 EPOCHS = 3
 BATCH = 32
@@ -146,33 +143,66 @@ class TestKillResumeBitwise:
         history = trainer.fit()
         assert_matches_reference(history, model, ref)
 
-    def test_resume_from_single_file_checkpoint(self, dataset, reference, tmp_path):
-        """fit(resume_from=<file>) accepts one archive, not just a store."""
-        ref = reference("SASRec", "float64")
+    def test_resume_from_single_file_raises_filenotfound(self, dataset, tmp_path):
+        """Resuming reads only checksummed stores: a single archive path
+        raises the store's FileNotFoundError naming that path."""
         store_dir = tmp_path / "store"
-        model = build_model(dataset, "SASRec")
         trainer = make_trainer(
-            model, dataset, "SASRec", checkpoint_dir=str(store_dir)
+            build_model(dataset, "SASRec"), dataset, "SASRec",
+            epochs=1, checkpoint_dir=str(store_dir),
         )
-        injector = FaultInjector().crash_at("trainer.epoch", at=0)
-        with faults.inject(injector):
-            with pytest.raises(InjectedCrash):
-                trainer.fit()
+        trainer.fit()
         newest = sorted(store_dir.glob("ckpt-*.npz"))[-1]
-
-        model2 = build_model(dataset, "SASRec")
-        trainer2 = make_trainer(
-            model2, dataset, "SASRec", checkpoint_dir=str(store_dir)
-        )
-        history = trainer2.fit(resume_from=newest)
-        assert_matches_reference(history, model2, ref)
+        trainer2 = make_trainer(build_model(dataset, "SASRec"), dataset, "SASRec")
+        with pytest.raises(FileNotFoundError, match=newest.name):
+            trainer2.fit(resume_from=newest)
 
     def test_resume_rejects_plain_model_checkpoint(self, dataset, tmp_path):
         model = build_model(dataset, "SASRec")
-        path = save_checkpoint(model, tmp_path / "weights.npz")
+        CheckpointStore(tmp_path).save(
+            model.state_dict(), {"model_class": "SASRec"}, step=0
+        )
         trainer = make_trainer(build_model(dataset, "SASRec"), dataset, "SASRec")
         with pytest.raises(ValueError, match="not a run-state checkpoint"):
-            trainer.fit(resume_from=path)
+            trainer.fit(resume_from=tmp_path)
+
+
+class TestUnpackRunState:
+    @pytest.mark.parametrize("eval_every", [1, 2], ids=["validated", "unvalidated"])
+    def test_weights_are_the_state_fit_leaves_in_the_model(
+        self, dataset, tmp_path, eval_every
+    ):
+        """``weights`` is the best-validation snapshot when the run
+        recorded one, else the live parameters — what ``fit`` tested."""
+        model = build_model(dataset, "SASRec")
+        make_trainer(
+            model, dataset, "SASRec", epochs=1, eval_every=eval_every,
+            checkpoint_dir=str(tmp_path),
+        ).fit()
+        snapshot = CheckpointStore(tmp_path).load_latest()
+        groups = unpack_run_state(snapshot)
+        validated = eval_every == 1
+        assert snapshot["metadata"]["has_best"] is validated
+        assert (groups["best"] is not None) is validated
+        assert groups["weights"] is (groups["best"] if validated else groups["model"])
+        state = model.state_dict()
+        assert groups["weights"].keys() == state.keys()
+        for name, array in state.items():
+            assert groups["weights"][name].dtype == array.dtype, name
+            assert np.array_equal(groups["weights"][name], array), name
+
+    def test_optim_arrays_come_back_in_index_order(self):
+        """Indices sort numerically (``10`` after ``9``), whatever the
+        archive's key order."""
+        state = {f"optim/m/{i}": np.full(2, float(i)) for i in reversed(range(12))}
+        state["model/w"] = np.zeros(2)
+        snapshot = {
+            "path": "store",
+            "state": state,
+            "metadata": {"format": "repro-run-state-v1", "has_best": False},
+        }
+        arrays = unpack_run_state(snapshot)["optim"]["m"]
+        assert [float(a[0]) for a in arrays] == [float(i) for i in range(12)]
 
 
 class TestCorruptRecovery:
@@ -639,14 +669,6 @@ class TestLoadStateDictDtype:
 # Durable writes: atomic publish + checksummed rotated store
 # ----------------------------------------------------------------------
 
-class _ArrayBag:
-    def __init__(self, **arrays):
-        self._arrays = arrays
-
-    def state_dict(self):
-        return dict(self._arrays)
-
-
 def payload(value, n=3):
     return {f"w{i}": np.full((4, 4), value + i, dtype=np.float64) for i in range(n)}
 
@@ -654,23 +676,15 @@ def payload(value, n=3):
 class TestAtomicWrites:
     def test_injected_write_failure_preserves_the_old_file(self, tmp_path):
         target = tmp_path / "model.npz"
-        save_checkpoint(_ArrayBag(w=np.arange(3.0)), target)
+        atomic_savez(target, {"w": np.arange(3.0)})
         before = target.read_bytes()
         with faults.inject(FaultInjector().io_error_at("checkpoint.write")):
             with pytest.raises(InjectedIOError):
-                save_checkpoint(_ArrayBag(w=np.arange(9.0)), target)
+                atomic_savez(target, {"w": np.arange(9.0)})
         assert target.read_bytes() == before
         assert not list(tmp_path.glob(".*tmp*")), "temp file leaked"
-        restored = load_checkpoint(target)
-        assert np.array_equal(restored["state"]["w"], np.arange(3.0))
-
-    def test_save_checkpoint_records_metadata(self, tmp_path):
-        path = save_checkpoint(
-            _ArrayBag(w=np.zeros(2)), tmp_path / "m", metadata={"epoch": 4}
-        )
-        result = load_checkpoint(path)
-        assert result["metadata"]["epoch"] == 4
-        assert result["metadata"]["model_class"] == "_ArrayBag"
+        with np.load(target) as restored:
+            assert np.array_equal(restored["w"], np.arange(3.0))
 
 
 class TestCheckpointStore:
@@ -750,6 +764,46 @@ class TestCheckpointStore:
         assert not list(tmp_path.glob(".*tmp*"))
         assert store.load_latest()["step"] == 3
         assert [e["step"] for e in store.entries()] == [2, 3]
+
+    def test_manifest_entry_outside_the_store_never_unlinked(self, tmp_path):
+        """A manifest naming ``../victim.txt`` must not steer rotation."""
+        store_dir = tmp_path / "store"
+        victim = tmp_path / "victim.txt"
+        victim.write_text("keep me", encoding="utf-8")
+        store_dir.mkdir()
+        (store_dir / CheckpointStore.MANIFEST).write_text(
+            json.dumps({"checkpoints": [{"file": "../victim.txt", "step": 0}]}),
+            encoding="utf-8",
+        )
+        store = CheckpointStore(store_dir, keep_last=1)
+        with pytest.warns(RuntimeWarning, match="rebuilding the entry list"):
+            store.save(payload(1), {"step": 1}, step=1)
+        assert victim.read_text(encoding="utf-8") == "keep me"
+        assert [e["file"] for e in store.entries()] == ["ckpt-0000000001.npz"]
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda e: {"step": e["step"]},
+            lambda e: {**e, "step": str(e["step"])},
+            lambda e: {**e, "sha256": 5},
+        ],
+        ids=["missing-file", "string-step", "int-sha256"],
+    )
+    def test_malformed_manifest_entry_warns_and_rescans(self, tmp_path, corrupt):
+        """A malformed newest entry degrades to the directory scan like
+        an unreadable manifest instead of raising KeyError/TypeError."""
+        store = CheckpointStore(tmp_path, keep_last=3)
+        for step in (1, 2):
+            store.save(payload(step), {"step": step}, step=step)
+        manifest = tmp_path / CheckpointStore.MANIFEST
+        raw = json.loads(manifest.read_text(encoding="utf-8"))
+        raw["checkpoints"][-1] = corrupt(raw["checkpoints"][-1])
+        manifest.write_text(json.dumps(raw), encoding="utf-8")
+        with pytest.warns(RuntimeWarning, match="rebuilding the entry list"):
+            result = store.load_latest()
+        assert result["step"] == 2
+        assert np.array_equal(result["state"]["w0"], payload(2)["w0"])
 
     def test_keep_last_validated(self, tmp_path):
         with pytest.raises(ValueError, match="keep_last"):

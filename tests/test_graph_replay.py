@@ -175,15 +175,20 @@ class TestReplayBitwiseMatrix:
             static = run_trajectory(build_slime(dtype), static=True)
         assert_trajectories_bitwise(dynamic, static)
 
-    def test_trainer_flag_end_to_end_bitwise(self, small_dataset):
-        """SlimeConfig(static_graph=True) through Trainer.fit, vs dynamic."""
-        params = {}
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_trainer_flag_end_to_end_bitwise(self, small_dataset, dtype):
+        """SlimeConfig(static_graph=True) through Trainer.fit, vs dynamic:
+        same-target batches from the real iterator, losses and every
+        parameter bitwise, one capture."""
+        params, losses = {}, {}
         for static in (False, True):
-            model, trainer = fit_slime(small_dataset, static=static, epochs=2)
+            model, trainer = fit_slime(small_dataset, static=static, epochs=2, dtype=dtype)
             params[static] = model.state_dict()
+            losses[static] = trainer.history.losses
             if static:
                 stats = trainer._executor.stats()
                 assert stats["captures"] == 1 and stats["replays"] > 0
+        assert losses[False] == losses[True]
         assert params[False].keys() == params[True].keys()
         for name in params[False]:
             assert np.array_equal(params[False][name], params[True][name]), name
@@ -200,10 +205,12 @@ def small_dataset():
     return SequenceDataset(generate_interactions(cfg), max_len=10)
 
 
-def fit_slime(dataset, static, epochs, checkpoint_dir=None, resume_from=None):
+def fit_slime(
+    dataset, static, epochs, checkpoint_dir=None, resume_from=None, dtype="float64"
+):
     model = build_baseline(
         "SLIME4Rec", dataset, hidden_dim=16, num_layers=1, seed=0,
-        static_graph=static,
+        static_graph=static, dtype=dtype,
     )
     config = TrainConfig(
         epochs=epochs, batch_size=32, patience=0, verbose=False,

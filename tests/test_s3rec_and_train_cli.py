@@ -65,25 +65,26 @@ class TestTrainCli:
             "--model", "FMLP-Rec", "--dataset", "beauty",
             "--scale", "0.1", "--max-len", "8", "--hidden-dim", "16",
             "--epochs", "1", "--patience", "0", "--quiet",
-            "--checkpoint", str(tmp_path / "model"),
+            "--checkpoint-dir", str(tmp_path / "run"),
         ])
         assert code == 0
         out = capsys.readouterr().out
-        assert "test:" in out and "checkpoint written" in out
-        assert (tmp_path / "model.npz").exists()
+        assert "test:" in out and "run-state checkpoints in" in out
+        assert [p.name for p in (tmp_path / "run").glob("ckpt-*.npz")]
 
     def test_checkpoint_metadata_recorded(self, tmp_path, capsys):
         main([
             "--model", "SLIME4Rec", "--dataset", "beauty",
             "--scale", "0.1", "--max-len", "8", "--hidden-dim", "16",
             "--epochs", "1", "--patience", "0", "--quiet",
-            "--checkpoint", str(tmp_path / "slime"),
+            "--checkpoint-dir", str(tmp_path / "run"),
         ])
-        from repro.utils import load_checkpoint
+        from repro.utils import CheckpointStore
 
-        meta = load_checkpoint(tmp_path / "slime")["metadata"]
-        assert meta["model"] == "SLIME4Rec"
-        assert "HR@5" in meta["test_metrics"]
+        meta = CheckpointStore(tmp_path / "run").load_latest()["metadata"]
+        assert meta["format"] == "repro-run-state-v1"
+        assert meta["has_best"] and meta["history"]["best_epoch"] == 0
+        assert "HR@5" in meta["history"]["valid_metrics"][0]
 
     def test_data_file_input(self, tmp_path, capsys):
         lines = []

@@ -14,11 +14,17 @@ The load-bearing properties:
 - **The fast path is the reference path.**  Micro-batched + blocked
   top-k results equal the naive per-request full-sort scoring arm
   exactly at equal table precision; the float16 table equals scoring
-  against an explicitly float16-cast table.
+  against an explicitly float16-cast table; on a trained model the
+  float16 + blocked arm and the float32 + full-sort arm agree on
+  HR@10 / NDCG@10 within ``FIDELITY_TOLERANCE``.
+- **Serving loads what training tested.**  ``repro-serve --checkpoint``
+  on a ``repro-train --checkpoint-dir`` store restores the trained
+  model's final weights bitwise, through the store's verified load.
 - **Satellite pin**: `predict_scores` / the serving encode run under
   `no_grad` — evaluation scoring builds no autograd graph.
 """
 
+import shutil
 import threading
 
 import numpy as np
@@ -37,9 +43,17 @@ from repro.serving import (
     SessionCache,
     UserSession,
 )
+from repro.serving import cli as serve_cli
 from repro.serving.cli import main as serve_cli_main
+from repro.train import TrainConfig, Trainer
+from repro.train import cli as train_cli
+from repro.train.trainer import unpack_run_state
+from repro.utils.io import CheckpointStore
 
 MAX_LEN = 16
+#: max |HR@10 / NDCG@10| gap between the float16 + blocked serving arm
+#: and the float32 + full-sort reference on a trained model
+FIDELITY_TOLERANCE = 0.01
 
 
 @pytest.fixture(scope="module")
@@ -442,6 +456,37 @@ class TestServicePathEquivalence:
         want = cold_reference(model, [4, 9, 13], 5)
         np.testing.assert_allclose(got.scores, want.scores, rtol=1e-5, atol=1e-6)
 
+    def test_fp16_blocked_arm_keeps_trained_ranking_quality(self, dataset):
+        """Fidelity: the fast arm (float16 table + blocked top-k) and the
+        reference arm (float32 + full sort) rank the held-out test
+        targets of a briefly trained model equally well."""
+        model = make_model(dataset, dtype="float32")
+        Trainer(model, dataset, TrainConfig(epochs=3, batch_size=64, patience=0)).fit()
+        model.eval()
+        histories = [prefix for prefix, _ in dataset.test]
+        targets = np.array([target for _, target in dataset.test])
+        arms = {
+            "fast": ServingConfig(k=10, table_dtype="float16", topk="blocked"),
+            "reference": ServingConfig(
+                k=10, table_dtype="float32", topk="full_sort",
+                batching=False, reuse_user_state=False,
+            ),
+        }
+        metrics = {}
+        for name, config in arms.items():
+            with RecommenderService(model, config) as service:
+                for user, history in enumerate(histories):
+                    service.observe_history(user, history)
+                results = service.recommend_many(range(len(histories)))
+            hit = np.concatenate([r.ids for r in results]) == targets[:, None]
+            found = hit.any(axis=1)
+            ndcg = np.where(found, 1.0 / np.log2(hit.argmax(axis=1) + 2), 0.0)
+            metrics[name] = np.array([found.mean(), ndcg.mean()])
+        assert metrics["reference"][0] > 0  # the model ranks some targets
+        np.testing.assert_allclose(
+            metrics["fast"], metrics["reference"], rtol=0, atol=FIDELITY_TOLERANCE
+        )
+
 
 class TestMicroBatching:
     def test_concurrent_requests_coalesce_and_match_inline(self, dataset):
@@ -550,3 +595,92 @@ class TestServeCli:
         assert rc == 0
         assert "history: [3, 7, 9]" in out
         assert out.count("item") == 4
+
+
+#: build flags shared by the training and serving CLI runs below
+CLI_FLAGS = [
+    "--model", "SLIME4Rec", "--dataset", "beauty", "--scale", "0.1",
+    "--max-len", "8", "--hidden-dim", "16", "--dtype", "float32",
+]
+
+
+def run_cli(cli, argv):
+    """``cli.main(argv)``; returns the model the CLI built."""
+    built = []
+
+    def spy(*args, **kwargs):
+        built.append(real(*args, **kwargs))
+        return built[-1]
+
+    real = cli.build_baseline
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "build_baseline", spy)
+        assert cli.main(argv) == 0
+    return built[0]
+
+
+def serve_checkpoint(path):
+    return run_cli(
+        serve_cli,
+        [*CLI_FLAGS, "--checkpoint", str(path), "--history", "3 7 9", "--quiet",
+         "--no-batching"],
+    )
+
+
+@pytest.fixture(scope="module")
+def trained_run(tmp_path_factory):
+    """A two-epoch repro-train run: its store and the model it tested.
+
+    At this learning rate validation peaks in epoch 1, so the weights
+    the trainer tested (best-validation) differ from its live weights.
+    """
+    store = tmp_path_factory.mktemp("run")
+    model = run_cli(
+        train_cli,
+        [*CLI_FLAGS, "--epochs", "2", "--patience", "0", "--lr", "0.01", "--quiet",
+         "--checkpoint-dir", str(store)],
+    )
+    return store, model.state_dict()
+
+
+def assert_state_bitwise(got, want):
+    assert got.keys() == want.keys()
+    for name in want:
+        assert got[name].dtype == want[name].dtype, name
+        assert np.array_equal(got[name], want[name]), name
+
+
+class TestServeCheckpoint:
+    def test_serves_the_weights_the_trainer_tested(self, trained_run, capsys):
+        store, trained = trained_run
+        groups = unpack_run_state(CheckpointStore(store).load_latest())
+        assert any(
+            not np.array_equal(groups["model"][name], groups["best"][name])
+            for name in trained
+        ), "best-validation weights equal the live ones; the pin is vacuous"
+        served = serve_checkpoint(store)
+        assert_state_bitwise(served.state_dict(), trained)
+        assert "history: [3, 7, 9]" in capsys.readouterr().out
+
+    def test_truncated_newest_entry_falls_back(self, trained_run, tmp_path):
+        store = tmp_path / "run"
+        shutil.copytree(trained_run[0], store)
+        entries = CheckpointStore(store).entries()
+        assert len(entries) == 2  # one save per epoch boundary
+        previous = CheckpointStore(store)._verify_and_load(entries[0])
+        newest = store / entries[-1]["file"]
+        newest.write_bytes(newest.read_bytes()[:100])
+        with pytest.warns(RuntimeWarning, match="falling back"):
+            served = serve_checkpoint(store)
+        assert_state_bitwise(served.state_dict(), unpack_run_state(previous)["weights"])
+
+    def test_store_without_run_state_is_rejected(self, tmp_path):
+        weights = {"w": np.zeros(3, dtype=np.float32)}
+        CheckpointStore(tmp_path).save(weights, {"format": "weights-only"}, step=0)
+        with pytest.raises(ValueError, match="not a run-state checkpoint"):
+            serve_checkpoint(tmp_path)
+
+    def test_plain_file_is_not_a_store(self, trained_run):
+        newest = sorted(trained_run[0].glob("ckpt-*.npz"))[-1]
+        with pytest.raises(FileNotFoundError, match=newest.name):
+            serve_checkpoint(newest)

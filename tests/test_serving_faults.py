@@ -526,6 +526,10 @@ class TestChaosMatrix:
             for kind, payload, _ in outcomes:
                 if kind in ("ok", "degraded"):
                     assert_valid_result(payload, 10)
+            if point == "serve.encode" and action != "delay":
+                # on_error="degrade": a failed encode is answered by the
+                # fallback, so the fault provably reached that arm
+                assert any(kind == "degraded" for kind, _, _ in outcomes)
             # the injector fired deterministically: only at the armed
             # point, at most its multiplicity
             assert 1 <= len(injector.fired) <= 2

@@ -6,11 +6,10 @@ import pytest
 from repro.core import Slime4Rec, SlimeConfig
 from repro.nn import Linear, Module, Parameter
 from repro.utils import (
+    CheckpointStore,
     format_metric_table,
     format_run_header,
-    load_checkpoint,
     load_results,
-    save_checkpoint,
     save_results,
 )
 
@@ -21,29 +20,28 @@ class TinyModel(Module):
         self.layer = Linear(2, 3, rng=np.random.default_rng(0))
 
 
+def save_and_load(model, directory, metadata=None):
+    """Round-trip ``model.state_dict()`` through a one-entry store."""
+    CheckpointStore(directory).save(model.state_dict(), metadata or {}, step=0)
+    return CheckpointStore(directory).load_latest()
+
+
 class TestCheckpointIO:
     def test_round_trip(self, tmp_path):
         model = TinyModel()
-        path = save_checkpoint(model, tmp_path / "ckpt", metadata={"epoch": 3})
+        loaded = save_and_load(model, tmp_path, metadata={"epoch": 3})
         fresh = TinyModel()
         fresh.layer.weight.data += 1.0
-        loaded = load_checkpoint(path, model=fresh)
-        assert np.allclose(fresh.layer.weight.data, model.layer.weight.data)
-        assert loaded["metadata"]["epoch"] == 3
-        assert loaded["metadata"]["model_class"] == "TinyModel"
-
-    def test_suffix_added(self, tmp_path):
-        path = save_checkpoint(TinyModel(), tmp_path / "noext")
-        assert path.suffix == ".npz"
+        fresh.load_state_dict(loaded["state"])
+        assert np.array_equal(fresh.layer.weight.data, model.layer.weight.data)
+        assert loaded["metadata"] == {"epoch": 3}
 
     def test_load_without_model_returns_state(self, tmp_path):
-        model = TinyModel()
-        path = save_checkpoint(model, tmp_path / "ckpt")
-        loaded = load_checkpoint(path)
+        loaded = save_and_load(TinyModel(), tmp_path)
         assert "layer.weight" in loaded["state"]
 
     def test_mismatched_model_raises(self, tmp_path):
-        path = save_checkpoint(TinyModel(), tmp_path / "ckpt")
+        loaded = save_and_load(TinyModel(), tmp_path)
 
         class Other(Module):
             def __init__(self):
@@ -51,14 +49,14 @@ class TestCheckpointIO:
                 self.different = Parameter(np.zeros(3))
 
         with pytest.raises(KeyError):
-            load_checkpoint(path, model=Other())
+            Other().load_state_dict(loaded["state"])
 
     def test_full_model_checkpoint(self, tmp_path):
         cfg = SlimeConfig(num_items=20, max_len=8, hidden_dim=16, seed=0)
         model = Slime4Rec(cfg)
-        path = save_checkpoint(model, tmp_path / "slime", metadata={"alpha": cfg.alpha})
+        loaded = save_and_load(model, tmp_path, metadata={"alpha": cfg.alpha})
         clone = Slime4Rec(cfg)
-        load_checkpoint(path, model=clone)
+        clone.load_state_dict(loaded["state"])
         ids = np.zeros((2, 8), dtype=np.int64)
         model.eval(), clone.eval()
         assert np.allclose(model.predict_scores(ids), clone.predict_scores(ids))
