@@ -15,8 +15,7 @@ full numpy broadcasting.
 Hot-path ops (``dropout``, ``embedding``'s backward) route their
 transient working memory through the shared per-step workspace
 (:mod:`repro.autograd.workspace`) so repeated calls at one ``(B, N, d)``
-geometry reuse buffers instead of allocating; the workspace also owns
-the dropout seed-compatibility flag (see :func:`dropout`).
+geometry reuse buffers instead of allocating.
 """
 
 from __future__ import annotations
@@ -28,11 +27,7 @@ import numpy as np
 from repro.autograd.graph import GraphCaptureError, record_node
 from repro.autograd.graph import _active as _graph_active
 from repro.autograd.tensor import Tensor, as_tensor, is_grad_enabled, unbroadcast
-from repro.autograd.workspace import (
-    dropout_view_count,
-    fast_dropout_masks_enabled,
-    get_workspace,
-)
+from repro.autograd.workspace import get_workspace
 
 __all__ = [
     "add", "add3", "sub", "mul", "div", "neg", "pow", "exp", "log", "sqrt",
@@ -1137,43 +1132,19 @@ def dropout(
     p: float,
     training: bool,
     rng: np.random.Generator,
-    fast: Optional[bool] = None,
-    views: Optional[int] = None,
     seq_len: Optional[int] = None,
 ) -> Tensor:
     """Inverted dropout; identity when not training or ``p == 0``.
 
     ``a`` must be a floating tensor; the output and gradient keep its
-    dtype.  The kept/dropped decisions come from one of two paths:
-
-    - **Seed-compatible** (``fast=False``, the default): one float64
-      uniform per element from ``rng``, drawn into a shared workspace
-      buffer.  The draw consumes the generator stream exactly like the
-      seed implementation (``rng.random(a.shape)``), and the output is
-      bitwise-identical to the historical
-      ``a * ((draw < keep).astype(a.dtype) / keep)`` formulation — the
-      mask is just kept as booleans and the ``1/keep`` rescale applied
-      in place, which skips two full-array temporaries.
-    - **Fast** (``fast=True``): one uint16 per element thresholded at
-      ``round(keep * 65536)``.  ~2.5x cheaper mask generation, same
-      distribution up to a 1/65536 quantization of ``keep``, but a
-      different stochastic realization per seed.
-
-    ``fast=None`` defers to the process-wide seed-compatibility flag
-    (:func:`repro.autograd.workspace.set_fast_dropout_masks`).
-
-    ``views=V > 1`` (or an enclosing
-    :func:`repro.autograd.workspace.dropout_views` context, which
-    ``views=None`` defers to) declares the input a stack of ``V``
-    equal view blocks along the leading axis: the mask is drawn as
-    ``V`` consecutive per-block draws, so a stacked ``(V*B, ...)`` call
-    consumes ``rng`` exactly like ``V`` separate ``(B, ...)`` calls —
-    same per-view masks, in both mask modes.  (For the seed-compatible
-    path a contiguous ``(V*B, ...)`` draw already equals ``V``
-    consecutive block draws element-for-element; the explicit split
-    makes the contract independent of generator buffering and extends
-    it to the fast uint16 path, whose bit consumption is call-shaped.)
-    The leading axis must divide evenly by ``V``.
+    dtype.  ``p`` must lie in ``[0, 1)`` (checked in eval mode too).
+    The mask is the seed formula ``rng.random(a.shape) < 1 - p``: one
+    float64 uniform per element, consumed in C order, so the output is
+    bitwise ``a * ((draw < keep).astype(a.dtype) / keep)``.  The draw
+    runs through one bounded workspace block looped over leading rows
+    (:func:`_draw_keep_mask`), never a full-size float64 array.  Because
+    the stream fills in C order, a stacked ``(V*B, ...)`` call draws
+    exactly the masks of ``V`` consecutive ``(B, ...)`` calls.
 
     ``seq_len=N`` declares ``a`` the last ``a.shape[-2]`` positions of a
     length-``N`` sequence axis (``x[..., -n:, :]`` of an ``(R, ..., N, k)``
@@ -1181,34 +1152,17 @@ def dropout(
     rows of ``(R, H, N, N)`` attention probabilities).  The mask and
     ``rng``'s end state equal the trailing ``n`` rows of the full-length
     call's mask, so a caller that only reads the last position can skip
-    the other ``N - n`` without changing any mask.  The seed-compatible
-    path draws only the kept values: for each leading row it advances
-    the bit generator past the ``(N - n)·k`` skipped uniforms and draws
-    the ``n·k`` kept ones (see :func:`_draw_trailing_rows`).  The fast path draws the full-length
-    uint16 bits per view and keeps the trailing rows, since its bit
-    consumption is call-shaped.
+    the other ``N - n`` without changing any mask: for each leading row
+    the bit generator advances past the ``(N - n)·k`` skipped uniforms
+    and draws the ``n·k`` kept ones.
     """
     a = as_tensor(a)
-    if not training or p <= 0.0:
+    if not 0.0 <= p < 1.0:
+        raise ValueError(f"dropout probability must be in [0, 1), got {p}")
+    if not training or p == 0.0:
         return a
-    if p >= 1.0:
-        raise ValueError("dropout probability must be < 1")
     keep = 1.0 - p
-    if fast is None:
-        fast = fast_dropout_masks_enabled()
-    if views is None:
-        views = dropout_view_count()
-    draw_shape = a.shape
-    if views > 1:
-        if a.ndim == 0 or a.shape[0] % views != 0:
-            raise ValueError(
-                f"dropout with {views} view streams needs a leading axis "
-                f"divisible by {views}, got shape {a.shape}"
-            )
-        block = a.shape[0] // views
-        draw_shape = (block,) + a.shape[1:]
-    kept = Ellipsis
-    skip = 0
+    skip, width = 0, 1
     if seq_len is not None:
         if a.ndim < 3 or not 0 < a.shape[-2] <= seq_len:
             raise ValueError(
@@ -1216,41 +1170,17 @@ def dropout(
                 f"needs an (R, ..., n, k) input with n in 1..{seq_len}, got shape {a.shape}"
             )
         skip = (seq_len - a.shape[-2]) * a.shape[-1]
-        if fast:
-            draw_shape = draw_shape[:-2] + (seq_len, a.shape[-1])
-            kept = (Ellipsis, slice(seq_len - a.shape[-2], None), slice(None))
-    # Per-view draws use a *view-sized* scratch buffer — the same
-    # workspace key the separate-pass (B, ...) sites use, so the
-    # stacked (V*B, ...) geometry and the single-view eval geometry
-    # share one cache-resident buffer instead of parking a full-size
-    # draw array per geometry.  The mask draw lives inside ``forward``:
-    # a static-graph replay re-draws a fresh mask from the same
-    # generator object, consuming its stream exactly like the dynamic
-    # step (``fast``/``views`` are resolved above, at build time — the
-    # executor invalidates the tape when the ambient flags change).
+        width = a.shape[-2] * a.shape[-1]
+    # The mask draw lives inside ``forward``: a static-graph replay
+    # re-draws a fresh mask from the same generator object, consuming
+    # its stream exactly like the dynamic step.
     scale = a.dtype.type(1.0) / a.dtype.type(keep)
-    threshold = np.uint16(min(65535, int(round(keep * 65536.0)))) if fast else None
     mask = None
 
     def forward():
         nonlocal mask
         mask = np.empty(a.shape, dtype=bool)
-        if skip and not fast:
-            # Consecutive view blocks are consecutive leading rows, so
-            # one pass over all rows serves every view.
-            draw = get_workspace().scratch("dropout.draw", a.shape, np.float64)
-            _draw_trailing_rows(rng, draw.reshape(-1, a.shape[-2] * a.shape[-1]), skip)
-            np.less(draw, keep, out=mask)
-        else:
-            for v in range(views):
-                rows = mask[v * block : (v + 1) * block] if views > 1 else mask
-                if fast:
-                    bits = rng.integers(0, 65536, size=draw_shape, dtype=np.uint16)
-                    np.less(bits[kept], threshold, out=rows)
-                else:
-                    draw = get_workspace().scratch("dropout.draw", draw_shape, np.float64)
-                    rng.random(out=draw)
-                    np.less(draw, keep, out=rows)
+        _draw_keep_mask(rng, mask.reshape(-1, width), keep, skip)
         out = a.data * mask
         out *= scale
         return out
@@ -1263,29 +1193,46 @@ def dropout(
     return _make(forward(), (a,), backward, forward)
 
 
-def _draw_trailing_rows(rng: np.random.Generator, out: np.ndarray, skip: int) -> None:
-    """Fill each row of ``out`` as ``rng.random`` would fill the same
-    row's tail after ``skip`` leading uniforms, skipping those.
+#: float64 uniforms per dropout draw block (2 MiB): the draw buffer
+#: stays this size whatever the activation size.
+_DRAW_BLOCK = 1 << 18
 
-    ``out`` is ``(rows, kept)``; the generator ends where a full
-    ``rng.random((rows, skip + kept))`` draw leaves it.  One float64
-    uniform is one 64-bit output, which PCG64's ``advance`` skips in
-    O(log skip).  ``advance`` also drops a buffered uint32 half (left
-    by an odd count of 32-bit draws, e.g. a fast-mode uint16 call),
-    which a float64 draw never touches, so it is put back afterwards.
-    Other bit generators skip by drawing.
+
+def _draw_keep_mask(rng: np.random.Generator, mask: np.ndarray, keep: float, skip: int) -> None:
+    """Fill ``mask`` ``(rows, width)`` with ``uniform < keep``, where row
+    ``r``'s uniforms are the last ``width`` of row ``r`` of a full
+    ``rng.random((rows, skip + width))`` draw; ``rng`` ends where that
+    draw leaves it.
+
+    Whole rows are drawn through one workspace block of
+    ``max(_DRAW_BLOCK, width)`` float64 values, as many rows per pass as
+    fit; consecutive blocks of a C-order draw are the draw itself.  With
+    ``skip``, each row first skips its ``skip`` leading uniforms: one
+    float64 uniform is one 64-bit output, which PCG64's ``advance``
+    skips in O(log skip) (other bit generators skip by drawing).
+    ``advance`` also drops a buffered uint32 half (left by an odd count
+    of 32-bit draws, e.g. one float32 ``rng.random``), which a float64
+    draw never touches, so it is put back afterwards.
     """
+    rows, width = mask.shape
+    step = max(1, _DRAW_BLOCK // width)
+    block = get_workspace().scratch("dropout.draw", (max(_DRAW_BLOCK, width),), np.float64)
     bits = rng.bit_generator
-    if not isinstance(bits, (np.random.PCG64, np.random.PCG64DXSM)):
-        for row in out:
-            rng.random(skip)
-            rng.random(out=row)
-        return
-    before = bits.state
-    for row in out:
-        bits.advance(skip)
-        rng.random(out=row)
-    if before["has_uint32"]:
+    advance = bool(skip) and isinstance(bits, (np.random.PCG64, np.random.PCG64DXSM))
+    before = bits.state if advance else None
+    for start in range(0, rows, step):
+        draw = block[: min(step, rows - start) * width].reshape(-1, width)
+        if skip:
+            for row in draw:
+                if advance:
+                    bits.advance(skip)
+                else:
+                    rng.random(skip)
+                rng.random(out=row)
+        else:
+            rng.random(out=draw)
+        np.less(draw, keep, out=mask[start : start + len(draw)])
+    if advance and before["has_uint32"]:
         after = bits.state
         after.update(has_uint32=before["has_uint32"], uinteger=before["uinteger"])
         bits.state = after

@@ -52,9 +52,7 @@ input shape/dtype/None-ness mismatch  dynamic fallback for that step
 (e.g. ragged final batch)             only; tape kept
 parameter payload rebound             tape invalidated, re-captured
 (``load_state_dict``, ``Module.to``)
-ambient dropout config changed        tape invalidated, re-captured
-(view count, fast-mask flag,
-``model.training``)
+``model.training`` flipped            tape invalidated, re-captured
 ``GraphCaptureError`` during capture  permanent dynamic fallback,
 (e.g. ``noise_eps > 0`` paths)        reason logged once
 ====================================  =================================
@@ -75,10 +73,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.autograd.tensor import Tensor, _backward_over, _topo_sort
-from repro.autograd.workspace import (
-    dropout_view_count,
-    fast_dropout_masks_enabled,
-)
 
 __all__ = [
     "GraphCaptureError",
@@ -155,7 +149,6 @@ class Tape:
         "root",
         "grad_params",
         "param_bindings",
-        "ambient",
         "signature",
     )
 
@@ -167,7 +160,6 @@ class Tape:
         self.root: Optional[Tensor] = None
         self.grad_params: List[Tensor] = []
         self.param_bindings: List[Tuple[Tensor, np.ndarray]] = []
-        self.ambient: Tuple = ()
         self.signature: Tuple = ()
 
     def __len__(self) -> int:
@@ -187,7 +179,6 @@ class Tape:
         self.topo = _topo_sort(root)
         self.grad_params = [n for n in self.topo if n.requires_grad]
         self.param_bindings = [(p, p.data) for p in params]
-        self.ambient = _ambient_state()
 
     def replay(self) -> Tensor:
         """Re-run the captured step as a flat loop of kernel calls."""
@@ -233,11 +224,6 @@ def capture():
         yield tape
     finally:
         _tls.capture = None
-
-
-def _ambient_state() -> Tuple:
-    """The thread/process config a tape's RNG + mask closures baked in."""
-    return (dropout_view_count(), fast_dropout_masks_enabled())
 
 
 def _batch_signature(batch) -> Tuple:
@@ -353,10 +339,8 @@ class TapeExecutor:
         tape = self._tape
         if not tape.bindings_valid():
             return "parameter payload rebound"
-        ambient = _ambient_state() + (getattr(self.model, "training", True),)
-        captured = tape.ambient + (self._captured_training,)
-        if ambient != captured:
-            return "ambient dropout/training config changed"
+        if getattr(self.model, "training", True) != self._captured_training:
+            return "model.training changed"
         return None
 
     def _capture_step(self, batch, signature: Tuple) -> StepResult:

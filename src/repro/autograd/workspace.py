@@ -35,16 +35,6 @@ is mid-flight per buffer, which a per-thread instance guarantees for
 the single-threaded training loop without making concurrent evaluation
 threads unsafe.
 
-This module also owns the **seed-compatibility flag** for dropout mask
-generation (:func:`set_fast_dropout_masks`).  The default (``False``)
-keeps mask draws bitwise-faithful to the seed implementation — same
-PCG64 stream, same float64 draws, same kept positions for a given seed.
-Enabling the fast path switches to 16-bit threshold masks (one uint16
-draw per element instead of one float64), which is ~2.5x cheaper but
-consumes the generator stream differently, so per-seed masks change
-(the marginal keep probability is quantized to 1/65536, an expectation
-error below 8e-6).  See ``docs/PERFORMANCE.md``.
-
 Layering: this module imports nothing else from ``repro``; both the
 autograd op library and the ``repro.nn`` stack build on it.  The
 public, documented entry point is :mod:`repro.nn.workspace`.
@@ -52,7 +42,6 @@ public, documented entry point is :mod:`repro.nn.workspace`.
 
 from __future__ import annotations
 
-import contextlib
 import copy
 import threading
 from typing import Any, Callable, Dict, Tuple
@@ -63,12 +52,6 @@ __all__ = [
     "StepWorkspace",
     "get_workspace",
     "reset_workspace",
-    "set_fast_dropout_masks",
-    "fast_dropout_masks_enabled",
-    "fast_dropout_masks",
-    "set_dropout_view_count",
-    "dropout_view_count",
-    "dropout_views",
     "generator_state",
     "set_generator_state",
 ]
@@ -198,105 +181,3 @@ def set_generator_state(gen: np.random.Generator, state: Dict[str, Any]) -> None
     different bit-generator algorithm than ``gen`` uses.
     """
     gen.bit_generator.state = copy.deepcopy(state)
-
-
-# ----------------------------------------------------------------------
-# Dropout mask generation: the seed-compatibility flag
-# ----------------------------------------------------------------------
-
-#: Process-wide (unlike the workspace itself, deliberately NOT
-#: thread-local: the flag is a run-level configuration choice, and a
-#: worker thread silently falling back to the default would make a
-#: benchmark measure nothing).  Reads are lock-free; flip it only from
-#: one thread.
-_FAST_MASKS_ENABLED = False
-
-
-def set_fast_dropout_masks(enabled: bool) -> bool:
-    """Toggle the fast dropout-mask path; returns the previous setting.
-
-    ``False`` (the default) is the *seed-compatible* mode: masks are
-    drawn exactly as the seed implementation drew them (float64 PCG64
-    uniforms), so training runs are bitwise-reproducible against
-    recorded results.  ``True`` switches to uint16 threshold masks —
-    measurably cheaper, same distribution up to a 1/65536 quantization
-    of the keep probability, but a *different* stochastic realization
-    per seed.
-    """
-    global _FAST_MASKS_ENABLED
-    previous = _FAST_MASKS_ENABLED
-    _FAST_MASKS_ENABLED = bool(enabled)
-    return previous
-
-
-def fast_dropout_masks_enabled() -> bool:
-    """Whether dropout currently uses the fast (non-seed-compatible) path."""
-    return _FAST_MASKS_ENABLED
-
-
-@contextlib.contextmanager
-def fast_dropout_masks(enabled: bool = True):
-    """Scope the fast dropout-mask path, e.g. for one benchmark run."""
-    previous = set_fast_dropout_masks(enabled)
-    try:
-        yield
-    finally:
-        set_fast_dropout_masks(previous)
-
-
-# ----------------------------------------------------------------------
-# Dropout view streams: per-view mask draws for stacked multi-view passes
-# ----------------------------------------------------------------------
-#
-# The contrastive objectives encode V views of a batch per step.  When
-# the views are stacked along the batch axis into one ``(V*B, N, d)``
-# pass, every dropout site must still draw the *same* per-view masks
-# that V separate ``(B, N, d)`` passes would have drawn from its
-# generator — otherwise the stacked fast path is a different stochastic
-# model, not an optimization.  The view count below tells
-# :func:`repro.autograd.functional.dropout` to split its mask draw into
-# V consecutive per-view draws along the leading axis, exactly matching
-# the V-pass stream consumption in both the seed-compatible and the
-# fast mask modes.  Thread-local like the workspace itself: the count
-# is per-forward-call state scoped by the ``dropout_views`` context.
-
-
-def set_dropout_view_count(count: int) -> int:
-    """Set the calling thread's dropout view count; returns the previous one.
-
-    ``1`` (the default) is the ordinary single-view draw.  ``V > 1``
-    makes every dropout site split its leading axis into ``V`` equal
-    view blocks and draw each block's mask separately from its
-    generator — the contract stacked multi-view encodes rely on.
-    """
-    count = int(count)
-    if count < 1:
-        raise ValueError(f"dropout view count must be >= 1, got {count}")
-    previous = getattr(_tls, "dropout_views", 1)
-    _tls.dropout_views = count
-    return previous
-
-
-def dropout_view_count() -> int:
-    """The calling thread's current dropout view count (default 1)."""
-    return getattr(_tls, "dropout_views", 1)
-
-
-@contextlib.contextmanager
-def dropout_views(count: int):
-    """Scope a dropout view count over one stacked multi-view forward.
-
-    Exception-safe: the previous count is restored in a ``finally``
-    block, so an exception anywhere inside a batched ``encode_views``
-    pass (a shape error in a dropout site, a raising layer) cannot leak
-    the view count into the next step — the leaked count would silently
-    change every later dropout draw's generator consumption.  An
-    invalid ``count`` raises *before* any state is mutated.  Prefer
-    this context manager over calling :func:`set_dropout_view_count`
-    directly; direct callers own the try/finally themselves.
-    """
-    previous = set_dropout_view_count(count)
-    try:
-        yield
-    finally:
-        set_dropout_view_count(previous)

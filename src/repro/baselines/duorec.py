@@ -8,12 +8,11 @@ exact contrastive recipe, so DuoRec differs from it only in the encoder
 (self-attention vs slide filter mixer), which is what Table V isolates.
 
 The step's three encodes — main pass, dropout view, same-target view —
-run as one stacked ``(3B, N, d)`` forward with per-view dropout streams
-(:meth:`~repro.core.encoder.SequentialEncoderBase.encode_views`), all
-on the fused attention fast path (:mod:`repro.nn.attention`); the many
-dropout sites also make DuoRec the baseline that benefits most from
-the fast dropout-mask flag
-(:func:`repro.nn.workspace.set_fast_dropout_masks`).
+run as one stacked ``(3B, N, d)`` forward
+(:meth:`~repro.core.encoder.SequentialEncoderBase.encode_views`) on the
+fused attention fast path (:mod:`repro.nn.attention`); each dropout
+site's C-order draw over the stacked batch is the three views' separate
+masks.
 """
 
 from __future__ import annotations

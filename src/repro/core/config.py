@@ -87,9 +87,9 @@ class SlimeConfig:
         same-shape batches, skipping per-step autograd graph
         construction.  Replays are bitwise-identical to the dynamic
         engine in float64; divergent geometry/topology (ragged final
-        batch, ``noise_eps > 0``, changed dropout ambient state) falls
-        back to the dynamic path with a logged reason.  See
-        ``docs/ARCHITECTURE.md``.
+        batch, ``noise_eps > 0``) falls back to the dynamic path with
+        a logged reason; a parameter rebind or a ``model.training``
+        flip re-captures.  See ``docs/ARCHITECTURE.md``.
     noise_eps:
         When positive, uniform noise of this relative magnitude is
         injected into every layer input (the Figure 6 robustness knob),

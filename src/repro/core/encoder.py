@@ -29,6 +29,8 @@ transposed item table once per pass.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 from repro.autograd import functional as F
@@ -37,9 +39,17 @@ from repro.autograd.tensor import Tensor, no_grad
 from repro.data.negative_sampling import NegativeSampler
 from repro.nn import Dropout, Embedding, GELU, LayerNorm, Linear, Module
 from repro.nn import init as nn_init
-from repro.nn.workspace import dropout_view_count, dropout_views
 
 __all__ = ["SequentialEncoderBase", "PointwiseFeedForward"]
+
+#: ``views``: the view count of the stacked encode running on this
+#: thread (1 outside :meth:`SequentialEncoderBase.encode_views`); read
+#: only by :meth:`SequentialEncoderBase.inject_noise`.
+_stacked = threading.local()
+
+
+def _view_count() -> int:
+    return getattr(_stacked, "views", 1)
 
 
 class PointwiseFeedForward(Module):
@@ -165,9 +175,10 @@ class SequentialEncoderBase(Module):
         Implements the Figure 6 robustness protocol: noise
         ``eps * U(-1, 1) * std(x)`` added to the layer input.  A no-op
         when ``noise_eps`` is zero.  Inside a stacked multi-view encode
-        (:meth:`encode_views`) each view block of the leading axis is
-        scaled by its own std and drawn in view order, so the views stay
-        uncoupled; with one view this is the single whole-batch draw.
+        (:meth:`encode_views`, which sets this thread's view count for
+        its pass) each view block of the leading axis is scaled by its
+        own std and drawn in view order, so the views stay uncoupled;
+        with one view this is the single whole-batch draw.
         """
         if self.noise_eps <= 0.0:
             return x
@@ -179,7 +190,7 @@ class SequentialEncoderBase(Module):
                 "graph; run noise-robustness sweeps with static_graph=False"
             )
         blocks = []
-        for part in np.split(x.data, dropout_view_count()):
+        for part in np.split(x.data, _view_count()):
             scale = float(part.std()) * self.noise_eps
             blocks.append(self._noise_rng.uniform(-scale, scale, size=part.shape).astype(x.dtype))
         return F.add(x, Tensor(np.concatenate(blocks)))
@@ -211,17 +222,17 @@ class SequentialEncoderBase(Module):
         python/op count of the dominant training cost ~``V``-fold while
         fattening every GEMM and FFT.
 
-        Inside the pass every dropout site draws its masks **per
-        view** (:func:`repro.nn.workspace.dropout_views`), consuming
-        each generator exactly like ``V`` separate passes would, so
-        the stacked encode is the same stochastic model as the
-        sequential one: per-view masks identical, float64 losses equal
-        to a sequential encode of the views to reassociation tolerance
-        (the test suite keeps that sequential encode as the oracle).
-        Under the Figure-6 noise protocol :meth:`inject_noise` scales
-        each view block by its own std, so the views stay uncoupled;
-        its one generator serves the views layer by layer, so the noise
-        draws are not the sequential encode's.
+        Every dropout site draws its mask in C order over the stacked
+        leading axis, which is exactly the draws of ``V`` separate
+        passes, so the stacked encode is the same stochastic model as
+        the sequential one: per-view masks identical, float64 losses
+        equal to a sequential encode of the views to reassociation
+        tolerance (the test suite keeps that sequential encode as the
+        oracle).  Under the Figure-6 noise protocol :meth:`inject_noise`
+        scales each view block by its own std (the view count is set for
+        the pass and restored in a ``finally``), so the views stay
+        uncoupled; its one generator serves the views layer by layer,
+        so the noise draws are not the sequential encode's.
         """
         arrays = [np.asarray(v) for v in view_inputs]
         if len(arrays) < 2:
@@ -239,8 +250,12 @@ class SequentialEncoderBase(Module):
         record_host(
             lambda: np.concatenate(arrays, axis=0, out=stacked), "encode_views.stack"
         )
-        with dropout_views(len(arrays)):
+        previous = _view_count()
+        _stacked.views = len(arrays)
+        try:
             user = self.user_representation(stacked)  # (V*B, d)
+        finally:
+            _stacked.views = previous
         return tuple(
             F.getitem(user, slice(i * batch, (i + 1) * batch))
             for i in range(len(arrays))

@@ -4,26 +4,17 @@ Shapes and dtype contract: any floating input, output of the same
 shape and dtype; the eval-mode forward returns the input tensor itself
 (no copy, no graph node).
 
-Mask generation runs through the shared per-step workspace
-(:mod:`repro.nn.workspace`).  The default path is **seed-compatible**:
-one float64 uniform per element from this layer's own generator, drawn
-into a reusable buffer, bitwise-faithful to the seed implementation.
-:func:`repro.nn.workspace.set_fast_dropout_masks` (or the
-``fast_dropout_masks()`` context manager) switches every dropout site
-in the process to cheap uint16 threshold masks — same distribution up
-to a 1/65536 quantization of the keep probability, different stochastic
-realization per seed.  Inside a
-:func:`repro.nn.workspace.dropout_views` context (the stacked
-multi-view contrastive encode) the mask is drawn as one per-view block
-draw per view, so a ``(V*B, N, d)`` call consumes this layer's
-generator exactly like ``V`` separate ``(B, N, d)`` calls.  Given
-``seq_len=N``, a ``(B, n, d)`` input is the last ``n`` positions of a
-``(B, N, d)`` batch (a ``(B, H, n, N)`` one the last ``n`` query rows
-of attention probabilities): the seed-compatible path draws only the
-kept rows and skips the generator past the others, so the mask equals
-the full-length mask sliced on axis -2 and the generator ends where the
-full-length call leaves it.  See
-:func:`repro.autograd.functional.dropout` for the exact contract.
+The mask is the seed formula: one float64 uniform per element from
+this layer's own generator, ``uniform < 1 - p``, drawn in C order
+through one bounded workspace block (:mod:`repro.nn.workspace`).  A
+stacked ``(V*B, N, d)`` multi-view call therefore draws the masks of
+``V`` separate ``(B, N, d)`` calls.  Given ``seq_len=N``, a
+``(B, n, d)`` input is the last ``n`` positions of a ``(B, N, d)``
+batch (a ``(B, H, n, N)`` one the last ``n`` query rows of attention
+probabilities): only the kept rows are drawn and the generator skips
+past the others, so the mask equals the full-length mask sliced on
+axis -2 and the generator ends where the full-length call leaves it.
+See :func:`repro.autograd.functional.dropout` for the exact contract.
 """
 
 from __future__ import annotations

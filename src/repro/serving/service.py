@@ -319,22 +319,30 @@ class RecommenderService:
     # Event ingestion
     # ------------------------------------------------------------------
     def observe(self, user_id, item_id: int) -> None:
-        """Record one interaction event (O(1); no encode happens here)."""
+        """Record one interaction event (O(1); no encode happens here).
+
+        Raises ``ValueError`` for an id outside ``1..num_items`` before
+        the session or the popularity ranker changes.
+        """
         with self._lock:
+            # The ranker range-checks before it counts, so a bad id
+            # never reaches the session (and from there the encode).
+            self._fallback_ranker.observe(item_id)
             self.sessions.get_or_create(user_id).append(item_id)
-            if 1 <= int(item_id) <= self.num_items:
-                self._fallback_ranker.observe(item_id)
 
     def observe_history(self, user_id, item_ids: Iterable[int]) -> None:
-        """Reset a user's session to a known history (cold start)."""
+        """Reset a user's session to a known history (cold start).
+
+        Raises ``ValueError`` for any id outside ``1..num_items``; the
+        session and the popularity ranker are then left untouched.
+        """
         items = np.asarray(
             item_ids if isinstance(item_ids, np.ndarray) else list(item_ids),
             dtype=np.int64,
         )
         with self._lock:
+            self._fallback_ranker.observe_many(items)
             self.sessions.get_or_create(user_id).replace_history(items)
-            in_range = items[(items >= 1) & (items <= self.num_items)]
-            self._fallback_ranker.observe_many(in_range)
 
     # ------------------------------------------------------------------
     # Recommendation

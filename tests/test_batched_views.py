@@ -13,10 +13,10 @@ Covered here:
 - **per-view Figure-6 noise**: with one view ``inject_noise`` is the
   whole-batch ``uniform(-eps*std(x), eps*std(x))`` draw bit for bit;
   inside a stacked encode each view block is scaled by its own std;
-- the **per-view dropout stream** contract
-  (:func:`repro.nn.workspace.dropout_views` /
-  ``F.dropout(views=...)``): a stacked draw consumes each generator
-  exactly like V separate per-view draws, in both mask modes;
+- the **view count** ``encode_views`` sets for ``inject_noise`` is
+  restored when the stacked pass raises (a stacked dropout draw equals
+  V per-view draws by the one mask rule, a case of
+  ``test_last_position.py::test_dropout_is_the_seed_formula``);
 - the **chunked prediction head**
   (:func:`repro.autograd.functional.linear_cross_entropy` and the
   model-level ``ce_chunk_size`` knob) against the dense path: values
@@ -36,7 +36,7 @@ from repro.core import Slime4Rec, SlimeConfig
 from repro.core.contrastive import info_nce_loss
 from repro.data.augmentation import ItemCorrelation
 from repro.data.batching import Batch
-from repro.nn.workspace import dropout_view_count, dropout_views, fast_dropout_masks
+from repro.core.encoder import _view_count
 from repro.optim import Adam
 
 NUM_ITEMS, MAX_LEN = 30, 12
@@ -204,8 +204,10 @@ class TestPerViewNoise:
         rng = np.random.default_rng(5)
         blocks = [rng.normal(scale=s, size=(4, MAX_LEN, 16)) for s in (1.0, 100.0, 0.01)]
         x = np.concatenate(blocks)
-        with dropout_views(3):
-            noise = model.inject_noise(Tensor(x)).data - x
+        # Inside encode_views, the user-vector hook sees the view count.
+        model.user_representation = lambda ids: model.inject_noise(Tensor(x))
+        views = model.encode_views([np.zeros((4, MAX_LEN), dtype=np.int64)] * 3)
+        noise = np.concatenate([v.data for v in views]) - x
         for i, block in enumerate(blocks):
             bound = self.EPS * block.std()
             part = np.abs(noise[i * 4 : (i + 1) * 4])
@@ -244,91 +246,23 @@ class TestPerViewNoise:
 
 
 # ----------------------------------------------------------------------
-# Per-view dropout stream semantics
+# The stacked pass's view count
 # ----------------------------------------------------------------------
 
 
-class TestDropoutViewStreams:
-    def test_stacked_draw_equals_per_view_draws_seed_path(self):
-        x = np.ones((6, 4, 3))
-        stacked = F.dropout(
-            Tensor(x), 0.4, training=True, rng=np.random.default_rng(7), views=3
-        )
-        rng = np.random.default_rng(7)
-        parts = [
-            F.dropout(Tensor(x[i * 2 : (i + 1) * 2]), 0.4, training=True, rng=rng)
-            for i in range(3)
-        ]
-        np.testing.assert_array_equal(
-            stacked.data, np.concatenate([p.data for p in parts], axis=0)
-        )
-
-    def test_stacked_draw_equals_per_view_draws_fast_path(self):
-        x = np.ones((6, 5))
-        with fast_dropout_masks():
-            stacked = F.dropout(
-                Tensor(x), 0.3, training=True, rng=np.random.default_rng(3), views=3
-            )
-            rng = np.random.default_rng(3)
-            parts = [
-                F.dropout(Tensor(x[i * 2 : (i + 1) * 2]), 0.3, training=True, rng=rng)
-                for i in range(3)
-            ]
-        np.testing.assert_array_equal(
-            stacked.data, np.concatenate([p.data for p in parts], axis=0)
-        )
-
-    def test_context_manager_scopes_view_count(self):
-        assert dropout_view_count() == 1
-        with dropout_views(3):
-            assert dropout_view_count() == 3
-            with dropout_views(2):
-                assert dropout_view_count() == 2
-            assert dropout_view_count() == 3
-        assert dropout_view_count() == 1
-
-    def test_context_drives_dropout_like_explicit_views(self):
-        x = np.ones((6, 4))
-        with dropout_views(2):
-            via_context = F.dropout(
-                Tensor(x), 0.5, training=True, rng=np.random.default_rng(11)
-            )
-        explicit = F.dropout(
-            Tensor(x), 0.5, training=True, rng=np.random.default_rng(11), views=2
-        )
-        np.testing.assert_array_equal(via_context.data, explicit.data)
-
-    def test_indivisible_leading_axis_raises(self):
-        with pytest.raises(ValueError):
-            F.dropout(
-                Tensor(np.ones((5, 4))), 0.5, training=True,
-                rng=np.random.default_rng(0), views=3,
-            )
-
-    def test_bad_view_count_raises(self):
-        from repro.nn.workspace import set_dropout_view_count
-
-        with pytest.raises(ValueError):
-            set_dropout_view_count(0)
-
-    def test_eval_mode_ignores_views(self):
-        a = Tensor(np.ones((5, 4)))
-        out = F.dropout(a, 0.5, training=False, rng=np.random.default_rng(0), views=3)
-        assert out is a
-
+class TestEncodeViewsViewCount:
     def test_view_count_restored_after_raising_forward(self):
         """An exception inside a batched encode must not leak view state."""
         model = build("SLIME4Rec")
         model.train()
         bad = random_batch()
-        # Sabotage the stacked pass *inside* the dropout_views context:
-        # positive_ids with a wrong length makes encode_views raise
-        # before, and a raising encode makes user_representation raise
-        # after, the count is set.
-        assert dropout_view_count() == 1
+        # Sabotage the stacked pass: views with a wrong length make
+        # encode_views raise before, and a raising encode makes
+        # user_representation raise after, the count is set.
+        assert _view_count() == 1
         with pytest.raises(ValueError):
             model.encode_views((bad.input_ids, bad.input_ids[:, :-1]))
-        assert dropout_view_count() == 1
+        assert _view_count() == 1
 
         class Boom(Exception):
             pass
@@ -336,28 +270,14 @@ class TestDropoutViewStreams:
         original = model.user_representation
 
         def raising_encode(input_ids):
+            assert _view_count() == 3
             original(input_ids)  # consume some dropout draws first
             raise Boom()
 
         model.user_representation = raising_encode
         with pytest.raises(Boom):
             model.encode_views((bad.input_ids, bad.input_ids, bad.input_ids))
-        assert dropout_view_count() == 1
-
-    def test_view_count_restored_when_nested_context_body_raises(self):
-        with pytest.raises(RuntimeError):
-            with dropout_views(3):
-                with dropout_views(2):
-                    raise RuntimeError("mid-forward failure")
-        assert dropout_view_count() == 1
-
-    def test_invalid_count_leaves_state_untouched(self):
-        with dropout_views(2):
-            with pytest.raises(ValueError):
-                with dropout_views(0):
-                    pass  # pragma: no cover - never entered
-            assert dropout_view_count() == 2
-        assert dropout_view_count() == 1
+        assert _view_count() == 1
 
 
 # ----------------------------------------------------------------------

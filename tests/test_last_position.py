@@ -23,10 +23,13 @@ equivalence classes:
   its generator past the rest (attention-probability dropout: the last
   query row of its ``(B, H, N, N)`` mask), so every generator (dropout,
   Figure-6 noise, augmentation, reparameterization) ends the step in
-  the same bit state;
-- ``F.dropout(seq_len=N)`` vs the full-length call: **bitwise** on the
-  kept rows of axis -2 and on the generator's end state, in both mask
-  modes, with per-view streams and across a pending buffered uint32.
+  the same bit state, also when the pruned side draws its masks in
+  small blocks and the oracle in one;
+- ``F.dropout`` vs the seed formula ``rng.random(full_shape) < keep``
+  (one property test): **bitwise** on the values, the backward and the
+  generator's end state, with and without ``seq_len=N`` (then on the
+  kept rows of axis -2), for stacked views against consecutive per-view
+  draws, at any draw-block size and across a pending buffered uint32.
 
 Stacked vs sequential views (tolerance, ``test_batched_views.py``),
 dynamic vs tape replay and checkpoint resume (bitwise,
@@ -34,10 +37,13 @@ dynamic vs tape replay and checkpoint resume (bitwise,
 pins: both sides of each pin run the pruned block.
 """
 
+import contextlib
 import copy
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.autograd import functional as F
 from repro.autograd.tensor import Tensor, is_grad_enabled
@@ -46,13 +52,16 @@ from repro.core import Slime4Rec, SlimeConfig
 from repro.core.contrastive import info_nce_loss
 from repro.data.batching import Batch
 from repro.nn import Dropout
-from repro.nn.workspace import dropout_views, fast_dropout_masks
 
 #: Relative tolerance of the pruned path against the full oracle, per
 #: dtype, on values and gradients (error over the max magnitude).
 TOLERANCE = {"float64": 1e-12, "float32": 1e-5}
 
 NUM_ITEMS, MAX_LEN, BATCH = 30, 12, 5
+
+#: A dropout draw block (float64 values) smaller than every test mask:
+#: between one and two ``hidden_dim=16`` rows.
+SMALL_BLOCK = 24
 
 VARIANTS = {
     "default": {},
@@ -81,14 +90,32 @@ def full_oracle(model, input_ids):
     return F.getitem(model.encode_states(input_ids), (slice(None), -1))
 
 
-def run(model, encode, input_ids, views, fast):
+def draw_blocks(block):
+    """Run dropout's mask draws through ``block``-float64 passes
+    (``None``: the default block, which every mask here fits in)."""
+    if block is None:
+        return contextlib.nullcontext()
+    return mock.patch.object(F, "_DRAW_BLOCK", block)
+
+
+def run(model, encode, input_ids, views, block=None):
     """One forward + backward of a fixed projection of the user vectors.
 
-    Returns the user vectors and every parameter gradient.
+    ``views > 1`` runs ``encode`` as the user-vector hook of a stacked
+    ``encode_views`` pass (per-view Figure-6 noise); ``block`` is the
+    dropout draw-block size (:func:`draw_blocks`).  Returns the user
+    vectors and every parameter gradient.
     """
     model.zero_grad()
-    with fast_dropout_masks(fast), dropout_views(views):
-        user = encode(model, input_ids)
+    with draw_blocks(block):
+        if views == 1:
+            user = encode(model, input_ids)
+        else:
+            model.user_representation = lambda ids: encode(model, ids)
+            try:
+                user = F.concat(list(model.encode_views(np.split(input_ids, views))), axis=0)
+            finally:
+                del model.user_representation
     weights = np.random.default_rng(7).standard_normal(user.shape).astype(user.dtype)
     F.sum(F.mul(user, Tensor(weights))).backward()
     grads = {
@@ -111,15 +138,14 @@ def assert_close(got, want, dtype, what):
     assert err <= TOLERANCE[dtype], f"{what}: relative error {err:.3g}"
 
 
-CELLS = [
-    (mode, fast)
-    for mode in ("train", "eval")
-    for fast in (False, True)
-    if not (mode == "eval" and fast)  # eval draws no masks
-]
+#: ``(mode, draw block)`` cells.  The pruned side draws its masks in
+#: passes of ``block`` float64s (``None``: one pass), the oracle always
+#: in one pass; a small block splits every mask draw, sliced (one kept
+#: row per pass) or not, across many passes.  Eval draws no masks.
+CELLS = [("train", None), ("train", SMALL_BLOCK), ("eval", None)]
 
 
-def check_pruned_matches_full_path(pruned, hook, dtype, views, mode, fast):
+def check_pruned_matches_full_path(pruned, hook, dtype, views, mode, block):
     """The pruned ``hook`` against ``encode_states(x)[:, -1]`` on a deep
     copy: values and every gradient in the tolerance class, every random
     stream bitwise."""
@@ -128,8 +154,8 @@ def check_pruned_matches_full_path(pruned, hook, dtype, views, mode, fast):
         model.train(mode == "train")
     ids = view_inputs(views)
 
-    got, got_grads = run(pruned, hook, ids, views, fast)
-    want, want_grads = run(oracle, full_oracle, ids, views, fast)
+    got, got_grads = run(pruned, hook, ids, views, block)
+    want, want_grads = run(oracle, full_oracle, ids, views)
 
     assert got.shape == want.shape == (views * BATCH, 16)
     assert got.dtype == want.dtype == np.dtype(dtype)
@@ -148,20 +174,24 @@ def check_pruned_matches_full_path(pruned, hook, dtype, views, mode, fast):
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
 @pytest.mark.parametrize("variant", sorted(VARIANTS))
 @pytest.mark.parametrize("views", [1, 3])
-@pytest.mark.parametrize("mode,fast", CELLS)
-def test_pruned_matches_full_path(dtype, variant, views, mode, fast):
+@pytest.mark.parametrize("mode,block", CELLS)
+def test_pruned_matches_full_path(dtype, variant, views, mode, block):
     pruned = build(dtype, **VARIANTS[variant])
-    check_pruned_matches_full_path(pruned, Slime4Rec.user_representation, dtype, views, mode, fast)
+    check_pruned_matches_full_path(
+        pruned, Slime4Rec.user_representation, dtype, views, mode, block
+    )
 
 
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
 @pytest.mark.parametrize("views", [1, 3])
-@pytest.mark.parametrize("mode,fast", CELLS)
-def test_fmlprec_pruned_matches_full_path(dtype, views, mode, fast):
+@pytest.mark.parametrize("mode,block", CELLS)
+def test_fmlprec_pruned_matches_full_path(dtype, views, mode, block):
     pruned = FMLPRec(
         num_items=NUM_ITEMS, max_len=MAX_LEN, hidden_dim=16, num_layers=2, seed=0, dtype=dtype
     )
-    check_pruned_matches_full_path(pruned, FMLPRec.user_representation, dtype, views, mode, fast)
+    check_pruned_matches_full_path(
+        pruned, FMLPRec.user_representation, dtype, views, mode, block
+    )
 
 
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
@@ -183,8 +213,7 @@ def test_batched_loss_matches_full_path(dtype):
     loss.backward()
 
     stacked = np.concatenate([batch.input_ids, batch.input_ids, batch.positive_ids])
-    with dropout_views(3):
-        user = full_oracle(oracle, stacked)
+    user = full_oracle(oracle, stacked)
     views = [F.getitem(user, slice(i * BATCH, (i + 1) * BATCH)) for i in range(3)]
     rec = oracle.prediction_loss(views[0], batch.targets)
     cl = info_nce_loss(views[1], views[2], temperature=oracle.config.cl_temperature)
@@ -252,16 +281,16 @@ def assert_grads_close(got_grads, want_grads, dtype):
 @pytest.mark.parametrize("name", sorted(TRANSFORMERS))
 @pytest.mark.parametrize("padded", [True, False])
 @pytest.mark.parametrize("views", [1, 3])
-@pytest.mark.parametrize("mode,fast", CELLS)
-def test_transformer_pruned_matches_full_path(dtype, name, padded, views, mode, fast):
+@pytest.mark.parametrize("mode,block", CELLS)
+def test_transformer_pruned_matches_full_path(dtype, name, padded, views, mode, block):
     pruned = build_transformer(name, dtype)
     oracle = copy.deepcopy(pruned)
     for model in (pruned, oracle):
         model.train(mode == "train")
     ids = view_inputs(views, padded=padded)
 
-    got, got_grads = run(pruned, TRANSFORMERS[name].user_representation, ids, views, fast)
-    want, want_grads = run(oracle, transformer_oracle, ids, views, fast)
+    got, got_grads = run(pruned, TRANSFORMERS[name].user_representation, ids, views, block)
+    want, want_grads = run(oracle, transformer_oracle, ids, views)
 
     assert got.shape == want.shape == (views * BATCH, 16)
     assert got.dtype == want.dtype == np.dtype(dtype)
@@ -273,10 +302,12 @@ def test_transformer_pruned_matches_full_path(dtype, name, padded, views, mode, 
 
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
 @pytest.mark.parametrize("name", ["DuoRec", "CL4SRec", "CoSeRec", "ContrastVAE"])
-@pytest.mark.parametrize("fast", [False, True])
-def test_contrastive_loss_matches_full_path(name, dtype, fast):
+@pytest.mark.parametrize("block", [None, SMALL_BLOCK])
+def test_contrastive_loss_matches_full_path(name, dtype, block):
     """``loss`` (DuoRec, CL4SRec, CoSeRec: three stacked views) against
-    the same objective with the full path as the user-vector hook."""
+    the same objective with the full path as the user-vector hook; the
+    model under test draws its masks in ``block`` passes, the oracle in
+    one."""
     model = build_transformer(name, dtype)
     oracle = copy.deepcopy(model)
     oracle.user_representation = lambda ids: full_oracle(oracle, ids)
@@ -287,10 +318,10 @@ def test_contrastive_loss_matches_full_path(name, dtype, fast):
         positive_ids=view_inputs(1, seed=2),
     )
     losses = []
-    for m in (model, oracle):
+    for m, draw_block in ((model, block), (oracle, None)):
         m.train()
         m.zero_grad()
-        with fast_dropout_masks(fast):
+        with draw_blocks(draw_block):
             loss = m.loss(batch)
         loss.backward()
         losses.append(loss)
@@ -341,43 +372,70 @@ def test_serves_the_vector_it_evaluates_with(name):
 
 
 # ----------------------------------------------------------------------
-# F.dropout(seq_len=N): the trailing rows of the full-length draw
+# F.dropout: the seed formula, whole or as the trailing rows of it
 # ----------------------------------------------------------------------
 
 
-#: Per-row shapes of a sliced dropout site: ``(N, d)`` positions of an
-#: activation, ``(H, N, N)`` attention probabilities (query rows sliced).
-ROW_SHAPES = {"positions": (10, 6), "query_rows": (3, 10, 10)}
+#: Per-row shapes of a dropout site, from the row length ``N`` and a
+#: width: ``(N, d)`` positions of an activation, ``(H, N, N)`` attention
+#: probabilities (query rows).
+ROW_SHAPES = {
+    "positions": lambda n, width: (n, width),
+    "query_rows": lambda n, width: (min(width, 3), n, n),
+}
 
 
+# The discrete axes are pytest cells, so every combination runs on each
+# pass; hypothesis draws the sizes, ``p`` and the seed within a cell.
+@pytest.mark.parametrize("block", [1, 5, 64, F._DRAW_BLOCK])
 @pytest.mark.parametrize("buffered", [False, True])
-@pytest.mark.parametrize("fast", [False, True])
-@pytest.mark.parametrize("views", [1, 3])
-@pytest.mark.parametrize("kept", [1, 4])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("sliced", [False, True])
 @pytest.mark.parametrize("rows", sorted(ROW_SHAPES))
-def test_dropout_seq_len_is_the_full_call_sliced(rows, fast, views, kept, buffered):
-    x = np.random.default_rng(0).standard_normal((views * 4,) + ROW_SHAPES[rows])
-    last = (Ellipsis, slice(-kept, None), slice(None))
-    full_rng, sliced_rng = np.random.default_rng(9), np.random.default_rng(9)
+@settings(max_examples=10, deadline=None)
+@given(
+    views=st.integers(1, 3),
+    per_view=st.integers(1, 4),
+    length=st.integers(1, 10),
+    width=st.integers(1, 6),
+    kept_fraction=st.floats(0.0, 1.0),
+    p=st.floats(0.05, 0.95),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_dropout_is_the_seed_formula(
+    rows, sliced, dtype, buffered, block, views, per_view, length, width, kept_fraction, p, seed
+):
+    """One ``(V*B, ...)`` call, ``sliced`` on the last ``n`` of ``N``
+    rows (``seq_len=N``, ``n`` in ``1..N``), against ``V`` consecutive
+    full-length ``rng.random((B, ...)) < keep`` draws: values, backward
+    and the generator's end state bitwise, whatever the draw-block
+    size."""
+    row_shape = ROW_SHAPES[rows](length, width)
+    n = max(1, round(kept_fraction * length)) if sliced else length
+    last = (Ellipsis, slice(length - n, None), slice(None))
+    keep = 1.0 - p
+    rng = np.random.default_rng(seed)
     if buffered:
-        # One fast-mode uint16 draw leaves half of a 64-bit output
-        # buffered; the row-skipping draw must keep it, as a full-length
-        # float64 draw does (the state comparison below covers it).
-        for rng in (full_rng, sliced_rng):
-            F.dropout(Tensor(np.ones((1, 1, 1))), 0.3, True, rng, fast=True)
-            assert rng.bit_generator.state["has_uint32"] == 1
-    whole = Tensor(x, requires_grad=True)
-    full = F.dropout(whole, 0.3, True, full_rng, fast=fast, views=views)
-    part = Tensor(x[last], requires_grad=True)
-    sliced = F.dropout(part, 0.3, True, sliced_rng, fast=fast, views=views, seq_len=10)
-    np.testing.assert_array_equal(sliced.data, full.data[last])
-    assert full_rng.bit_generator.state == sliced_rng.bit_generator.state
+        # One float32 draw leaves half of a 64-bit output buffered; a
+        # float64 draw never touches it, so neither may the mask draw.
+        rng.random(dtype=np.float32)
+        assert rng.bit_generator.state["has_uint32"] == 1
+    oracle_rng = copy.deepcopy(rng)
+    full_shape = (per_view,) + row_shape
+    mask = np.concatenate([oracle_rng.random(full_shape) < keep for _ in range(views)])
+    scaled = (mask.astype(dtype) / keep)[last]
 
-    grad = np.zeros(x.shape)
-    grad[last] = np.random.default_rng(1).standard_normal(part.shape)
-    full.backward(grad)
-    sliced.backward(grad[last])
-    np.testing.assert_array_equal(part.grad, whole.grad[last])
+    data = np.random.default_rng(seed + 1).standard_normal(scaled.shape).astype(dtype)
+    x = Tensor(data, requires_grad=True)
+    with mock.patch.object(F, "_DRAW_BLOCK", block):
+        out = F.dropout(x, p, True, rng, seq_len=length if sliced else None)
+    assert out.dtype == np.dtype(dtype)
+    np.testing.assert_array_equal(out.data, data * scaled)
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    grad = np.random.default_rng(seed + 2).standard_normal(scaled.shape).astype(dtype)
+    out.backward(grad)
+    np.testing.assert_array_equal(x.grad, grad * scaled)
 
 
 @pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.Philox])
@@ -386,8 +444,8 @@ def test_dropout_seq_len_on_other_bit_generators(bit_generator):
     x = np.random.default_rng(0).standard_normal((6, 10, 4))
     full_rng = np.random.Generator(bit_generator(9))
     sliced_rng = np.random.Generator(bit_generator(9))
-    full = F.dropout(Tensor(x), 0.3, True, full_rng, fast=False)
-    sliced = F.dropout(Tensor(x[:, -2:]), 0.3, True, sliced_rng, fast=False, seq_len=10)
+    full = F.dropout(Tensor(x), 0.3, True, full_rng)
+    sliced = F.dropout(Tensor(x[:, -2:]), 0.3, True, sliced_rng, seq_len=10)
     np.testing.assert_array_equal(sliced.data, full.data[:, -2:])
     # Same stream position (MT19937's state holds an array).
     np.testing.assert_array_equal(full_rng.random(8), sliced_rng.random(8))

@@ -384,6 +384,48 @@ class TestServiceCacheCorrectness:
         np.testing.assert_allclose(result.scores, want.scores, rtol=1e-5, atol=1e-6)
 
 
+class TestOutOfCatalogIds:
+    """Ids outside ``1..num_items`` raise before the session or the
+    popularity ranker changes.  Stored, one would reach the encode:
+    SLIME4Rec's lookup fails and degrades every request of its batch;
+    BERT4Rec's ``num_items + 1`` is its ``[mask]`` token and scores as
+    a normal answer."""
+
+    @pytest.mark.parametrize("name", ["SLIME4Rec", "BERT4Rec"])
+    def test_bad_ids_are_rejected_before_anything_changes(self, dataset, name):
+        model = make_model(dataset, name=name)
+        service = RecommenderService(model, exact_config(k=5))
+        bad = dataset.num_items + 1
+        service.observe_history("a", [1, 2, 3])
+        window = service.sessions.get("a").window().copy()
+        counts = service._fallback_ranker.counts.copy()
+        with pytest.raises(ValueError, match="item ids"):
+            service.observe_history("b", [4, 5, bad])
+        with pytest.raises(ValueError, match="item ids"):
+            service.observe_history("a", [4, 5, bad])
+        for item in (bad, 0):
+            with pytest.raises(ValueError, match="item ids"):
+                service.observe("a", item)
+        assert "b" not in service.sessions
+        np.testing.assert_array_equal(service.sessions.get("a").window(), window)
+        np.testing.assert_array_equal(service._fallback_ranker.counts, counts)
+
+    @pytest.mark.parametrize("name", ["SLIME4Rec", "BERT4Rec"])
+    def test_a_rejected_history_cannot_degrade_its_batch(self, dataset, name):
+        model = make_model(dataset, name=name)
+        alone = RecommenderService(model, exact_config(k=5))
+        alone.observe_history("a", [1, 2, 3])
+        want = alone.recommend("a")
+        service = RecommenderService(model, exact_config(k=5))
+        service.observe_history("a", [1, 2, 3])
+        with pytest.raises(ValueError):
+            service.observe_history("b", [4, 5, dataset.num_items + 1])
+        got_a, got_b = service.recommend_many(["a", "b"])
+        assert not got_a.degraded and not got_b.degraded
+        np.testing.assert_array_equal(got_a.ids, want.ids)
+        assert service.stats()["model_errors"] == 0
+
+
 class TestServicePathEquivalence:
     def test_fast_path_equals_naive_path_at_equal_precision(self, dataset):
         """Micro-batched + blocked + cached == per-request full-sort."""

@@ -7,8 +7,8 @@ Covers the three hot paths the workspace subsystem rewired:
   composition lives here as the oracle, :class:`UnfusedAttention`,
 - shared-workspace FFT products vs. per-call allocation in the spectral
   ops (repeated/interleaved calls must not corrupt values or grads),
-- the fast dropout-mask path (keep rate in expectation, scaling,
-  backward consistency) and the bitwise fidelity of the default path.
+- dropout's bitwise fidelity to the seed formula and its ``p`` range
+  check.
 
 Plus the workspace primitives themselves (scratch reuse, derived-
 constant caching).
@@ -21,13 +21,7 @@ from repro.autograd import functional as F
 from repro.autograd.spectral import spectral_filter
 from repro.autograd.tensor import Tensor
 from repro.nn import MultiHeadSelfAttention
-from repro.nn.workspace import (
-    fast_dropout_masks,
-    fast_dropout_masks_enabled,
-    get_workspace,
-    reset_workspace,
-    set_fast_dropout_masks,
-)
+from repro.nn.workspace import get_workspace, reset_workspace
 
 DTYPES = [np.float32, np.float64]
 TOL = {np.float32: 1e-4, np.float64: 1e-10}
@@ -291,14 +285,14 @@ class TestSpectralWorkspaceReuse:
 
 
 # ----------------------------------------------------------------------
-# Dropout: bitwise default, fast path in expectation
+# Dropout: the seed formula, bitwise
 # ----------------------------------------------------------------------
 
 class TestDropoutPaths:
     @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("shape", [(4, 8, 16), (2000,)])
     def test_default_path_bitwise_faithful(self, dtype, shape):
-        """Seed-compatible mode reproduces the historical formula exactly."""
+        """The mask is the historical seed formula, bit for bit."""
         p = 0.3
         keep = 1.0 - p
         a = Tensor(
@@ -312,53 +306,17 @@ class TestDropoutPaths:
         out.backward(grad)
         np.testing.assert_array_equal(a.grad, grad * ref_mask)
 
-    def test_flag_default_is_seed_compatible(self):
-        assert not fast_dropout_masks_enabled()
-
-    def test_flag_context_manager_restores(self):
-        with fast_dropout_masks():
-            assert fast_dropout_masks_enabled()
-            with fast_dropout_masks(False):
-                assert not fast_dropout_masks_enabled()
-            assert fast_dropout_masks_enabled()
-        assert not fast_dropout_masks_enabled()
-
-    def test_set_returns_previous(self):
-        assert set_fast_dropout_masks(True) is False
-        assert set_fast_dropout_masks(False) is True
-
-    @pytest.mark.parametrize("dtype", DTYPES)
-    @pytest.mark.parametrize("p", [0.25, 0.5])
-    def test_fast_path_keep_rate_and_scaling(self, dtype, p):
-        keep = 1.0 - p
-        a = Tensor(np.ones((400, 400), dtype=dtype))
-        with fast_dropout_masks():
-            out = F.dropout(a, p, training=True, rng=np.random.default_rng(0))
-        assert out.dtype == np.dtype(dtype)
-        kept = out.data != 0
-        # 160k Bernoulli draws: observed rate within ~4 sigma of keep.
-        sigma = np.sqrt(keep * (1 - keep) / a.size)
-        assert abs(kept.mean() - keep) < 4 * sigma + 1e-4
-        expected = dtype(1.0) / dtype(keep)
-        np.testing.assert_allclose(out.data[kept], expected, rtol=1e-6)
-
-    def test_fast_path_backward_uses_forward_mask(self):
-        a = Tensor(np.ones((64, 64)), requires_grad=True)
-        with fast_dropout_masks():
-            out = F.dropout(a, 0.5, training=True, rng=np.random.default_rng(0))
-        out.backward(np.ones(a.shape))
-        np.testing.assert_array_equal((a.grad != 0), (out.data != 0))
-
-    def test_explicit_fast_argument_overrides_flag(self):
-        a = Tensor(np.ones((8, 8)))
-        out_slow = F.dropout(a, 0.5, training=True, rng=np.random.default_rng(0), fast=False)
-        ref_mask = (np.random.default_rng(0).random((8, 8)) < 0.5)
-        np.testing.assert_array_equal(out_slow.data != 0, ref_mask)
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("p", [-0.2, float("nan"), 1.0])
+    def test_invalid_p_raises(self, p, training):
+        """Checked before the eval / ``p == 0`` shortcut, as ``Dropout(p)`` does."""
+        a = Tensor(np.ones((4, 4)))
+        with pytest.raises(ValueError, match="dropout probability"):
+            F.dropout(a, p, training=training, rng=np.random.default_rng(0))
 
     def test_eval_mode_still_identity(self):
         a = Tensor(np.ones((4, 4)))
-        with fast_dropout_masks():
-            assert F.dropout(a, 0.5, training=False, rng=np.random.default_rng(0)) is a
+        assert F.dropout(a, 0.5, training=False, rng=np.random.default_rng(0)) is a
 
 
 # ----------------------------------------------------------------------
