@@ -30,14 +30,14 @@ from repro.autograd.tensor import Tensor, as_tensor, is_grad_enabled, unbroadcas
 from repro.autograd.workspace import get_workspace
 
 __all__ = [
-    "add", "add3", "sub", "mul", "div", "neg", "pow", "exp", "log", "sqrt",
-    "tanh", "sigmoid", "relu", "gelu", "matmul", "linear", "reshape",
+    "add", "sub", "mul", "div", "neg", "pow", "exp", "log", "sqrt",
+    "tanh", "sigmoid", "relu", "gelu", "matmul", "linear", "linear_gelu", "reshape",
     "transpose",
     "sum", "mean", "var", "getitem", "concat", "stack", "pad_axis",
     "softmax", "log_softmax", "cross_entropy", "linear_cross_entropy",
     "sampled_softmax_loss",
     "embedding", "dropout",
-    "layer_norm", "where", "maximum", "clip", "masked_fill", "sum_to",
+    "layer_norm", "dropout_add_layer_norm", "where", "maximum", "clip", "masked_fill", "sum_to",
     "binary_cross_entropy_with_logits", "logsigmoid", "l2_normalize",
 ]
 
@@ -83,39 +83,6 @@ def add(a, b) -> Tensor:
         return unbroadcast(grad, a.shape), unbroadcast(grad, b.shape)
 
     return _make(forward(), (a, b), backward, forward)
-
-
-def add3(a, b, c) -> Tensor:
-    """Three-operand add ``a + b + c`` as a single graph node.
-
-    One output buffer and one graph node instead of two of each — the
-    densely-residual Eq. 30 site (``x + hidden + ffn_dropout``) runs on
-    ``(B, N, d)`` activations three times per encoder layer, where the
-    intermediate ``a + b`` array of the chained form is pure memory
-    traffic.  Values are bitwise the chained ``add(add(a, b), c)``
-    (same left-to-right elementwise order).
-    """
-    a, b, c = as_tensor(a), as_tensor(b), as_tensor(c)
-
-    def forward():
-        out = a.data + b.data  # binary + always allocates: safe to reuse
-        if (
-            out.shape == np.broadcast_shapes(out.shape, c.shape)
-            and np.result_type(out, c.data) == out.dtype
-        ):
-            out += c.data
-        else:  # c would broadcast outward or promote the dtype
-            out = out + c.data
-        return out
-
-    def backward(grad):
-        return (
-            unbroadcast(grad, a.shape),
-            unbroadcast(grad, b.shape),
-            unbroadcast(grad, c.shape),
-        )
-
-    return _make(forward(), (a, b, c), backward, forward)
 
 
 def sub(a, b) -> Tensor:
@@ -293,48 +260,87 @@ def relu(a) -> Tensor:
 
 _GELU_C = np.sqrt(2.0 / np.pi)
 
+#: Values per block of the fused elementwise chains (GELU's forward and
+#: backward): a block's temporaries (512 KiB in float64) stay in cache
+#: instead of streaming full-size intermediates through memory.
+_ELEMENTWISE_BLOCK = 1 << 16
 
-def gelu(a) -> Tensor:
-    """GELU activation (tanh approximation, as used by the paper's FFN).
 
-    Hot-path notes: cubes are expanded to multiplies (numpy's float pow
-    is ~40x slower), and intermediates are folded in place — every
-    rewritten expression keeps the reference's elementwise value (only
+def _blocks(size: int):
+    for start in range(0, size, _ELEMENTWISE_BLOCK):
+        yield slice(start, min(start + _ELEMENTWISE_BLOCK, size))
+
+
+def _gelu_forward(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(gelu(x), t)`` with ``t = tanh(C·(x + 0.044715·x³))``, the
+    backward's saved state.
+
+    Cubes are expanded to multiplies (numpy's float pow is ~40x
+    slower) and the chain runs block by block through one workspace
+    buffer; each expression keeps the textbook elementwise value (only
     exact power-of-two scalings and commuted multiplications differ).
     """
-    a = as_tensor(a)
-    x = x_sq = t = None
-
-    def forward():
-        nonlocal x, x_sq, t
-        x = a.data
-        x_sq = x * x
-        inner = x_sq * x
+    flat = x.reshape(-1)
+    out = np.empty(flat.shape, dtype=x.dtype)
+    t = np.empty(flat.shape, dtype=x.dtype)
+    buf = get_workspace().scratch("gelu.inner", (min(flat.size, _ELEMENTWISE_BLOCK),), x.dtype)
+    for block in _blocks(flat.size):
+        xb, tb, ob = flat[block], t[block], out[block]
+        inner = np.multiply(xb, xb, out=buf[: len(xb)])
+        inner *= xb
         inner *= 0.044715
-        inner += x
+        inner += xb
         inner *= _GELU_C
-        t = np.tanh(inner, out=inner)  # inner is dead past this point
-        out = t + 1.0
-        out *= x
-        out *= 0.5
-        return out.astype(x.dtype, copy=False)
+        np.tanh(inner, out=tb)
+        np.add(tb, 1.0, out=ob)
+        ob *= xb
+        ob *= 0.5
+    return out.reshape(x.shape), t.reshape(x.shape)
 
-    def backward(grad):
-        # dinner = C * (1 + 3*0.044715*x^2), folded into a fresh buffer.
-        dinner = x_sq * (3 * 0.044715)
+
+def _gelu_backward(grad: np.ndarray, x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """GELU's input gradient from the forward's ``x`` and ``t``; ``x²``
+    is recomputed per block rather than kept from the forward."""
+    flat, t_flat, g_flat = x.reshape(-1), t.reshape(-1), grad.reshape(-1)
+    dx = np.empty(t_flat.shape, dtype=t.dtype)
+    ws = get_workspace()
+    size = (min(flat.size, _ELEMENTWISE_BLOCK),)
+    dinner_buf = ws.scratch("gelu.dinner", size, x.dtype)
+    sech_buf = ws.scratch("gelu.sech_sq", size, t.dtype)
+    for block in _blocks(flat.size):
+        xb, tb, db = flat[block], t_flat[block], dx[block]
+        # dinner = C * (1 + 3*0.044715*x^2)
+        dinner = np.multiply(xb, xb, out=dinner_buf[: len(xb)])
+        dinner *= 3 * 0.044715
         dinner += 1.0
         dinner *= _GELU_C
         # dx = 0.5*(1+t) + 0.5*x*(1-t^2)*dinner
-        sech_sq = t * t
+        sech_sq = np.multiply(tb, tb, out=sech_buf[: len(xb)])
         np.subtract(1.0, sech_sq, out=sech_sq)
-        sech_sq *= x
+        sech_sq *= xb
         sech_sq *= 0.5
         sech_sq *= dinner
-        dx = t + 1.0
-        dx *= 0.5
-        dx += sech_sq
-        dx *= grad
-        return (dx,)
+        np.add(tb, 1.0, out=db)
+        db *= 0.5
+        db += sech_sq
+        db *= g_flat[block]
+    return dx.reshape(t.shape)
+
+
+def gelu(a) -> Tensor:
+    """GELU activation (tanh approximation, as used by the paper's FFN);
+    the kernels are :func:`_gelu_forward` and :func:`_gelu_backward`."""
+    a = as_tensor(a)
+    x = t = None
+
+    def forward():
+        nonlocal x, t
+        x = a.data
+        out, t = _gelu_forward(x)
+        return out
+
+    def backward(grad):
+        return (_gelu_backward(grad, x, t),)
 
     return _make(forward(), (a,), backward, forward)
 
@@ -657,21 +663,58 @@ def linear(x, weight, bias=None) -> Tensor:
         return add(matmul(x, weight), bias)
 
     def forward():
-        out = x.data @ weight.data
-        out += bias.data
+        return _linear_forward(x.data, weight.data, bias.data)
+
+    def backward(grad):
+        return _linear_backward(grad, x.data, weight.data)
+
+    return _make(forward(), (x, weight, bias), backward, forward)
+
+
+def _linear_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    out = x @ w
+    out += b
+    return out
+
+
+def _linear_backward(grad: np.ndarray, x: np.ndarray, w: np.ndarray):
+    """``(gx, gw, gb)`` of ``x @ w + b``; batched ``(..., k)`` inputs run
+    as two flat 2-D GEMMs."""
+    if grad.ndim > 2:
+        g2 = grad.reshape(-1, w.shape[1])
+        gx = (g2 @ w.T).reshape(x.shape)
+        gw = x.reshape(-1, w.shape[0]).T @ g2
+    else:
+        g2 = grad
+        gx = grad @ w.T
+        gw = x.T @ grad
+    return gx, gw, g2.sum(axis=0)
+
+
+def linear_gelu(x, weight, bias) -> Tensor:
+    """``gelu(linear(x, weight, bias))`` as one graph node (the FFN's
+    first layer, Eq. 29).
+
+    Runs the kernels of :func:`linear` and :func:`gelu` back to back, so
+    values and gradients are bitwise the two-node chain's.  The node
+    keeps the pre-activation and ``tanh`` term but no ``x²`` buffer (the
+    backward recomputes it per block), and the activation gradient
+    feeds the GEMMs without becoming a graph tensor.  Inputs outside
+    :func:`linear`'s fused case fall back to the chain.
+    """
+    x, weight, bias = as_tensor(x), as_tensor(weight), as_tensor(bias)
+    if x.ndim < 2 or weight.ndim != 2 or bias.data.ndim != 1:
+        return gelu(linear(x, weight, bias))
+    z = t = None
+
+    def forward():
+        nonlocal z, t
+        z = _linear_forward(x.data, weight.data, bias.data)
+        out, t = _gelu_forward(z)
         return out
 
     def backward(grad):
-        w_d = weight.data
-        if grad.ndim > 2:
-            g2 = grad.reshape(-1, w_d.shape[1])
-            gx = (g2 @ w_d.T).reshape(x.shape)
-            gw = x.data.reshape(-1, w_d.shape[0]).T @ g2
-        else:
-            g2 = grad
-            gx = grad @ w_d.T
-            gw = x.data.T @ grad
-        return gx, gw, g2.sum(axis=0)
+        return _linear_backward(_gelu_backward(grad, z, t), x.data, weight.data)
 
     return _make(forward(), (x, weight, bias), backward, forward)
 
@@ -1136,8 +1179,9 @@ def dropout(
 ) -> Tensor:
     """Inverted dropout; identity when not training or ``p == 0``.
 
-    ``a`` must be a floating tensor; the output and gradient keep its
-    dtype.  ``p`` must lie in ``[0, 1)`` (checked in eval mode too).
+    ``a`` must be a floating tensor (else ``TypeError``); the output and
+    gradient keep its dtype.  ``p`` must lie in ``[0, 1)`` (checked in
+    eval mode too).  Both checks run before anything is drawn.
     The mask is the seed formula ``rng.random(a.shape) < 1 - p``: one
     float64 uniform per element, consumed in C order, so the output is
     bitwise ``a * ((draw < keep).astype(a.dtype) / keep)``.  The draw
@@ -1157,30 +1201,18 @@ def dropout(
     and draws the ``n·k`` kept ones.
     """
     a = as_tensor(a)
-    if not 0.0 <= p < 1.0:
-        raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-    if not training or p == 0.0:
+    plan = _dropout_plan(a, p, training, seq_len)
+    if plan is None:
         return a
-    keep = 1.0 - p
-    skip, width = 0, 1
-    if seq_len is not None:
-        if a.ndim < 3 or not 0 < a.shape[-2] <= seq_len:
-            raise ValueError(
-                f"dropout over the last positions of a length-{seq_len} sequence "
-                f"needs an (R, ..., n, k) input with n in 1..{seq_len}, got shape {a.shape}"
-            )
-        skip = (seq_len - a.shape[-2]) * a.shape[-1]
-        width = a.shape[-2] * a.shape[-1]
+    scale = plan[1]
     # The mask draw lives inside ``forward``: a static-graph replay
     # re-draws a fresh mask from the same generator object, consuming
     # its stream exactly like the dynamic step.
-    scale = a.dtype.type(1.0) / a.dtype.type(keep)
     mask = None
 
     def forward():
         nonlocal mask
-        mask = np.empty(a.shape, dtype=bool)
-        _draw_keep_mask(rng, mask.reshape(-1, width), keep, skip)
+        mask = _draw_mask(rng, a.shape, plan)
         out = a.data * mask
         out *= scale
         return out
@@ -1191,6 +1223,37 @@ def dropout(
         return (g,)
 
     return _make(forward(), (a,), backward, forward)
+
+
+def _dropout_plan(a: Tensor, p: float, training: bool, seq_len: Optional[int]):
+    """Validate a dropout call before anything is drawn: ``None`` when
+    it is the identity, else ``(keep, scale, skip, width)`` for
+    :func:`_draw_mask`, ``scale`` in ``a``'s dtype."""
+    if not 0.0 <= p < 1.0:
+        raise ValueError(f"dropout probability must be in [0, 1), got {p}")
+    if not np.issubdtype(a.dtype, np.floating):
+        raise TypeError(f"dropout needs a floating tensor, got dtype {a.dtype}")
+    if not training or p == 0.0:
+        return None
+    keep = 1.0 - p
+    skip, width = 0, 1
+    if seq_len is not None:
+        if a.ndim < 3 or not 0 < a.shape[-2] <= seq_len:
+            raise ValueError(
+                f"dropout over the last positions of a length-{seq_len} sequence "
+                f"needs an (R, ..., n, k) input with n in 1..{seq_len}, got shape {a.shape}"
+            )
+        skip = (seq_len - a.shape[-2]) * a.shape[-1]
+        width = a.shape[-2] * a.shape[-1]
+    return keep, a.dtype.type(1.0) / a.dtype.type(keep), skip, width
+
+
+def _draw_mask(rng: np.random.Generator, shape: Tuple[int, ...], plan) -> np.ndarray:
+    """The keep mask of a dropout call planned by :func:`_dropout_plan`."""
+    keep, _, skip, width = plan
+    mask = np.empty(shape, dtype=bool)
+    _draw_keep_mask(rng, mask.reshape(-1, width), keep, skip)
+    return mask
 
 
 #: float64 uniforms per dropout draw block (2 MiB): the draw buffer
@@ -1241,11 +1304,10 @@ def _draw_keep_mask(rng: np.random.Generator, mask: np.ndarray, keep: float, ski
 def layer_norm(a, gamma, beta, eps: float = 1e-12) -> Tensor:
     """Fused layer normalization over the last axis.
 
-    The arithmetic matches the textbook formulation elementwise; large
-    intermediates are updated in place and reused because this op runs
-    ~3x per encoder block on the training hot path.  The backward's
-    transient product buffer comes from the shared per-step workspace
-    (the returned input gradient is always a fresh array).
+    The arithmetic matches the textbook formulation elementwise; the
+    kernels (:func:`_layer_norm_forward`, :func:`_layer_norm_backward`)
+    fold large intermediates in place because this op runs ~3x per
+    encoder block on the training hot path.
     """
     a, gamma, beta = as_tensor(a), as_tensor(gamma), as_tensor(beta)
     x = x_hat = inv_std = None
@@ -1253,83 +1315,166 @@ def layer_norm(a, gamma, beta, eps: float = 1e-12) -> Tensor:
     def forward():
         nonlocal x, x_hat, inv_std
         x = a.data
-        dim = x.shape[-1]
-        mu = x.mean(axis=-1, keepdims=True)
-        xc = x - mu
-        # Row sums of squares via einsum: one read of ``xc`` and no
-        # full-size squared buffer (a write+read of the whole array saved
-        # per call; summation-order differences vs the old ``(xc*xc).mean``
-        # land at float rounding).
-        xc2 = xc.reshape(-1, dim)
-        inv_std = np.einsum("ij,ij->i", xc2, xc2).reshape(mu.shape)
-        inv_std /= dim
-        inv_std += eps
-        np.sqrt(inv_std, out=inv_std)
-        np.divide(1.0, inv_std, out=inv_std)
-        x_hat = np.multiply(xc, inv_std, out=xc)  # xc is dead past this point
-        out = x_hat * gamma.data
-        out += beta.data
+        out, x_hat, inv_std = _layer_norm_forward(x, gamma.data, beta.data, eps)
         return out
 
     def backward(grad):
-        if gamma.data.ndim == 1 and beta.data.ndim == 1 and x.ndim >= 2:
-            # Folded path for the (..., d) affine case every model uses.
-            # One shared product buffer feeds both the gamma gradient
-            # (its batch-axis sum) and the variance-term row reduction;
-            # the two per-row means collapse into GEMVs against gamma
-            # (``(g·γ)·x̂`` summed over the feature axis is a dot with
-            # γ), replacing two full-array elementwise means — the old
-            # path's four separate reductions plus three full
-            # multiplies become two multiplies, two BLAS GEMVs and two
-            # batch-axis sums.
-            dim = x.shape[-1]
-            g2 = grad.reshape(-1, dim)
-            xh2 = x_hat.reshape(-1, dim)
-            prod = get_workspace().scratch(
-                "layer_norm.prod", g2.shape, np.result_type(grad, x_hat)
-            )
-            np.multiply(g2, xh2, out=prod)
-            g_gamma = prod.sum(axis=0)
-            g_beta = g2.sum(axis=0)
-            g_var_term = prod @ gamma.data  # rows of (g * x_hat) · gamma
-            g_var_term *= 1.0 / dim
-            g_mu_term = g2 @ gamma.data  # rows of (g * gamma) summed
-            g_mu_term *= 1.0 / dim
-            # ga = inv_std * (g*gamma - mean(g*gamma) - x_hat * g_var_term)
-            ga = np.multiply(g2, gamma.data)  # fresh (R, d), returned below
-            ga -= g_mu_term[:, None]
-            np.multiply(xh2, g_var_term[:, None], out=prod)
-            ga -= prod
-            ga *= inv_std.reshape(-1, 1)
-            return (
-                ga.reshape(x.shape).astype(x.dtype, copy=False),
-                g_gamma,
-                g_beta,
-            )
-        # Generic path (broadcast affine shapes, 1-D inputs).
-        g_xhat = grad * gamma.data
-        scratch = get_workspace().scratch(
-            "layer_norm.scratch", x.shape, np.result_type(g_xhat, x_hat)
-        )
-        np.multiply(g_xhat, x_hat, out=scratch)
-        g_var_term = scratch.mean(axis=-1, keepdims=True)
-        g_mu_term = g_xhat.mean(axis=-1, keepdims=True)
-        np.multiply(grad, x_hat, out=scratch)
-        g_gamma = unbroadcast(scratch, gamma.shape)
-        if g_gamma is scratch:
-            # 1-D input: no batch axes to reduce, so unbroadcast returns
-            # the scratch buffer itself — copy before it is reused below.
-            g_gamma = g_gamma.copy()
-        g_beta = unbroadcast(grad, beta.shape)
-        # ga = inv_std * (g_xhat - g_mu_term - x_hat * g_var_term),
-        # folded into the g_xhat buffer (freshly allocated above).
-        g_xhat -= g_mu_term
-        np.multiply(x_hat, g_var_term, out=scratch)
-        g_xhat -= scratch
-        g_xhat *= inv_std
-        return g_xhat.astype(x.dtype, copy=False), g_gamma, g_beta
+        return _layer_norm_backward(grad, x_hat, inv_std, gamma, beta, x.dtype)
 
     return _make(forward(), (a, gamma, beta), backward, forward)
+
+
+def dropout_add_layer_norm(
+    a,
+    residual: Sequence,
+    gamma,
+    beta,
+    p: float,
+    training: bool,
+    rng: np.random.Generator,
+    seq_len: Optional[int] = None,
+    eps: float = 1e-12,
+) -> Tensor:
+    """``layer_norm(x + dropout(a))`` or ``layer_norm((x + h) + dropout(a))``
+    as one graph node, for ``residual = (x,)`` or ``(x, h)``.
+
+    The post-norm tail of every encoder block: Eq. 28, Eq. 30 (the
+    densely-residual sum) and both transformer sites.  The dropout half
+    is :func:`dropout`'s (same checks, mask, ``seq_len`` contract and
+    generator consumption) and the expression order is the chain's —
+    ``a·mask·scale``, then the residual sum left to right, then
+    :func:`layer_norm`'s kernels — so values, every gradient and the
+    generator's end state are bitwise the unfused chain's.  Neither the
+    dropout output (a workspace buffer) nor the sum (normalized in
+    place) is a graph tensor; the node keeps the mask, ``x_hat`` and
+    ``inv_std``.  Each residual must have ``a``'s shape; mixed dtypes
+    promote as the chain's adds do.
+    """
+    a, gamma, beta = as_tensor(a), as_tensor(gamma), as_tensor(beta)
+    residual = tuple(as_tensor(r) for r in residual)
+    if len(residual) not in (1, 2) or any(r.shape != a.shape for r in residual):
+        raise ValueError(
+            f"dropout_add_layer_norm needs one or two residuals of shape {a.shape}, "
+            f"got {[r.shape for r in residual]}"
+        )
+    plan = _dropout_plan(a, p, training, seq_len)
+    mask = x_hat = inv_std = dtype = None
+
+    def forward():
+        nonlocal mask, x_hat, inv_std, dtype
+        dropped = a.data
+        if plan is not None:
+            mask = _draw_mask(rng, a.shape, plan)
+            buf = get_workspace().scratch("dropout_add_layer_norm.dropped", a.shape, a.dtype)
+            dropped = np.multiply(dropped, mask, out=buf)
+            dropped *= plan[1]
+        if len(residual) == 1:
+            total = residual[0].data + dropped
+        else:
+            total = residual[0].data + residual[1].data
+            if np.result_type(total, dropped) == total.dtype:
+                total += dropped
+            else:  # ``dropped`` promotes the sum's dtype
+                total = total + dropped
+        dtype = total.dtype
+        out, x_hat, inv_std = _layer_norm_forward(total, gamma.data, beta.data, eps, inplace=True)
+        return out
+
+    def backward(grad):
+        ga, g_gamma, g_beta = _layer_norm_backward(grad, x_hat, inv_std, gamma, beta, dtype)
+        g_a = ga
+        if plan is not None:
+            g_a = ga * mask
+            g_a *= plan[1]
+        return (*(ga for _ in residual), g_a, g_gamma, g_beta)
+
+    return _make(forward(), (*residual, a, gamma, beta), backward, forward)
+
+
+def _layer_norm_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float,
+                        inplace: bool = False):
+    """``(out, x_hat, inv_std)`` of layer normalization over the last
+    axis; ``inplace`` normalizes ``x`` itself into ``x_hat``."""
+    dim = x.shape[-1]
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = np.subtract(x, mu, out=x if inplace else None)
+    # Row sums of squares via einsum: one read of ``xc`` and no
+    # full-size squared buffer (a write+read of the whole array saved
+    # per call; summation-order differences vs the old ``(xc*xc).mean``
+    # land at float rounding).
+    xc2 = xc.reshape(-1, dim)
+    inv_std = np.einsum("ij,ij->i", xc2, xc2).reshape(mu.shape)
+    inv_std /= dim
+    inv_std += eps
+    np.sqrt(inv_std, out=inv_std)
+    np.divide(1.0, inv_std, out=inv_std)
+    x_hat = np.multiply(xc, inv_std, out=xc)  # xc is dead past this point
+    out = x_hat * gamma
+    out += beta
+    return out, x_hat, inv_std
+
+
+def _layer_norm_backward(grad: np.ndarray, x_hat: np.ndarray, inv_std: np.ndarray,
+                         gamma: Tensor, beta: Tensor, dtype):
+    """``(g_input, g_gamma, g_beta)`` of layer normalization; the input
+    gradient is a fresh array of ``dtype`` and the transient product
+    buffer comes from the shared per-step workspace."""
+    if gamma.data.ndim == 1 and beta.data.ndim == 1 and x_hat.ndim >= 2:
+        # Folded path for the (..., d) affine case every model uses.
+        # One shared product buffer feeds both the gamma gradient
+        # (its batch-axis sum) and the variance-term row reduction;
+        # the two per-row means collapse into GEMVs against gamma
+        # (``(g·γ)·x̂`` summed over the feature axis is a dot with
+        # γ), replacing two full-array elementwise means — the old
+        # path's four separate reductions plus three full
+        # multiplies become two multiplies, two BLAS GEMVs and two
+        # batch-axis sums.
+        dim = x_hat.shape[-1]
+        g2 = grad.reshape(-1, dim)
+        xh2 = x_hat.reshape(-1, dim)
+        prod = get_workspace().scratch(
+            "layer_norm.prod", g2.shape, np.result_type(grad, x_hat)
+        )
+        np.multiply(g2, xh2, out=prod)
+        g_gamma = prod.sum(axis=0)
+        g_beta = g2.sum(axis=0)
+        g_var_term = prod @ gamma.data  # rows of (g * x_hat) · gamma
+        g_var_term *= 1.0 / dim
+        g_mu_term = g2 @ gamma.data  # rows of (g * gamma) summed
+        g_mu_term *= 1.0 / dim
+        # ga = inv_std * (g*gamma - mean(g*gamma) - x_hat * g_var_term)
+        ga = np.multiply(g2, gamma.data)  # fresh (R, d), returned below
+        ga -= g_mu_term[:, None]
+        np.multiply(xh2, g_var_term[:, None], out=prod)
+        ga -= prod
+        ga *= inv_std.reshape(-1, 1)
+        return (
+            ga.reshape(x_hat.shape).astype(dtype, copy=False),
+            g_gamma,
+            g_beta,
+        )
+    # Generic path (broadcast affine shapes, 1-D inputs).
+    g_xhat = grad * gamma.data
+    scratch = get_workspace().scratch(
+        "layer_norm.scratch", x_hat.shape, np.result_type(g_xhat, x_hat)
+    )
+    np.multiply(g_xhat, x_hat, out=scratch)
+    g_var_term = scratch.mean(axis=-1, keepdims=True)
+    g_mu_term = g_xhat.mean(axis=-1, keepdims=True)
+    np.multiply(grad, x_hat, out=scratch)
+    g_gamma = unbroadcast(scratch, gamma.shape)
+    if g_gamma is scratch:
+        # 1-D input: no batch axes to reduce, so unbroadcast returns
+        # the scratch buffer itself — copy before it is reused below.
+        g_gamma = g_gamma.copy()
+    g_beta = unbroadcast(grad, beta.shape)
+    # ga = inv_std * (g_xhat - g_mu_term - x_hat * g_var_term),
+    # folded into the g_xhat buffer (freshly allocated above).
+    g_xhat -= g_mu_term
+    np.multiply(x_hat, g_var_term, out=scratch)
+    g_xhat -= scratch
+    g_xhat *= inv_std
+    return g_xhat.astype(dtype, copy=False), g_gamma, g_beta
 
 
 def l2_normalize(a, axis: int = -1, eps: float = 1e-12) -> Tensor:

@@ -63,8 +63,9 @@ class TransformerBlock(Module):
         return self._position_wise(last, attended, seq_len=x.shape[1])
 
     def _position_wise(self, x: Tensor, attended: Tensor, seq_len: int | None = None) -> Tensor:
-        x = self.attn_norm(F.add(x, self.attn_dropout(attended, seq_len=seq_len)))
-        return self.ffn_norm(F.add(x, self.ffn_dropout(self.ffn(x), seq_len=seq_len)))
+        # Each dropout → residual add → LayerNorm tail is one fused node.
+        x = self.attn_norm(attended, residual=(x,), dropout=self.attn_dropout, seq_len=seq_len)
+        return self.ffn_norm(self.ffn(x), residual=(x,), dropout=self.ffn_dropout, seq_len=seq_len)
 
 
 class TransformerEncoder(Module):

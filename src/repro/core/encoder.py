@@ -37,7 +37,7 @@ from repro.autograd import functional as F
 from repro.autograd.graph import GraphCaptureError, is_capturing, record_host
 from repro.autograd.tensor import Tensor, no_grad
 from repro.data.negative_sampling import NegativeSampler
-from repro.nn import Dropout, Embedding, GELU, LayerNorm, Linear, Module
+from repro.nn import Dropout, Embedding, LayerNorm, Linear, Module
 from repro.nn import init as nn_init
 
 __all__ = ["SequentialEncoderBase", "PointwiseFeedForward"]
@@ -56,7 +56,8 @@ class PointwiseFeedForward(Module):
     """The paper's FFN (Eq. 29): ``GELU(x W1 + b1) W2 + b2``.
 
     The caller applies Eq. 30's densely-residual LayerNorm; this module
-    is just the two-layer MLP with GELU.
+    is just the two-layer MLP with GELU.  ``fc1`` and the GELU run as
+    one fused node (:func:`repro.autograd.functional.linear_gelu`).
     """
 
     def __init__(
@@ -70,11 +71,10 @@ class PointwiseFeedForward(Module):
         rng = rng or np.random.default_rng()
         inner_dim = inner_dim or dim
         self.fc1 = Linear(dim, inner_dim, rng=rng, dtype=dtype)
-        self.act = GELU()
         self.fc2 = Linear(inner_dim, dim, rng=rng, dtype=dtype)
 
     def forward(self, x: Tensor) -> Tensor:
-        return self.fc2(self.act(self.fc1(x)))
+        return self.fc2(F.linear_gelu(x, self.fc1.weight, self.fc1.bias))
 
 
 class SequentialEncoderBase(Module):

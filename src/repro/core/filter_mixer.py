@@ -12,8 +12,11 @@ Each block:
    filters the spectrum once with the mixed filter
    ``(1-gamma)·mask_D·W_D + gamma·mask_S·W_S``, which is mathematically
    identical and needs one FFT pair,
-4. residual + LayerNorm + dropout (Eq. 28),
+4. dropout + residual + LayerNorm (Eq. 28),
 5. pointwise FFN with the densely-residual LayerNorm of Eq. 30.
+
+Steps 4 and 5's dropout → residual add → LayerNorm tails each run as
+one fused node (``LayerNorm(sub, residual=..., dropout=...)``).
 
 The last block of a user-vector encode computes position ``N-1`` only
 (:meth:`FilterMixerLayer.forward_last`): its filter output is one
@@ -140,12 +143,15 @@ class FilterMixerLayer(Module):
         return self._position_wise(last, self.mix_spectra(x, last=True), seq_len=x.shape[1])
 
     def _position_wise(self, x: Tensor, filtered: Tensor, seq_len: int | None = None) -> Tensor:
-        # Eq. 28: residual + dropout + LayerNorm.
-        hidden = self.filter_norm(F.add(x, self.filter_dropout(filtered, seq_len=seq_len)))
-        # Eqs. 29-30: FFN with densely-residual LayerNorm.  The triple
-        # residual runs as one fused add node (bitwise the chained sum).
-        ffn_out = self.ffn(hidden)
-        return self.ffn_norm(F.add3(x, hidden, self.ffn_dropout(ffn_out, seq_len=seq_len)))
+        # Eq. 28: dropout + residual + LayerNorm, one fused node.
+        hidden = self.filter_norm(
+            filtered, residual=(x,), dropout=self.filter_dropout, seq_len=seq_len
+        )
+        # Eqs. 29-30: FFN, then the densely-residual LayerNorm over
+        # ``(x + hidden) + dropout(ffn)``, one fused node.
+        return self.ffn_norm(
+            self.ffn(hidden), residual=(x, hidden), dropout=self.ffn_dropout, seq_len=seq_len
+        )
 
 
 def run_mixer_layers(layers, hidden: Tensor, inject_noise, last_only: bool = False) -> Tensor:

@@ -6,16 +6,20 @@ parameters in the resolved dtype and output/gradients keep the input
 dtype.  The underlying op (:func:`repro.autograd.functional.layer_norm`)
 is fused: forward folds its intermediates in place, and the backward
 routes its transient product buffer through the shared per-step
-workspace (:mod:`repro.nn.workspace`).
+workspace (:mod:`repro.nn.workspace`).  Given a residual, the forward
+runs a block's whole post-norm tail, ``dropout → residual add →
+LayerNorm``, as one node
+(:func:`repro.autograd.functional.dropout_add_layer_norm`).
 """
 
 from __future__ import annotations
 
-import numpy as np
+from typing import Optional, Sequence
 
 from repro.autograd import functional as F
 from repro.autograd.tensor import Tensor
 from repro.nn import init
+from repro.nn.dropout import Dropout
 from repro.nn.module import Module, Parameter
 
 __all__ = ["LayerNorm"]
@@ -35,8 +39,28 @@ class LayerNorm(Module):
         self.gamma = Parameter(init.ones(dim, dtype=dtype), name="gamma")
         self.beta = Parameter(init.zeros(dim, dtype=dtype), name="beta")
 
-    def forward(self, x: Tensor) -> Tensor:
-        return F.layer_norm(x, self.gamma, self.beta, eps=self.eps)
+    def forward(
+        self,
+        x: Tensor,
+        residual: Sequence[Tensor] = (),
+        dropout: Optional[Dropout] = None,
+        seq_len: Optional[int] = None,
+    ) -> Tensor:
+        """``norm(x)``, or with ``residual=(r,)`` / ``(r, h)`` the post-norm
+        tail ``norm(r + dropout(x))`` / ``norm((r + h) + dropout(x))`` as
+        one node; ``dropout`` is the block's :class:`Dropout` (its ``p``,
+        mode and generator; ``None`` adds ``x`` as is) and ``seq_len``
+        is its last-positions contract (:func:`F.dropout`)."""
+        if not residual:
+            return F.layer_norm(x, self.gamma, self.beta, eps=self.eps)
+        if dropout is None:
+            return F.dropout_add_layer_norm(
+                x, residual, self.gamma, self.beta, 0.0, False, None, eps=self.eps
+            )
+        return F.dropout_add_layer_norm(
+            x, residual, self.gamma, self.beta, dropout.p, dropout.training, dropout.rng,
+            seq_len=seq_len, eps=self.eps,
+        )
 
     def __repr__(self) -> str:
         return f"LayerNorm({self.dim}, eps={self.eps})"

@@ -14,6 +14,8 @@ Plus the workspace primitives themselves (scratch reuse, derived-
 constant caching).
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -313,6 +315,24 @@ class TestDropoutPaths:
         a = Tensor(np.ones((4, 4)))
         with pytest.raises(ValueError, match="dropout probability"):
             F.dropout(a, p, training=training, rng=np.random.default_rng(0))
+
+    @pytest.mark.parametrize("fused", [False, True])
+    def test_non_floating_input_raises_before_drawing(self, fused):
+        """An integer tensor fails with a ``TypeError`` naming its dtype,
+        before the scale is computed or any mask drawn."""
+        a = Tensor(np.arange(6).reshape(2, 3))
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TypeError, match="int64"):
+                if fused:
+                    F.dropout_add_layer_norm(
+                        a, (a,), Tensor(np.ones(3)), Tensor(np.zeros(3)), 0.3, True, rng
+                    )
+                else:
+                    F.dropout(a, 0.3, True, rng)
+        assert rng.bit_generator.state == before
 
     def test_eval_mode_still_identity(self):
         a = Tensor(np.ones((4, 4)))
