@@ -12,8 +12,9 @@ Gradients returned by closures are reduced to the parent shape with
 :func:`~repro.autograd.tensor.unbroadcast` so that all binary ops support
 full numpy broadcasting.
 
-Hot-path ops (``dropout``, ``embedding``'s backward) route their
-transient working memory through the shared per-step workspace
+Hot-path ops (the fused post-norm tail, GELU, ``layer_norm``'s and
+``embedding``'s backward) route their transient working memory through
+the shared per-step workspace
 (:mod:`repro.autograd.workspace`) so repeated calls at one ``(B, N, d)``
 geometry reuse buffers instead of allocating.
 """
@@ -1180,15 +1181,18 @@ def dropout(
     """Inverted dropout; identity when not training or ``p == 0``.
 
     ``a`` must be a floating tensor (else ``TypeError``); the output and
-    gradient keep its dtype.  ``p`` must lie in ``[0, 1)`` (checked in
-    eval mode too).  Both checks run before anything is drawn.
-    The mask is the seed formula ``rng.random(a.shape) < 1 - p``: one
-    float64 uniform per element, consumed in C order, so the output is
-    bitwise ``a * ((draw < keep).astype(a.dtype) / keep)``.  The draw
-    runs through one bounded workspace block looped over leading rows
-    (:func:`_draw_keep_mask`), never a full-size float64 array.  Because
-    the stream fills in C order, a stacked ``(V*B, ...)`` call draws
-    exactly the masks of ``V`` consecutive ``(B, ...)`` calls.
+    gradient keep its dtype.  ``p`` must lie in ``[0, 1)`` and keep a
+    nonzero threshold ``t = round((1 - p)·65536)`` (else ``ValueError``,
+    checked in eval mode too).  All checks run before anything is drawn.
+
+    The mask is the raw-bit rule: 64-bit words from ``rng``'s bit
+    generator, read as four little-endian uint16 lanes each; an element
+    is kept iff its lane ``< t``, and survivors are scaled by
+    ``65536 / t`` (in ``a``'s dtype), so the keep probability is
+    ``1 - p`` quantized to 1/65536.  Each last-axis row of width ``k`` starts on a
+    word boundary and takes ``ceil(k/4)`` words, rows in C order
+    (:func:`_draw_mask`).  A stacked ``(V*B, ...)`` call therefore
+    draws exactly the masks of ``V`` consecutive ``(B, ...)`` calls.
 
     ``seq_len=N`` declares ``a`` the last ``a.shape[-2]`` positions of a
     length-``N`` sequence axis (``x[..., -n:, :]`` of an ``(R, ..., N, k)``
@@ -1197,8 +1201,8 @@ def dropout(
     ``rng``'s end state equal the trailing ``n`` rows of the full-length
     call's mask, so a caller that only reads the last position can skip
     the other ``N - n`` without changing any mask: for each leading row
-    the bit generator advances past the ``(N - n)·k`` skipped uniforms
-    and draws the ``n·k`` kept ones.
+    the bit generator advances past the ``(N - n)·ceil(k/4)`` skipped
+    words and draws the ``n·ceil(k/4)`` kept ones.
     """
     a = as_tensor(a)
     plan = _dropout_plan(a, p, training, seq_len)
@@ -1227,78 +1231,90 @@ def dropout(
 
 def _dropout_plan(a: Tensor, p: float, training: bool, seq_len: Optional[int]):
     """Validate a dropout call before anything is drawn: ``None`` when
-    it is the identity, else ``(keep, scale, skip, width)`` for
+    it is the identity, else ``(t, scale, kept, skip)`` for
     :func:`_draw_mask`, ``scale`` in ``a``'s dtype."""
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability must be in [0, 1), got {p}")
+    threshold = round((1.0 - p) * 65536)
+    if threshold == 0:
+        raise ValueError(f"dropout probability {p} keeps no element at 1/65536 resolution")
     if not np.issubdtype(a.dtype, np.floating):
         raise TypeError(f"dropout needs a floating tensor, got dtype {a.dtype}")
     if not training or p == 0.0:
         return None
-    keep = 1.0 - p
-    skip, width = 0, 1
+    kept, skip = 1, 0
     if seq_len is not None:
         if a.ndim < 3 or not 0 < a.shape[-2] <= seq_len:
             raise ValueError(
                 f"dropout over the last positions of a length-{seq_len} sequence "
                 f"needs an (R, ..., n, k) input with n in 1..{seq_len}, got shape {a.shape}"
             )
-        skip = (seq_len - a.shape[-2]) * a.shape[-1]
-        width = a.shape[-2] * a.shape[-1]
-    return keep, a.dtype.type(1.0) / a.dtype.type(keep), skip, width
+        kept, skip = a.shape[-2], seq_len - a.shape[-2]
+    return threshold, a.dtype.type(65536 / threshold), kept, skip
+
+
+#: 64-bit words per dropout draw block (256 KiB): the draw buffer stays
+#: this size whatever the activation size.
+_DRAW_BLOCK = 1 << 15
+
+_UINT64_MAX = np.iinfo(np.uint64).max
 
 
 def _draw_mask(rng: np.random.Generator, shape: Tuple[int, ...], plan) -> np.ndarray:
-    """The keep mask of a dropout call planned by :func:`_dropout_plan`."""
-    keep, _, skip, width = plan
-    mask = np.empty(shape, dtype=bool)
-    _draw_keep_mask(rng, mask.reshape(-1, width), keep, skip)
-    return mask
+    """The keep mask of a dropout call planned by :func:`_dropout_plan`.
 
+    Viewed as ``(L, n, k)``, leading row ``l``'s lanes are the last
+    ``n`` of ``n + skip`` last-axis rows of a C-order draw in which every
+    last-axis row takes ``ceil(k/4)`` 64-bit words, read as
+    little-endian uint16 lanes (the unused lanes of a row's last word
+    are dropped); ``rng`` ends where that whole draw leaves it.
 
-#: float64 uniforms per dropout draw block (2 MiB): the draw buffer
-#: stays this size whatever the activation size.
-_DRAW_BLOCK = 1 << 18
-
-
-def _draw_keep_mask(rng: np.random.Generator, mask: np.ndarray, keep: float, skip: int) -> None:
-    """Fill ``mask`` ``(rows, width)`` with ``uniform < keep``, where row
-    ``r``'s uniforms are the last ``width`` of row ``r`` of a full
-    ``rng.random((rows, skip + width))`` draw; ``rng`` ends where that
-    draw leaves it.
-
-    Whole rows are drawn through one workspace block of
-    ``max(_DRAW_BLOCK, width)`` float64 values, as many rows per pass as
-    fit; consecutive blocks of a C-order draw are the draw itself.  With
-    ``skip``, each row first skips its ``skip`` leading uniforms: one
-    float64 uniform is one 64-bit output, which PCG64's ``advance``
-    skips in O(log skip) (other bit generators skip by drawing).
-    ``advance`` also drops a buffered uint32 half (left by an odd count
-    of 32-bit draws, e.g. one float32 ``rng.random``), which a float64
-    draw never touches, so it is put back afterwards.
+    Leading rows are drawn as many per pass as fit in ``_DRAW_BLOCK``
+    words (at least one).  PCG64 and PCG64DXSM draw their raw 64-bit
+    outputs (``random_raw``) and skip a leading row's ``skip·ceil(k/4)``
+    words with ``advance``; other bit generators draw full-range uint64
+    integers (one 64-bit output each, where ``random_raw`` may hold only
+    32 bits) and skip by drawing.  ``advance`` drops a buffered uint32
+    half (left by an odd count of 32-bit draws, e.g. one float32
+    ``rng.random``), which a 64-bit draw never touches, so it is put
+    back afterwards.
     """
-    rows, width = mask.shape
-    step = max(1, _DRAW_BLOCK // width)
-    block = get_workspace().scratch("dropout.draw", (max(_DRAW_BLOCK, width),), np.float64)
+    threshold, _, kept, skip = plan
+    mask = np.empty(shape, dtype=bool)
+    if not mask.size:
+        return mask
+    width = shape[-1] if shape else 1
+    rows = mask.reshape(-1, kept, width)
+    words = -(-width // 4)
+    row_words = kept * words
     bits = rng.bit_generator
-    advance = bool(skip) and isinstance(bits, (np.random.PCG64, np.random.PCG64DXSM))
-    before = bits.state if advance else None
-    for start in range(0, rows, step):
-        draw = block[: min(step, rows - start) * width].reshape(-1, width)
+    advance = isinstance(bits, (np.random.PCG64, np.random.PCG64DXSM))
+    if advance:
+        draw, skip_words = bits.random_raw, bits.advance
+    else:
+        def draw(count):
+            return rng.integers(0, _UINT64_MAX, size=count, dtype=np.uint64, endpoint=True)
+
+        skip_words = draw
+    before = bits.state if skip and advance else None
+    step = max(1, _DRAW_BLOCK // row_words)
+    for start in range(0, len(rows), step):
+        count = min(step, len(rows) - start)
         if skip:
-            for row in draw:
-                if advance:
-                    bits.advance(skip)
-                else:
-                    rng.random(skip)
-                rng.random(out=row)
+            chunks = []
+            for _ in range(count):
+                skip_words(skip * words)
+                chunks.append(draw(row_words))
+            raw = np.concatenate(chunks)
         else:
-            rng.random(out=draw)
-        np.less(draw, keep, out=mask[start : start + len(draw)])
-    if advance and before["has_uint32"]:
+            raw = draw(count * row_words)
+        lanes = raw.astype("<u8", copy=False).view("<u2").reshape(count, kept, 4 * words)
+        np.less(lanes[..., :width], threshold, out=rows[start : start + count])
+    if before is not None and before["has_uint32"]:
         after = bits.state
         after.update(has_uint32=before["has_uint32"], uinteger=before["uinteger"])
         bits.state = after
+    return mask
 
 
 def layer_norm(a, gamma, beta, eps: float = 1e-12) -> Tensor:
@@ -1372,10 +1388,8 @@ def dropout_add_layer_norm(
             total = residual[0].data + dropped
         else:
             total = residual[0].data + residual[1].data
-            if np.result_type(total, dropped) == total.dtype:
-                total += dropped
-            else:  # ``dropped`` promotes the sum's dtype
-                total = total + dropped
+            in_place = np.result_type(total, dropped) == total.dtype
+            total = np.add(total, dropped, out=total if in_place else None)
         dtype = total.dtype
         out, x_hat, inv_std = _layer_norm_forward(total, gamma.data, beta.data, eps, inplace=True)
         return out

@@ -4,11 +4,12 @@ Shapes and dtype contract: any floating input, output of the same
 shape and dtype; the eval-mode forward returns the input tensor itself
 (no copy, no graph node).
 
-The mask is the seed formula: one float64 uniform per element from
-this layer's own generator, ``uniform < 1 - p``, drawn in C order
-through one bounded workspace block (:mod:`repro.nn.workspace`).  A
-stacked ``(V*B, N, d)`` multi-view call therefore draws the masks of
-``V`` separate ``(B, N, d)`` calls.  Given ``seq_len=N``, a
+The mask is the raw-bit rule: raw 64-bit words from this layer's own
+generator, read as uint16 lanes, an element kept iff its lane is below
+``round((1 - p)·65536)``; each last-axis row starts on a word boundary
+and rows are drawn in C order through one bounded block.  A stacked
+``(V*B, N, d)`` multi-view call therefore draws the masks of ``V``
+separate ``(B, N, d)`` calls.  Given ``seq_len=N``, a
 ``(B, n, d)`` input is the last ``n`` positions of a ``(B, N, d)``
 batch (a ``(B, H, n, N)`` one the last ``n`` query rows of attention
 probabilities): only the kept rows are drawn and the generator skips

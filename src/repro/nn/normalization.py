@@ -48,15 +48,12 @@ class LayerNorm(Module):
     ) -> Tensor:
         """``norm(x)``, or with ``residual=(r,)`` / ``(r, h)`` the post-norm
         tail ``norm(r + dropout(x))`` / ``norm((r + h) + dropout(x))`` as
-        one node; ``dropout`` is the block's :class:`Dropout` (its ``p``,
-        mode and generator; ``None`` adds ``x`` as is) and ``seq_len``
-        is its last-positions contract (:func:`F.dropout`)."""
+        one node; ``dropout`` (required with ``residual``) is the block's
+        :class:`Dropout` (its ``p``, mode and generator) and ``seq_len``
+        its last-positions contract
+        (:func:`repro.autograd.functional.dropout`)."""
         if not residual:
             return F.layer_norm(x, self.gamma, self.beta, eps=self.eps)
-        if dropout is None:
-            return F.dropout_add_layer_norm(
-                x, residual, self.gamma, self.beta, 0.0, False, None, eps=self.eps
-            )
         return F.dropout_add_layer_norm(
             x, residual, self.gamma, self.beta, dropout.p, dropout.training, dropout.rng,
             seq_len=seq_len, eps=self.eps,

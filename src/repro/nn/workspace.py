@@ -5,11 +5,12 @@ subsystem that backs the training hot paths:
 
 - **Scratch buffers** (:meth:`StepWorkspace.scratch`): the spectral op
   write their frequency-domain filter products into shared ``(B, M, d)``
-  complex buffers instead of allocating per call, dropout draws its
-  float64 uniforms through one bounded shared block, and the embedding
-  backward builds its scatter indices in one; all ``L`` layers of a
-  step reuse the same arrays (see :mod:`repro.autograd.spectral` and
-  :func:`repro.autograd.functional.dropout`).
+  complex buffers instead of allocating per call, the fused post-norm
+  tail writes its dropout output into one, GELU runs its per-block
+  temporaries through small ones, and the embedding backward builds its
+  scatter indices in one; all ``L`` layers of a step reuse the same
+  arrays (see :mod:`repro.autograd.spectral` and
+  :func:`repro.autograd.functional.dropout_add_layer_norm`).
 - **Derived-constant caches** (:meth:`StepWorkspace.cached`): causal /
   anti-diagonal attention masks per sequence length, index rows, and
   other pure functions of the geometry.

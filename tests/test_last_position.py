@@ -25,11 +25,12 @@ equivalence classes:
   Figure-6 noise, augmentation, reparameterization) ends the step in
   the same bit state, also when the pruned side draws its masks in
   small blocks and the oracle in one;
-- ``F.dropout`` vs the seed formula ``rng.random(full_shape) < keep``
-  (one property test): **bitwise** on the values, the backward and the
-  generator's end state, with and without ``seq_len=N`` (then on the
-  kept rows of axis -2), for stacked views against consecutive per-view
-  draws, at any draw-block size and across a pending buffered uint32.
+- ``F.dropout`` vs its raw-bit rule drawn the plain way
+  (``dropout_reference.py``, one property test): **bitwise** on the
+  values, the backward and the generator's end state, with and without
+  ``seq_len=N`` (then on the kept rows of axis -2), for stacked views
+  against consecutive per-view draws, at any draw-block size and across
+  a pending buffered uint32.
 
 Stacked vs sequential views (tolerance, ``test_batched_views.py``),
 dynamic vs tape replay and checkpoint resume (bitwise,
@@ -53,14 +54,16 @@ from repro.core.contrastive import info_nce_loss
 from repro.data.batching import Batch
 from repro.nn import Dropout
 
+from dropout_reference import scaled_mask
+
 #: Relative tolerance of the pruned path against the full oracle, per
 #: dtype, on values and gradients (error over the max magnitude).
 TOLERANCE = {"float64": 1e-12, "float32": 1e-5}
 
 NUM_ITEMS, MAX_LEN, BATCH = 30, 12, 5
 
-#: A dropout draw block (float64 values) smaller than every test mask:
-#: between one and two ``hidden_dim=16`` rows.
+#: A dropout draw block (64-bit words) smaller than every test mask:
+#: six ``hidden_dim=16`` rows of 4 words per pass.
 SMALL_BLOCK = 24
 
 VARIANTS = {
@@ -91,7 +94,7 @@ def full_oracle(model, input_ids):
 
 
 def draw_blocks(block):
-    """Run dropout's mask draws through ``block``-float64 passes
+    """Run dropout's mask draws through ``block``-word passes
     (``None``: the default block, which every mask here fits in)."""
     if block is None:
         return contextlib.nullcontext()
@@ -139,9 +142,9 @@ def assert_close(got, want, dtype, what):
 
 
 #: ``(mode, draw block)`` cells.  The pruned side draws its masks in
-#: passes of ``block`` float64s (``None``: one pass), the oracle always
-#: in one pass; a small block splits every mask draw, sliced (one kept
-#: row per pass) or not, across many passes.  Eval draws no masks.
+#: passes of ``block`` 64-bit words (``None``: one pass), the oracle always
+#: in one pass; a small block splits every mask draw, sliced (six kept
+#: rows per pass) or not, across many passes.  Eval draws no masks.
 CELLS = [("train", None), ("train", SMALL_BLOCK), ("eval", None)]
 
 
@@ -372,7 +375,7 @@ def test_serves_the_vector_it_evaluates_with(name):
 
 
 # ----------------------------------------------------------------------
-# F.dropout: the seed formula, whole or as the trailing rows of it
+# F.dropout: the raw-bit rule, whole or as the trailing rows of it
 # ----------------------------------------------------------------------
 
 
@@ -397,33 +400,33 @@ ROW_SHAPES = {
     views=st.integers(1, 3),
     per_view=st.integers(1, 4),
     length=st.integers(1, 10),
-    width=st.integers(1, 6),
+    width=st.integers(1, 9),
     kept_fraction=st.floats(0.0, 1.0),
     p=st.floats(0.05, 0.95),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_dropout_is_the_seed_formula(
+def test_dropout_is_the_raw_bit_rule(
     rows, sliced, dtype, buffered, block, views, per_view, length, width, kept_fraction, p, seed
 ):
     """One ``(V*B, ...)`` call, ``sliced`` on the last ``n`` of ``N``
     rows (``seq_len=N``, ``n`` in ``1..N``), against ``V`` consecutive
-    full-length ``rng.random((B, ...)) < keep`` draws: values, backward
+    full-length raw-bit draws (``dropout_reference``): values, backward
     and the generator's end state bitwise, whatever the draw-block
-    size."""
+    size (in 64-bit words)."""
     row_shape = ROW_SHAPES[rows](length, width)
     n = max(1, round(kept_fraction * length)) if sliced else length
     last = (Ellipsis, slice(length - n, None), slice(None))
-    keep = 1.0 - p
     rng = np.random.default_rng(seed)
     if buffered:
         # One float32 draw leaves half of a 64-bit output buffered; a
-        # float64 draw never touches it, so neither may the mask draw.
+        # raw 64-bit draw never touches it, so neither may the mask draw.
         rng.random(dtype=np.float32)
         assert rng.bit_generator.state["has_uint32"] == 1
     oracle_rng = copy.deepcopy(rng)
     full_shape = (per_view,) + row_shape
-    mask = np.concatenate([oracle_rng.random(full_shape) < keep for _ in range(views)])
-    scaled = (mask.astype(dtype) / keep)[last]
+    scaled = np.concatenate(
+        [scaled_mask(oracle_rng, full_shape, p, dtype) for _ in range(views)]
+    )[last]
 
     data = np.random.default_rng(seed + 1).standard_normal(scaled.shape).astype(dtype)
     x = Tensor(data, requires_grad=True)

@@ -679,7 +679,7 @@ def trained_run(tmp_path_factory):
     store = tmp_path_factory.mktemp("run")
     model = run_cli(
         train_cli,
-        [*CLI_FLAGS, "--epochs", "2", "--patience", "0", "--lr", "0.01", "--quiet",
+        [*CLI_FLAGS, "--epochs", "2", "--patience", "0", "--lr", "0.03", "--quiet",
          "--checkpoint-dir", str(store)],
     )
     return store, model.state_dict()

@@ -7,8 +7,8 @@ Covers the three hot paths the workspace subsystem rewired:
   composition lives here as the oracle, :class:`UnfusedAttention`,
 - shared-workspace FFT products vs. per-call allocation in the spectral
   ops (repeated/interleaved calls must not corrupt values or grads),
-- dropout's bitwise fidelity to the seed formula and its ``p`` range
-  check.
+- dropout's bitwise fidelity to the raw-bit mask rule, its statistics
+  and its ``p`` range check.
 
 Plus the workspace primitives themselves (scratch reuse, derived-
 constant caching).
@@ -24,6 +24,8 @@ from repro.autograd.spectral import spectral_filter
 from repro.autograd.tensor import Tensor
 from repro.nn import MultiHeadSelfAttention
 from repro.nn.workspace import get_workspace, reset_workspace
+
+from dropout_reference import scaled_mask, threshold
 
 DTYPES = [np.float32, np.float64]
 TOL = {np.float32: 1e-4, np.float64: 1e-10}
@@ -287,26 +289,66 @@ class TestSpectralWorkspaceReuse:
 
 
 # ----------------------------------------------------------------------
-# Dropout: the seed formula, bitwise
+# Dropout: the raw-bit rule, bitwise and statistically
 # ----------------------------------------------------------------------
 
 class TestDropoutPaths:
     @pytest.mark.parametrize("dtype", DTYPES)
-    @pytest.mark.parametrize("shape", [(4, 8, 16), (2000,)])
+    @pytest.mark.parametrize("shape", [(4, 8, 16), (3, 5, 50), (2000,)])
     def test_default_path_bitwise_faithful(self, dtype, shape):
-        """The mask is the historical seed formula, bit for bit."""
+        """The mask is the raw-bit rule, bit for bit."""
         p = 0.3
-        keep = 1.0 - p
         a = Tensor(
             np.random.default_rng(1).standard_normal(shape).astype(dtype),
             requires_grad=True,
         )
-        out = F.dropout(a, p, training=True, rng=np.random.default_rng(9))
-        ref_mask = (np.random.default_rng(9).random(shape) < keep).astype(dtype) / keep
+        rng = np.random.default_rng(9)
+        out = F.dropout(a, p, training=True, rng=rng)
+        oracle_rng = np.random.default_rng(9)
+        ref_mask = scaled_mask(oracle_rng, shape, p, dtype)
         np.testing.assert_array_equal(out.data, a.data * ref_mask)
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
         grad = np.random.default_rng(2).standard_normal(shape).astype(dtype)
         out.backward(grad)
         np.testing.assert_array_equal(a.grad, grad * ref_mask)
+
+    @pytest.mark.parametrize("width", [512, 50])
+    def test_raw_bit_masks_are_unbiased_and_uncorrelated(self, width):
+        """~10^6 draws of a stacked two-view call: the keep rate overall
+        and per uint16 lane of a word, and the correlation between
+        consecutive rows and between the views, each within 5σ."""
+        p = 0.3
+        q = threshold(p) / 65536
+        rows = 10**6 // (2 * width) + 1
+        out = F.dropout(Tensor(np.ones((2, rows, width))), p, True, np.random.default_rng(17))
+        mask = out.data != 0
+
+        def within_5_sigma(kept, q=q):
+            sigma = np.sqrt(q * (1 - q) / kept.size)
+            assert abs(kept.mean() - q) < 5 * sigma, (kept.mean(), q, sigma)
+
+        within_5_sigma(mask)
+        for lane in range(4):  # each row starts a word: lane = column % 4
+            within_5_sigma(mask[..., lane::4])
+
+        def uncorrelated(u, v):
+            r = np.corrcoef(u.ravel().astype(float), v.ravel().astype(float))[0, 1]
+            assert abs(r) < 5 / np.sqrt(u.size), r
+
+        uncorrelated(mask[:, :-1], mask[:, 1:])
+        uncorrelated(mask[0], mask[1])
+
+    def test_threshold_quantizes_p(self):
+        """Survivors scale by ``65536 / t``; a ``p`` whose ``t`` rounds
+        to 0 raises before drawing."""
+        out = F.dropout(Tensor(np.ones(4096)), 0.3, True, np.random.default_rng(0))
+        assert set(np.unique(out.data)) == {0.0, 65536 / threshold(0.3)}
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        for training in (True, False):
+            with pytest.raises(ValueError, match="1/65536"):
+                F.dropout(Tensor(np.ones(4)), 1 - 2**-18, training, rng)
+        assert rng.bit_generator.state == before
 
     @pytest.mark.parametrize("training", [True, False])
     @pytest.mark.parametrize("p", [-0.2, float("nan"), 1.0])
