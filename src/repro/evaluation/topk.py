@@ -234,22 +234,30 @@ def full_sort_topk(
     """Reference top-k: one stable full argsort per row.
 
     Same contract as :func:`blocked_topk` (the property tests pin the
-    two equal); ``O(B * V log V)`` and materializes a full ``(B, V)``
-    index matrix, so production paths should prefer the blocked
-    version.  ``scores`` is never written to.
+    two equal); ``O(B * V log V)``, so production paths should prefer
+    the blocked version.  Rows are masked and sorted one at a time, so
+    the scratch is one ``(V,)`` row and its index, never a ``(B, V)``
+    masked copy plus a ``(B, V)`` int64 argsort.  ``scores`` is never
+    written to.
     """
     scores = np.asarray(scores)
     if scores.ndim != 2:
         raise ValueError(f"expected (B, V) scores, got shape {scores.shape}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    masked = _mask_block(
-        scores, 0, scores.shape[1], exclude, exclude_padding, writable=False
-    )
-    k = min(k, scores.shape[1])
-    order = np.argsort(-masked, axis=1, kind="stable")[:, :k]
-    top_scores = np.take_along_axis(masked, order, axis=1)
-    ids = order.astype(np.int64, copy=False)
+    batch, width = scores.shape
+    k = min(k, width)
+    ids = np.empty((batch, k), np.int64)
+    top_scores = np.empty((batch, k), scores.dtype)
+    for row in range(batch):
+        masked = _mask_block(
+            scores[row : row + 1], 0, width,
+            None if exclude is None else exclude[row : row + 1],
+            exclude_padding, writable=False,
+        )[0]
+        order = np.argsort(-masked, kind="stable")[:k]
+        ids[row] = order
+        top_scores[row] = masked[order]
     dead = np.isneginf(top_scores)
     if dead.any():
         ids = np.where(dead, -1, ids)

@@ -3,7 +3,9 @@
 The paper argues the filter mixer costs ``O(n log n * d)`` against
 self-attention's ``O(n^2 d + n d^2)``.  This experiment measures the
 wall-clock forward+backward time of a single layer of each kind over a
-range of sequence lengths, so the scaling *shape* can be checked.
+range of sequence lengths, so the scaling *shape* can be checked.  Both
+layers are built in :data:`DTYPE`, the dtype of the timed inputs, so
+neither timing includes a mixed-dtype promotion.
 """
 
 from __future__ import annotations
@@ -20,12 +22,15 @@ from repro.nn import MultiHeadSelfAttention
 
 __all__ = ["run_complexity_comparison"]
 
+#: dtype of the timed layers' parameters and inputs
+DTYPE = "float32"
+
 
 def _time_layer(forward, batch: int, n: int, d: int, repeats: int) -> float:
     rng = np.random.default_rng(0)
     best = np.inf
     for _ in range(repeats):
-        x = Tensor(rng.normal(size=(batch, n, d)).astype(np.float32), requires_grad=True)
+        x = Tensor(rng.normal(size=(batch, n, d)).astype(DTYPE), requires_grad=True)
         start = time.perf_counter()
         out = forward(x)
         out.sum().backward()
@@ -44,11 +49,12 @@ def run_complexity_comparison(
     for n in seq_lens:
         m = num_frequency_bins(n)
         mixer = FilterMixerLayer(
-            n, hidden_dim, np.ones(m), np.ones(m), rng=np.random.default_rng(0)
+            n, hidden_dim, np.ones(m), np.ones(m), rng=np.random.default_rng(0),
+            dtype=DTYPE,
         )
         mixer.eval()
         attention = MultiHeadSelfAttention(
-            hidden_dim, 2, causal=True, rng=np.random.default_rng(0)
+            hidden_dim, 2, causal=True, rng=np.random.default_rng(0), dtype=DTYPE
         )
         attention.eval()
         results["filter_mixer"][n] = 1e3 * _time_layer(mixer, batch, n, hidden_dim, repeats)

@@ -6,9 +6,10 @@ The production-facing counterpart of the training stack (ROADMAP
 - :class:`~repro.serving.session.UserSession` /
   :class:`~repro.serving.session.SessionCache` — ring-buffered
   per-user history windows with cached encoder state and LRU bounds;
-- :class:`~repro.serving.table.ItemTable` — eval-only (float16 by
-  default) snapshots of the item-score table with staleness detection
-  and double-buffered replacement;
+- :class:`~repro.serving.table.ItemTable` — eval-only (bf16 bits by
+  default, widened by shift per scored block) snapshots of the
+  item-score table with staleness detection and double-buffered
+  replacement;
 - :mod:`repro.evaluation.topk` — blocked ``argpartition`` top-k shared
   with the evaluation stack;
 - :class:`~repro.serving.fallback.PopularityRanker` — the degraded-mode

@@ -40,6 +40,7 @@ from repro.serving.service import (
     RecommenderService,
     ServingConfig,
 )
+from repro.serving.table import TABLE_DTYPES
 from repro.train.trainer import unpack_run_state
 from repro.utils.io import CheckpointStore
 
@@ -71,8 +72,9 @@ def build_parser() -> argparse.ArgumentParser:
     # serving knobs
     parser.add_argument("--k", type=int, default=10)
     parser.add_argument(
-        "--table-dtype", choices=("float16", "float32", "float64", "model"),
-        default="float16", help="eval-only item-table precision (default float16)",
+        "--table-dtype", choices=TABLE_DTYPES, default="bfloat16",
+        help="eval-only item-table precision: bfloat16 (default; bf16 bits "
+        "widened by shift per scored block) or model (the model dtype)",
     )
     parser.add_argument(
         "--topk", choices=("blocked", "full_sort"), default="blocked",

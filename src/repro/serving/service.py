@@ -12,9 +12,9 @@ into one request path:
    batch-axis stacking the training-side ``encode_views`` uses — behind
    a max-batch / max-wait collector thread.  ``recommend`` stays a
    plain synchronous call; the batching is invisible to callers.
-3. **Half-precision item table** (:mod:`repro.serving.table`): scoring
-   runs against an eval-only float16 snapshot of the item embeddings,
-   cast and GEMM'd block-by-block in float32.
+3. **bfloat16 item table** (:mod:`repro.serving.table`): scoring runs
+   against an eval-only bf16 snapshot of the item embeddings, widened
+   by a 16-bit shift and GEMM'd block-by-block in float32.
 4. **Blocked top-k** (:mod:`repro.evaluation.topk`): each score block
    folds straight into an ``argpartition`` candidate pool with
    seen-item masking; the full ``(B, V)`` score matrix and any full
@@ -31,7 +31,7 @@ into one request path:
 Every piece degrades independently through :class:`ServingConfig` —
 ``batching=False`` serves inline in the caller's thread,
 ``reuse_user_state=False`` re-encodes every request,
-``table_dtype="float32"`` / ``topk="full_sort"`` select the reference
+``table_dtype="model"`` / ``topk="full_sort"`` select the reference
 arms — which is how ``tests/test_serving.py`` builds the reference the
 fast arm is pinned against.  All robustness knobs default **off** (no
 deadlines, unbounded queue, blocking admission), and with them off the
@@ -89,7 +89,7 @@ import numpy as np
 from repro.evaluation.topk import TopKAccumulator, TopKResult, full_sort_topk
 from repro.serving.fallback import PopularityRanker
 from repro.serving.session import SessionCache
-from repro.serving.table import ItemTable
+from repro.serving.table import TABLE_DTYPES, ItemTable
 from repro.utils import faults
 
 __all__ = [
@@ -129,8 +129,9 @@ class ServingConfig:
 
     #: recommendations per request (overridable per call)
     k: int = 10
-    #: item-table snapshot dtype: "float16" | "float32" | "float64" | "model"
-    table_dtype: str = "float16"
+    #: item-table snapshot dtype: "bfloat16" (bf16 bits, widened per
+    #: scored block) | "model" (the model's own dtype, the reference arm)
+    table_dtype: str = "bfloat16"
     #: catalog column-block width for blocked scoring / top-k
     block_size: int = 8192
     #: "blocked" (argpartition pool) or "full_sort" (naive reference)
@@ -174,6 +175,10 @@ class ServingConfig:
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
+        if self.table_dtype not in TABLE_DTYPES:
+            raise ValueError(
+                f"table_dtype must be one of {TABLE_DTYPES}, got {self.table_dtype!r}"
+            )
         if self.topk not in ("blocked", "full_sort"):
             raise ValueError(f"topk must be 'blocked' or 'full_sort', got {self.topk!r}")
         if self.micro_batch < 1:
@@ -600,8 +605,12 @@ class RecommenderService:
                         self._maybe_refresh_async()
                         table = None
                     else:
-                        faults.trip("serve.refresh")
-                        table.refresh(self.model)
+                        try:
+                            faults.trip("serve.refresh")
+                            table.refresh(self.model)
+                        except BaseException:
+                            self._refresh_errors += 1
+                            raise
                 if table is not None:
                     version = table.version
                     sessions = [
@@ -748,12 +757,13 @@ class RecommenderService:
     def refresh_table(self) -> None:
         """Re-snapshot the item table, double-buffered.
 
-        The expensive part — re-reading ``score_context()`` and casting
+        The expensive part — re-reading ``score_context()`` and rounding
         the ``(d, V+1)`` table — happens **off the serving lock** into a
         fresh :class:`ItemTable`; only the O(1) reference swap takes the
         lock, so concurrent ``recommend`` traffic keeps being served
         from the old snapshot for the whole build.  A failed build
-        (``serve.refresh`` faults, OOM, ...) is counted and re-raised;
+        (``serve.refresh`` faults, a non-finite table's ``ValueError``,
+        OOM, ...) is counted and re-raised;
         the old snapshot stays live either way.
         """
         with self._refresh_mutex:
@@ -761,7 +771,8 @@ class RecommenderService:
                 faults.trip("serve.refresh")
                 new = self._table.rebuilt(self.model)
             except BaseException:
-                self._refresh_errors += 1
+                with self._lock:
+                    self._refresh_errors += 1
                 raise
             with self._lock:
                 self._table = new
@@ -804,7 +815,7 @@ class RecommenderService:
                 "sessions": len(self.sessions),
                 "session_evictions": self.sessions.evictions,
                 "table_refreshes": self._table.refreshes,
-                "table_dtype": str(self._table.table.dtype),
+                "table_dtype": self._table.storage_dtype,
                 "table_nbytes": self._table.nbytes(),
                 # resilience counters
                 "sheds": self._sheds,

@@ -1,26 +1,40 @@
-"""Eval-only item-score table snapshots, optionally half precision.
+"""Eval-only item-score table snapshots, stored as bfloat16 bits.
 
 The prediction layer scores a user vector against every item embedding
 (Eq. 31).  At serving time that GEMM is DRAM-bound on streaming the
 ``(d, V+1)`` table, and at ``V = 10^6`` the float32 table alone is
-hundreds of MB — so the serving path keeps a **float16 snapshot** of
+hundreds of MB — so the serving path keeps a **bfloat16 snapshot** of
 :meth:`~repro.core.encoder.SequentialEncoderBase.score_context`:
 
 - half the resident memory and half the bytes streamed per scoring
-  pass at ranking-irrelevant precision loss (ranking tolerates far
-  lower precision than training; the acceptance bench pins HR@10 /
-  NDCG@10 within 0.01 of the float32 full-sort reference);
-- **training dtype untouched** — the snapshot is a cast *copy*; the
-  model's parameters, optimizer state and training math never see
-  float16.
+  pass of a float32 table, at ranking-irrelevant precision loss
+  (ranking tolerates far lower precision than training; the fidelity
+  test pins HR@10 / NDCG@10 within 0.01 of the model-dtype full-sort
+  reference);
+- float32's exponent range — bf16 is the upper half of a float32, so
+  no finite embedding overflows or flushes to zero the way an IEEE
+  half-precision cast can;
+- **training dtype untouched** — the snapshot is a rounded *copy*; the
+  model's parameters, optimizer state and training math never see it.
 
-numpy has no BLAS kernel for float16, so scoring casts one
-``(d, block)`` column block at a time into a reused float32 scratch
-buffer and runs the GEMM in float32 (accumulation therefore happens in
-float32, not half).  The block cast pairs with the blocked top-k
-(:mod:`repro.evaluation.topk`): one block is cast, scored, folded into
-the candidate pool, then its scratch is reused — the full ``(B, V)``
-score matrix never exists.
+numpy has neither a bfloat16 dtype nor a half-precision BLAS, so the
+snapshot is a ``uint16`` array of bf16 bits (:func:`to_bfloat16_bits`:
+round to nearest even, one column block at a time).  Scoring widens
+bf16 bits by shift: one ``(d, block)`` column block is shifted left by
+16 bits into a reused float32 scratch buffer — exact, no float
+conversion — and the GEMM runs on BLAS with float32 accumulation.  The
+block widen pairs with the blocked top-k (:mod:`repro.evaluation.topk`):
+one block is widened, scored, folded into the candidate pool, then its
+scratch is reused — the full ``(B, V)`` score matrix never exists.
+
+``dtype="model"`` keeps the model's own dtype (a plain snapshot, no
+rounding): the reference arm the compressed table is pinned against.
+
+**Finite-only contract**: a snapshot never holds a non-finite entry.
+:meth:`ItemTable.refresh` raises ``ValueError`` (with the count) before
+it replaces the current table, so a diverged model cannot slip in as a
+silently wrong table — the integer rounding would turn the float32 NaN
+``0x7FFFFFFF`` into bf16 ``0x8000``, a plain ``-0.0``.
 
 **Staleness contract**: a snapshot is valid only while
 ``model.inference_version()`` is unchanged.  :meth:`ItemTable.is_stale`
@@ -40,15 +54,42 @@ from typing import Optional
 
 import numpy as np
 
-__all__ = ["ItemTable"]
+__all__ = ["ItemTable", "TABLE_DTYPES", "to_bfloat16_bits", "widen_bfloat16"]
 
-#: accepted ``dtype`` spellings -> numpy dtypes (``"model"`` keeps the
-#: model's own compute dtype, i.e. a plain snapshot with no cast)
-_DTYPES = {
-    "float16": np.float16,
-    "float32": np.float32,
-    "float64": np.float64,
-}
+#: accepted ``dtype`` values: bf16 bits widened per scored block, or the
+#: model's own compute dtype (the reference arm)
+TABLE_DTYPES = ("bfloat16", "model")
+
+
+def to_bfloat16_bits(values: np.ndarray) -> np.ndarray:
+    """bf16 bit patterns (``uint16``) of ``values``, rounded to nearest even.
+
+    ``values`` is rounded to float32 first; the bf16 pattern is the
+    upper half of each float32, rounded on the lower half with ties to
+    even.  Finite values of magnitude ``>= 0x7F7F8000`` round to ±inf;
+    subnormals and signed zeros keep their bits.  The rounding is an
+    integer add, so it is only meaningful for finite input (NaN
+    payloads may carry into the sign bit) — :class:`ItemTable` rejects
+    non-finite tables before converting.
+    """
+    bits = np.asarray(values, dtype=np.float32).view(np.uint32)
+    return ((bits + (0x7FFF + ((bits >> 16) & 1))) >> 16).astype(np.uint16)
+
+
+def widen_bfloat16(bits: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Exact float32 values of bf16 ``bits``: a 16-bit left shift.
+
+    Writes into ``out`` (a float32 array of ``bits``' shape, any
+    strides) when given, else allocates.
+    """
+    if out is None:
+        out = np.empty(bits.shape, np.float32)
+    np.left_shift(bits, 16, out=out.view(np.uint32), dtype=np.uint32)
+    return out
+
+
+def _count_nonfinite(values: np.ndarray) -> int:
+    return int(values.size - np.count_nonzero(np.isfinite(values)))
 
 
 class ItemTable:
@@ -61,17 +102,17 @@ class ItemTable:
         ``inference_version()`` (every
         :class:`~repro.core.encoder.SequentialEncoderBase` subclass).
     dtype:
-        ``"float16"`` (the serving default), ``"float32"``,
-        ``"float64"``, or ``"model"`` to keep the model dtype.
+        ``"bfloat16"`` (the serving default) or ``"model"`` to keep the
+        model dtype.
     block_size:
-        Column-block width for :meth:`score_block`'s cast scratch.
+        Column-block width of :meth:`score_block`'s widen scratch and of
+        the set-up rounding.
     """
 
-    def __init__(self, model, dtype: str = "float16", block_size: int = 8192) -> None:
-        if dtype != "model" and dtype not in _DTYPES:
+    def __init__(self, model, dtype: str = "bfloat16", block_size: int = 8192) -> None:
+        if dtype not in TABLE_DTYPES:
             raise ValueError(
-                f"unknown table dtype {dtype!r}; expected one of "
-                f"{sorted(_DTYPES)} or 'model'"
+                f"unknown table dtype {dtype!r}; expected one of {TABLE_DTYPES}"
             )
         if block_size < 1:
             raise ValueError(f"block_size must be >= 1, got {block_size}")
@@ -90,19 +131,45 @@ class ItemTable:
         return self.table.shape[1]
 
     @property
+    def is_bfloat16(self) -> bool:
+        return self.dtype_name == "bfloat16"
+
+    @property
     def compute_dtype(self) -> np.dtype:
-        """Dtype scores come out in (float32 when the table is float16)."""
-        if self.table.dtype == np.float16:
-            return np.dtype(np.float32)
-        return self.table.dtype
+        """Dtype scores come out in (float32 for a bf16 table)."""
+        return np.dtype(np.float32) if self.is_bfloat16 else self.table.dtype
+
+    @property
+    def storage_dtype(self) -> str:
+        """What the snapshot holds: ``"bfloat16"`` or the model dtype."""
+        return "bfloat16" if self.is_bfloat16 else str(self.table.dtype)
 
     def refresh(self, model) -> None:
-        """Re-snapshot the table from the model's current parameters."""
+        """Re-snapshot the table from the model's current parameters.
+
+        Raises ``ValueError`` naming the count of non-finite entries —
+        before the current snapshot is replaced, so it stays live.
+        """
         context = model.score_context()  # (d, V+1), contiguous, model dtype
-        if self.dtype_name == "model":
-            self.table = context
+        if self.is_bfloat16:
+            # one column block at a time: no table-sized float32/uint32
+            # temporaries (a float64 model rounds to float32 here)
+            table = np.empty(context.shape, np.uint16)
+            nonfinite = 0
+            for start in range(0, context.shape[1], self.block_size):
+                cols = slice(start, start + self.block_size)
+                block = context[:, cols].astype(np.float32)
+                nonfinite += _count_nonfinite(block)
+                table[:, cols] = to_bfloat16_bits(block)
         else:
-            self.table = np.ascontiguousarray(context.astype(_DTYPES[self.dtype_name]))
+            table = context
+            nonfinite = _count_nonfinite(context)
+        if nonfinite:
+            raise ValueError(
+                f"item table has {nonfinite} non-finite entries; "
+                "keeping the previous snapshot"
+            )
+        self.table = table
         self.version = model.inference_version()
         self.refreshes += 1
 
@@ -137,33 +204,30 @@ class ItemTable:
 
         ``users`` must come from :meth:`prepare_users`.  Returns a
         freshly written ``(B, stop-start)`` array the caller owns (the
-        blocked top-k masks seen items into it in place).  For a
-        float16 table the column block is cast into a reused float32
-        scratch first, so the GEMM runs on BLAS and accumulates in
-        float32.
+        blocked top-k masks seen items into it in place).  A bf16
+        column block is widened into a reused float32 scratch first,
+        so the GEMM runs on BLAS and accumulates in float32.
         """
         stop = min(stop, self.num_columns)
         block = self.table[:, start:stop]
-        if self.table.dtype == np.float16:
+        if self.is_bfloat16:
             width = stop - start
             if self._scratch is None or self._scratch.shape[1] < width:
                 self._scratch = np.empty(
                     (self.table.shape[0], max(width, self.block_size)), np.float32
                 )
-            cast = self._scratch[:, :width]
-            np.copyto(cast, block, casting="safe")
-            block = cast
+            block = widen_bfloat16(block, out=self._scratch[:, :width])
         return users @ block
 
     def score_all(self, users: np.ndarray) -> np.ndarray:
         """Full ``(B, V+1)`` scores in one GEMM (the naive baseline path).
 
-        For a float16 table this materializes a full float32 copy of
-        the table per call — deliberately so: it is the "no blocking"
+        For a bf16 table this materializes a full float32 copy of the
+        table per call — deliberately so: it is the "no blocking"
         reference arm of the serving A/B benchmark.
         """
-        if self.table.dtype == np.float16:
-            return users @ self.table.astype(np.float32)
+        if self.is_bfloat16:
+            return users @ widen_bfloat16(self.table)
         return users @ self.table
 
     def nbytes(self) -> int:
@@ -171,6 +235,6 @@ class ItemTable:
 
     def __repr__(self) -> str:
         return (
-            f"ItemTable(shape={self.table.shape}, dtype={self.table.dtype}, "
+            f"ItemTable(shape={self.table.shape}, dtype={self.storage_dtype}, "
             f"version={self.version}, refreshes={self.refreshes})"
         )

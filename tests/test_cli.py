@@ -24,9 +24,30 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["table99"])
 
-    def test_complexity_runs_without_budget(self, capsys):
+    def test_complexity_runs_without_budget(self, capsys, monkeypatch):
+        import numpy as np
+
+        from repro.experiments import complexity
+
+        # every timed layer's parameters share its input's dtype, so the
+        # mixer-vs-attention timing measures no mixed-dtype promotion
+        timed_dtypes = []
+        time_layer = complexity._time_layer
+
+        def checked_time_layer(layer, *args):
+            def forward(x):
+                timed_dtypes.append(
+                    {p.data.dtype for p in layer.parameters()} | {x.data.dtype}
+                )
+                return layer(x)
+
+            return time_layer(forward, *args)
+
+        monkeypatch.setattr(complexity, "_time_layer", checked_time_layer)
         assert main(["complexity", "--budget", "quick"]) == 0
         assert "complexity" in capsys.readouterr().out
+        assert timed_dtypes
+        assert all(dtypes == {np.dtype(np.float32)} for dtypes in timed_dtypes)
 
 
 class TestJsonable:

@@ -13,10 +13,14 @@ The load-bearing properties:
   cached artifact is rebuilt before the next response.
 - **The fast path is the reference path.**  Micro-batched + blocked
   top-k results equal the naive per-request full-sort scoring arm
-  exactly at equal table precision; the float16 table equals scoring
-  against an explicitly float16-cast table; on a trained model the
-  float16 + blocked arm and the float32 + full-sort arm agree on
-  HR@10 / NDCG@10 within ``FIDELITY_TOLERANCE``.
+  exactly at equal table precision; the bfloat16 table equals scoring
+  against an explicitly widened bf16 table, and its rounding matches an
+  integer-math oracle; on a trained model the bfloat16 + blocked arm
+  and the model-dtype + full-sort arm agree on HR@10 / NDCG@10 within
+  ``FIDELITY_TOLERANCE``.
+- **A table is finite or it is not replaced.**  A non-finite embedding
+  raises ``ValueError`` on refresh; the previous snapshot keeps serving
+  and ``refresh_errors`` counts the failure.
 - **Serving loads what training tested.**  ``repro-serve --checkpoint``
   on a ``repro-train --checkpoint-dir`` store restores the trained
   model's final weights bitwise, through the store's verified load.
@@ -45,14 +49,15 @@ from repro.serving import (
 )
 from repro.serving import cli as serve_cli
 from repro.serving.cli import main as serve_cli_main
+from repro.serving.table import TABLE_DTYPES, to_bfloat16_bits, widen_bfloat16
 from repro.train import TrainConfig, Trainer
 from repro.train import cli as train_cli
 from repro.train.trainer import unpack_run_state
 from repro.utils.io import CheckpointStore
 
 MAX_LEN = 16
-#: max |HR@10 / NDCG@10| gap between the float16 + blocked serving arm
-#: and the float32 + full-sort reference on a trained model
+#: max |HR@10 / NDCG@10| gap between the bfloat16 + blocked serving arm
+#: and the model-dtype + full-sort reference on a trained model
 FIDELITY_TOLERANCE = 0.01
 
 
@@ -63,6 +68,28 @@ def dataset():
 
 def make_model(dataset, dtype="float32", name="SLIME4Rec", seed=0):
     return build_baseline(name, dataset, hidden_dim=16, seed=seed, dtype=dtype)
+
+
+#: the float16/float32/float64 table spellings the two-dtype table removed
+REMOVED_TABLE_DTYPES = ("float16", "float32", "float64")
+
+
+def poison_item_row(model, item, value):
+    """Write ``value`` into one item-embedding row through
+    ``load_state_dict`` (which ticks the parameter version)."""
+    state = model.state_dict()
+    state["item_embedding.weight"][item] = value
+    model.load_state_dict(state)
+
+
+def bf16_oracle(values):
+    """bf16 bits of float32 ``values`` by explicit integer rounding:
+    keep the upper half, round up when the dropped half is above the
+    midpoint or exactly on it with an odd upper half."""
+    bits = np.asarray(values, dtype=np.float32).view(np.uint32).astype(np.int64)
+    upper, lower = bits >> 16, bits & 0xFFFF
+    round_up = (lower > 0x8000) | ((lower == 0x8000) & (upper & 1 == 1))
+    return ((upper + round_up) & 0xFFFF).astype(np.uint16)
 
 
 # ----------------------------------------------------------------------
@@ -211,26 +238,76 @@ def _tiny_batch(dataset):
 
 
 class TestItemTable:
-    def test_fp16_snapshot_leaves_training_dtype_untouched(self, dataset):
+    def test_bf16_snapshot_leaves_training_dtype_untouched(self, dataset):
         model = make_model(dataset, dtype="float32")
-        table = ItemTable(model, dtype="float16")
-        assert table.table.dtype == np.float16
+        table = ItemTable(model)
+        assert table.dtype_name == "bfloat16"
+        assert table.table.dtype == np.uint16 and table.storage_dtype == "bfloat16"
         assert model.item_embedding.weight.dtype == np.float32
         assert table.compute_dtype == np.float32
-        np.testing.assert_array_equal(
-            table.table, model.score_context().astype(np.float16)
-        )
+        np.testing.assert_array_equal(table.table, bf16_oracle(model.score_context()))
+
+    def test_float64_model_rounds_through_float32(self, dataset):
+        model = make_model(dataset, dtype="float64")
+        context = model.score_context()
+        table = ItemTable(model, block_size=7)
+        np.testing.assert_array_equal(table.table, bf16_oracle(context.astype(np.float32)))
+        assert table.compute_dtype == np.float32
 
     def test_model_dtype_snapshot(self, dataset):
         model = make_model(dataset, dtype="float64")
         table = ItemTable(model, dtype="model")
-        assert table.table.dtype == np.float64
+        assert table.table.dtype == np.float64 and table.storage_dtype == "float64"
         with pytest.raises(ValueError, match="dtype"):
             ItemTable(model, dtype="int8")
 
+    @pytest.mark.parametrize("removed", REMOVED_TABLE_DTYPES)
+    def test_removed_table_dtypes_raise(self, dataset, removed):
+        model = make_model(dataset)
+        with pytest.raises(ValueError, match="'bfloat16', 'model'"):
+            ItemTable(model, dtype=removed)
+        with pytest.raises(ValueError, match="'bfloat16', 'model'"):
+            ServingConfig(table_dtype=removed)
+
+    def test_bf16_rounding_matches_integer_oracle(self):
+        rng = np.random.default_rng(0)
+        random_bits = rng.integers(0, 2**32, size=200_000, dtype=np.uint32)
+        finite = random_bits[(random_bits & 0x7F800000) != 0x7F800000]
+        crafted = np.array(
+            [
+                0x3F808000,  # tie, even upper half: stays
+                0x3F818000,  # tie, odd upper half: rounds up to even
+                0x3F807FFF, 0x3F808001,  # just below / above a tie
+                0xBF818000,  # negative tie rounds away from zero to even
+                0x7F7F7FFF,  # largest value that stays finite
+                0x7F7F8000, 0x7F7FFFFF, 0xFF7F8000,  # round to +-inf
+                0x00000000, 0x80000000,  # signed zeros
+                0x00010000, 0x807F0000,  # bf16 subnormals: kept exactly
+                0x00018000, 0x00028000,  # subnormal ties go to even
+                0x00000001,  # below half the smallest bf16 subnormal: +0
+            ],
+            dtype=np.uint32,
+        )
+        values = np.concatenate([crafted, finite]).view(np.float32)
+        got = to_bfloat16_bits(values)
+        np.testing.assert_array_equal(got, bf16_oracle(values))
+        assert got.dtype == np.uint16
+        assert got[:16].tolist() == [
+            0x3F80, 0x3F82, 0x3F80, 0x3F81, 0xBF82, 0x7F7F,
+            0x7F80, 0x7F80, 0xFF80, 0x0000, 0x8000,
+            0x0001, 0x807F, 0x0002, 0x0002, 0x0000,
+        ]
+        # widening is exact: the bf16 bits become the float32 upper half
+        widened = widen_bfloat16(got)
+        assert widened.dtype == np.float32
+        np.testing.assert_array_equal(
+            widened.view(np.uint32), got.astype(np.uint32) << 16
+        )
+        np.testing.assert_array_equal(to_bfloat16_bits(widened), got)
+
     def test_blocked_scoring_matches_full_gemm(self, dataset):
         model = make_model(dataset, dtype="float32")
-        for table_dtype in ("float16", "float32"):
+        for table_dtype in TABLE_DTYPES:
             table = ItemTable(model, dtype=table_dtype, block_size=7)
             users = table.prepare_users(np.random.default_rng(1).standard_normal((5, 16)))
             full = table.score_all(users)
@@ -243,10 +320,23 @@ class TestItemTable:
             )
             np.testing.assert_allclose(blocks, full, rtol=1e-6, atol=1e-6)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("table_dtype", TABLE_DTYPES)
+    def test_non_finite_refresh_raises_and_keeps_snapshot(self, dataset, table_dtype, bad):
+        model = make_model(dataset)
+        table = ItemTable(model, dtype=table_dtype, block_size=7)
+        snapshot, version = table.table.copy(), table.version
+        poison_item_row(model, 3, bad)
+        assert table.is_stale(model)
+        with pytest.raises(ValueError, match="16 non-finite entries"):
+            table.refresh(model)
+        assert table.version == version and table.refreshes == 1
+        np.testing.assert_array_equal(table.table, snapshot)
+
     def test_staleness_detected_after_parameter_update(self, dataset):
         """score_context consumers can detect parameter updates."""
         model = make_model(dataset, dtype="float32")
-        table = ItemTable(model, dtype="float16")
+        table = ItemTable(model)
         assert not table.is_stale(model)
         optimizer = Adam(model.parameters())
         optimizer.zero_grad()
@@ -263,7 +353,7 @@ class TestItemTable:
 
 
 def exact_config(**overrides):
-    """Blocked path at model precision — isolates machinery from fp16."""
+    """Blocked path at model precision — isolates machinery from bf16."""
     base = dict(
         k=10, table_dtype="model", topk="blocked", block_size=13, batching=False
     )
@@ -435,7 +525,7 @@ class TestServicePathEquivalence:
             model,
             ServingConfig(
                 k=10,
-                table_dtype="float32",
+                table_dtype="model",
                 topk="full_sort",
                 batching=False,
                 reuse_user_state=False,
@@ -456,17 +546,32 @@ class TestServicePathEquivalence:
             )
         assert naive.stats()["encodes"] == len(users)
 
-    def test_fp16_table_equals_explicit_fp16_reference(self, dataset):
-        """The fp16 arm is exact w.r.t. scoring a fp16-cast table in f32."""
+    @pytest.mark.parametrize("block_size", [1, 7, 8192])
+    def test_bf16_table_equals_explicit_widened_reference(self, dataset, block_size):
+        """The bf16 arm is exact w.r.t. scoring the explicitly widened
+        bf16 table in float32, at every column-block width."""
         model = make_model(dataset, dtype="float32")
         service = RecommenderService(
-            model, ServingConfig(k=6, table_dtype="float16", batching=False, block_size=5)
+            model, ServingConfig(k=6, batching=False, block_size=block_size)
         )
         service.observe_history("u", [2, 5, 8, 11])
         got = service.recommend("u")
         vec = model.encode_users(service.sessions.get("u").window()[None, :][0])
-        table16 = model.score_context().astype(np.float16).astype(np.float32)
-        scores = vec.astype(np.float32) @ table16
+        widened = (
+            (bf16_oracle(model.score_context()).astype(np.uint32) << 16)
+            .view(np.float32)
+        )
+        users = vec.astype(np.float32).reshape(1, -1)
+        scores = users @ widened
+        table = service.table
+        blocks = np.concatenate(
+            [
+                table.score_block(users, start, start + block_size)
+                for start in range(0, table.num_columns, block_size)
+            ],
+            axis=1,
+        )
+        np.testing.assert_allclose(blocks, scores, rtol=1e-6, atol=1e-7)
         want = full_sort_topk(
             scores, 6, exclude=[np.array([2, 5, 8, 11])], exclude_padding=True
         )
@@ -498,19 +603,19 @@ class TestServicePathEquivalence:
         want = cold_reference(model, [4, 9, 13], 5)
         np.testing.assert_allclose(got.scores, want.scores, rtol=1e-5, atol=1e-6)
 
-    def test_fp16_blocked_arm_keeps_trained_ranking_quality(self, dataset):
-        """Fidelity: the fast arm (float16 table + blocked top-k) and the
-        reference arm (float32 + full sort) rank the held-out test
-        targets of a briefly trained model equally well."""
+    def test_bf16_blocked_arm_keeps_trained_ranking_quality(self, dataset):
+        """Fidelity: the fast arm (bfloat16 table + blocked top-k) and the
+        reference arm (model-dtype float32 table + full sort) rank the
+        held-out test targets of a briefly trained model equally well."""
         model = make_model(dataset, dtype="float32")
         Trainer(model, dataset, TrainConfig(epochs=3, batch_size=64, patience=0)).fit()
         model.eval()
         histories = [prefix for prefix, _ in dataset.test]
         targets = np.array([target for _, target in dataset.test])
         arms = {
-            "fast": ServingConfig(k=10, table_dtype="float16", topk="blocked"),
+            "fast": ServingConfig(k=10, table_dtype="bfloat16", topk="blocked"),
             "reference": ServingConfig(
-                k=10, table_dtype="float32", topk="full_sort",
+                k=10, table_dtype="model", topk="full_sort",
                 batching=False, reuse_user_state=False,
             ),
         }
@@ -597,6 +702,40 @@ class TestMicroBatching:
         assert (result.ids[0] != 0).all()
 
 
+class TestNonFiniteTable:
+    def test_refresh_table_rejects_non_finite_and_old_snapshot_serves(self, dataset):
+        model = make_model(dataset)
+        config = ServingConfig(batching=False, auto_refresh=False, k=6)
+        with RecommenderService(model, config) as service:
+            service.observe_history("u", [2, 5, 8])
+            reference = service.recommend("u")
+            table = service.table
+            poison_item_row(model, 3, np.nan)
+            with pytest.raises(ValueError, match="non-finite"):
+                service.refresh_table()
+            assert service.table is table
+            assert service.stats()["refresh_errors"] == 1
+            got = service.recommend("u")
+            assert not got.degraded
+            np.testing.assert_array_equal(got.ids, reference.ids)
+            np.testing.assert_array_equal(got.scores, reference.scores)
+
+    def test_inline_refresh_rejects_non_finite_and_keeps_snapshot(self, dataset):
+        model = make_model(dataset)
+        with RecommenderService(model, ServingConfig(batching=False)) as service:
+            service.observe_history("u", [2, 5, 8])
+            service.recommend("u")
+            table = service.table
+            snapshot, version = table.table.copy(), table.version
+            poison_item_row(model, 3, np.inf)
+            got = service.recommend("u")  # stale -> inline refresh fails
+            assert got.degraded  # on_error="degrade": answered by the fallback
+            stats = service.stats()
+            assert stats["refresh_errors"] == 1 and stats["model_errors"] == 1
+            assert service.table is table and table.version == version
+            np.testing.assert_array_equal(table.table, snapshot)
+
+
 class TestServingConfigValidation:
     def test_rejects_bad_knobs(self):
         with pytest.raises(ValueError, match="k must be"):
@@ -637,6 +776,14 @@ class TestServeCli:
         assert rc == 0
         assert "history: [3, 7, 9]" in out
         assert out.count("item") == 4
+
+    def test_table_dtype_accepts_only_bfloat16_and_model(self):
+        parser = serve_cli.build_parser()
+        assert parser.parse_args([]).table_dtype == "bfloat16"
+        assert parser.parse_args(["--table-dtype", "model"]).table_dtype == "model"
+        for removed in REMOVED_TABLE_DTYPES:
+            with pytest.raises(SystemExit):
+                parser.parse_args(["--table-dtype", removed])
 
 
 #: build flags shared by the training and serving CLI runs below
