@@ -1323,9 +1323,11 @@ def layer_norm(a, gamma, beta, eps: float = 1e-12) -> Tensor:
     The arithmetic matches the textbook formulation elementwise; the
     kernels (:func:`_layer_norm_forward`, :func:`_layer_norm_backward`)
     fold large intermediates in place because this op runs ~3x per
-    encoder block on the training hot path.
+    encoder block on the training hot path.  ``gamma`` and ``beta`` must
+    be 1-D of length ``a.shape[-1]`` (``ValueError`` otherwise).
     """
     a, gamma, beta = as_tensor(a), as_tensor(gamma), as_tensor(beta)
+    _check_affine(a, gamma, beta)
     x = x_hat = inv_std = None
 
     def forward():
@@ -1364,9 +1366,11 @@ def dropout_add_layer_norm(
     dropout output (a workspace buffer) nor the sum (normalized in
     place) is a graph tensor; the node keeps the mask, ``x_hat`` and
     ``inv_std``.  Each residual must have ``a``'s shape; mixed dtypes
-    promote as the chain's adds do.
+    promote as the chain's adds do; ``gamma`` and ``beta`` are checked
+    as in :func:`layer_norm`.
     """
     a, gamma, beta = as_tensor(a), as_tensor(gamma), as_tensor(beta)
+    _check_affine(a, gamma, beta)
     residual = tuple(as_tensor(r) for r in residual)
     if len(residual) not in (1, 2) or any(r.shape != a.shape for r in residual):
         raise ValueError(
@@ -1405,6 +1409,17 @@ def dropout_add_layer_norm(
     return _make(forward(), (*residual, a, gamma, beta), backward, forward)
 
 
+def _check_affine(a: Tensor, gamma: Tensor, beta: Tensor) -> None:
+    """Layer norm's one affine shape: 1-D ``gamma``/``beta`` over the
+    last axis of ``a``."""
+    want = a.shape[-1:]
+    if not want or gamma.shape != want or beta.shape != want:
+        raise ValueError(
+            f"layer norm needs 1-D gamma and beta of shape {want}, "
+            f"got {gamma.shape} and {beta.shape}"
+        )
+
+
 def _layer_norm_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float,
                         inplace: bool = False):
     """``(out, x_hat, inv_std)`` of layer normalization over the last
@@ -1432,63 +1447,36 @@ def _layer_norm_backward(grad: np.ndarray, x_hat: np.ndarray, inv_std: np.ndarra
                          gamma: Tensor, beta: Tensor, dtype):
     """``(g_input, g_gamma, g_beta)`` of layer normalization; the input
     gradient is a fresh array of ``dtype`` and the transient product
-    buffer comes from the shared per-step workspace."""
-    if gamma.data.ndim == 1 and beta.data.ndim == 1 and x_hat.ndim >= 2:
-        # Folded path for the (..., d) affine case every model uses.
-        # One shared product buffer feeds both the gamma gradient
-        # (its batch-axis sum) and the variance-term row reduction;
-        # the two per-row means collapse into GEMVs against gamma
-        # (``(g·γ)·x̂`` summed over the feature axis is a dot with
-        # γ), replacing two full-array elementwise means — the old
-        # path's four separate reductions plus three full
-        # multiplies become two multiplies, two BLAS GEMVs and two
-        # batch-axis sums.
-        dim = x_hat.shape[-1]
-        g2 = grad.reshape(-1, dim)
-        xh2 = x_hat.reshape(-1, dim)
-        prod = get_workspace().scratch(
-            "layer_norm.prod", g2.shape, np.result_type(grad, x_hat)
-        )
-        np.multiply(g2, xh2, out=prod)
-        g_gamma = prod.sum(axis=0)
-        g_beta = g2.sum(axis=0)
-        g_var_term = prod @ gamma.data  # rows of (g * x_hat) · gamma
-        g_var_term *= 1.0 / dim
-        g_mu_term = g2 @ gamma.data  # rows of (g * gamma) summed
-        g_mu_term *= 1.0 / dim
-        # ga = inv_std * (g*gamma - mean(g*gamma) - x_hat * g_var_term)
-        ga = np.multiply(g2, gamma.data)  # fresh (R, d), returned below
-        ga -= g_mu_term[:, None]
-        np.multiply(xh2, g_var_term[:, None], out=prod)
-        ga -= prod
-        ga *= inv_std.reshape(-1, 1)
-        return (
-            ga.reshape(x_hat.shape).astype(dtype, copy=False),
-            g_gamma,
-            g_beta,
-        )
-    # Generic path (broadcast affine shapes, 1-D inputs).
-    g_xhat = grad * gamma.data
-    scratch = get_workspace().scratch(
-        "layer_norm.scratch", x_hat.shape, np.result_type(g_xhat, x_hat)
+    buffer comes from the shared per-step workspace.
+
+    γ and β are 1-D over the last axis (:func:`_check_affine`), and any
+    input folds to ``(rows, d)`` — a 1-D input is one row.  One shared
+    product buffer feeds both the gamma gradient (its batch-axis sum)
+    and the variance-term row reduction; the two per-row means collapse
+    into GEMVs against gamma (``(g·γ)·x̂`` summed over the feature axis
+    is a dot with γ): two multiplies, two BLAS GEMVs and two batch-axis
+    sums.
+    """
+    dim = x_hat.shape[-1]
+    g2 = grad.reshape(-1, dim)
+    xh2 = x_hat.reshape(-1, dim)
+    prod = get_workspace().scratch(
+        "layer_norm.prod", g2.shape, np.result_type(grad, x_hat)
     )
-    np.multiply(g_xhat, x_hat, out=scratch)
-    g_var_term = scratch.mean(axis=-1, keepdims=True)
-    g_mu_term = g_xhat.mean(axis=-1, keepdims=True)
-    np.multiply(grad, x_hat, out=scratch)
-    g_gamma = unbroadcast(scratch, gamma.shape)
-    if g_gamma is scratch:
-        # 1-D input: no batch axes to reduce, so unbroadcast returns
-        # the scratch buffer itself — copy before it is reused below.
-        g_gamma = g_gamma.copy()
-    g_beta = unbroadcast(grad, beta.shape)
-    # ga = inv_std * (g_xhat - g_mu_term - x_hat * g_var_term),
-    # folded into the g_xhat buffer (freshly allocated above).
-    g_xhat -= g_mu_term
-    np.multiply(x_hat, g_var_term, out=scratch)
-    g_xhat -= scratch
-    g_xhat *= inv_std
-    return g_xhat.astype(dtype, copy=False), g_gamma, g_beta
+    np.multiply(g2, xh2, out=prod)
+    g_gamma = prod.sum(axis=0)
+    g_beta = g2.sum(axis=0)
+    g_var_term = prod @ gamma.data  # rows of (g * x_hat) · gamma
+    g_var_term *= 1.0 / dim
+    g_mu_term = g2 @ gamma.data  # rows of (g * gamma) summed
+    g_mu_term *= 1.0 / dim
+    # ga = inv_std * (g*gamma - mean(g*gamma) - x_hat * g_var_term)
+    ga = np.multiply(g2, gamma.data)  # fresh (R, d), returned below
+    ga -= g_mu_term[:, None]
+    np.multiply(xh2, g_var_term[:, None], out=prod)
+    ga -= prod
+    ga *= inv_std.reshape(-1, 1)
+    return ga.reshape(x_hat.shape).astype(dtype, copy=False), g_gamma, g_beta
 
 
 def l2_normalize(a, axis: int = -1, eps: float = 1e-12) -> Tensor:

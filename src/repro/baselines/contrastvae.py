@@ -77,13 +77,13 @@ class ContrastVAE(SASRec):
         return F.add(mu, F.mul(std, Tensor(eps_data)))
 
     # ------------------------------------------------------------------
-    def encode_users(self, input_ids: np.ndarray, batch_size: int | None = None) -> np.ndarray:
+    def encode_users(self, input_ids: np.ndarray) -> np.ndarray:
         """The posterior mean ``mu`` (the mean latent) per window.
 
         Serving and evaluation both rank by this vector:
         :meth:`predict_scores` is ``encode_users(ids) @ context``.
         """
-        users = super().encode_users(input_ids, batch_size)
+        users = super().encode_users(input_ids)
         with no_grad():
             return self.mu_head(Tensor(users)).data
 

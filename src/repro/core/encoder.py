@@ -326,9 +326,7 @@ class SequentialEncoderBase(Module):
 
         return parameter_version()
 
-    def encode_users(
-        self, input_ids: np.ndarray, batch_size: int | None = None
-    ) -> np.ndarray:
+    def encode_users(self, input_ids: np.ndarray) -> np.ndarray:
         """Encode ``(B, N)`` history windows into ``(B, d)`` user vectors.
 
         The serving micro-batch entry point: one stacked
@@ -340,23 +338,13 @@ class SequentialEncoderBase(Module):
 
         Call with the model in eval mode — dropout must be off for the
         encoding to be a deterministic function of the window, which is
-        what makes per-user caching of the result sound.  ``batch_size``
-        optionally chunks very large batches to bound peak activation
-        memory; results are row-identical to the unchunked call only up
-        to BLAS/FFT batch-shape reassociation (bitwise in practice for
-        float64, ~1e-6 relative for float32).
+        what makes per-user caching of the result sound.
         """
         input_ids = np.asarray(input_ids, dtype=np.int64)
         if input_ids.ndim == 1:
             input_ids = input_ids[None, :]
         with no_grad():
-            if batch_size is None or input_ids.shape[0] <= batch_size:
-                return self.user_representation(input_ids).data
-            chunks = [
-                self.user_representation(input_ids[start : start + batch_size]).data
-                for start in range(0, input_ids.shape[0], batch_size)
-            ]
-            return np.concatenate(chunks, axis=0)
+            return self.user_representation(input_ids).data
 
     def negative_sampler(self) -> NegativeSampler:
         """The model's shared training :class:`NegativeSampler` (lazy).

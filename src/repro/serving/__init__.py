@@ -6,10 +6,10 @@ The production-facing counterpart of the training stack (ROADMAP
 - :class:`~repro.serving.session.UserSession` /
   :class:`~repro.serving.session.SessionCache` — ring-buffered
   per-user history windows with cached encoder state and LRU bounds;
-- :class:`~repro.serving.table.ItemTable` — eval-only (bf16 bits by
-  default, widened by shift per scored block) snapshots of the
-  item-score table with staleness detection and double-buffered
-  replacement;
+- :class:`~repro.serving.table.ItemTable` — immutable eval-only
+  snapshots of the item-score table (bf16 bits, widened by shift per
+  scored block) with staleness detection; the service replaces a
+  stale one by building a new snapshot and swapping the reference;
 - :mod:`repro.evaluation.topk` — blocked ``argpartition`` top-k shared
   with the evaluation stack;
 - :class:`~repro.serving.fallback.PopularityRanker` — the degraded-mode

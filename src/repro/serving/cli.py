@@ -40,7 +40,6 @@ from repro.serving.service import (
     RecommenderService,
     ServingConfig,
 )
-from repro.serving.table import TABLE_DTYPES
 from repro.train.trainer import unpack_run_state
 from repro.utils.io import CheckpointStore
 
@@ -71,15 +70,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     # serving knobs
     parser.add_argument("--k", type=int, default=10)
-    parser.add_argument(
-        "--table-dtype", choices=TABLE_DTYPES, default="bfloat16",
-        help="eval-only item-table precision: bfloat16 (default; bf16 bits "
-        "widened by shift per scored block) or model (the model dtype)",
-    )
-    parser.add_argument(
-        "--topk", choices=("blocked", "full_sort"), default="blocked",
-        help="top-k strategy (full_sort is the naive reference)",
-    )
     parser.add_argument("--block-size", type=int, default=8192)
     parser.add_argument("--micro-batch", type=int, default=32)
     parser.add_argument("--max-wait-ms", type=float, default=2.0)
@@ -145,9 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _build_service(args, model) -> RecommenderService:
     config = ServingConfig(
         k=args.k,
-        table_dtype=args.table_dtype,
         block_size=args.block_size,
-        topk=args.topk,
         micro_batch=args.micro_batch,
         max_wait_ms=args.max_wait_ms,
         batching=not args.no_batching,
@@ -255,7 +243,7 @@ def _replay(args, service: RecommenderService, dataset, out) -> dict:
     print(
         f"batches {stats['batches']} (mean size {stats['mean_batch_size']:.1f})  "
         f"encodes {stats['encodes']}  vec reuses {stats['user_vec_reuses']}  "
-        f"table {stats['table_dtype']} ({stats['table_nbytes'] / 1e6:.1f} MB)",
+        f"bf16 table {stats['table_nbytes'] / 1e6:.1f} MB",
         file=out,
     )
     return summary

@@ -21,7 +21,7 @@ model-side reasons (no encode, no GEMM, no parameter state).
   contribution.  That coarseness is fine for a fallback.
 - **Bounded ranking cost.**  The popularity order (count descending,
   ties by ascending item id — the same tie rule as
-  :mod:`repro.evaluation.topk`) is a cached lexsort, rebuilt lazily
+  :mod:`repro.evaluation.topk`) is a cached lexsort, recomputed lazily
   only after ``refresh_every`` new events have accumulated, so a
   degraded request costs an O(V) masked walk of a precomputed order,
   not an O(V log V) sort per request.  Between rebuilds the *order* may
@@ -112,7 +112,7 @@ class PopularityRanker:
     def _note_events(self, n: int) -> None:
         self._stale_events += n
         if self._order is not None and self._stale_events >= self.refresh_every:
-            self._order = None  # rebuilt lazily on the next query
+            self._order = None  # recomputed lazily on the next query
 
     # ------------------------------------------------------------------
     # Ranking

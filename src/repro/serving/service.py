@@ -28,24 +28,26 @@ into one request path:
    ``serve.collect`` / ``serve.refresh``) live in these production
    paths so the failure story is testable, not aspirational.
 
-Every piece degrades independently through :class:`ServingConfig` —
-``batching=False`` serves inline in the caller's thread,
-``reuse_user_state=False`` re-encodes every request,
-``table_dtype="model"`` / ``topk="full_sort"`` select the reference
-arms — which is how ``tests/test_serving.py`` builds the reference the
-fast arm is pinned against.  All robustness knobs default **off** (no
-deadlines, unbounded queue, blocking admission), and with them off the
-request path is byte-for-byte the classic fast arm.
+There is one serving arm; ``batching=False`` serves it inline in the
+caller's thread.  The reference it is pinned against — a full
+re-encode, then a full sort over the widened table — lives in
+``tests/test_serving.py`` as an oracle.  All robustness knobs default
+**off** (no deadlines, unbounded queue, blocking admission), and with
+them off the request path is byte-for-byte that one arm.
 
 Consistency contract: one batch is scored under one parameter version.
-The service checks :meth:`ItemTable.is_stale` per batch and refreshes
-the table before scoring; cached user vectors carry the version they
+The service checks :meth:`ItemTable.is_stale` per batch and, when the
+table is stale, builds a new :class:`ItemTable` and swaps its
+reference before scoring; cached user vectors carry the version they
 were encoded under and are re-encoded when it no longer matches, so a
 response never mixes user vectors and item tables from different
 parameter states (pinned by ``tests/test_serving.py``).  The batch
 pipeline reads ``self._table`` exactly once under the lock and passes
-that reference through scoring, so a concurrent double-buffered swap
+that reference through scoring, so a concurrent swap
 (:meth:`refresh_table`) can never split a batch across two snapshots.
+A table build that fails on a non-finite model is remembered by
+parameter version: until the parameters change again, stale batches
+are answered under ``on_error`` without another build.
 
 **Failure semantics** (pinned by ``tests/test_serving_faults.py``):
 
@@ -86,10 +88,10 @@ from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
-from repro.evaluation.topk import TopKAccumulator, TopKResult, full_sort_topk
+from repro.evaluation.topk import TopKAccumulator, TopKResult
 from repro.serving.fallback import PopularityRanker
 from repro.serving.session import SessionCache
-from repro.serving.table import TABLE_DTYPES, ItemTable
+from repro.serving.table import ItemTable
 from repro.utils import faults
 
 __all__ = [
@@ -125,17 +127,12 @@ class Overloaded(ServingError):
 
 @dataclass
 class ServingConfig:
-    """Knobs of the serving path; defaults are the production-fast arm."""
+    """Knobs of the serving path: deployment and failure policy."""
 
     #: recommendations per request (overridable per call)
     k: int = 10
-    #: item-table snapshot dtype: "bfloat16" (bf16 bits, widened per
-    #: scored block) | "model" (the model's own dtype, the reference arm)
-    table_dtype: str = "bfloat16"
     #: catalog column-block width for blocked scoring / top-k
     block_size: int = 8192
-    #: "blocked" (argpartition pool) or "full_sort" (naive reference)
-    topk: str = "blocked"
     #: stack up to this many concurrent requests into one encode
     micro_batch: int = 32
     #: how long the collector waits for a fuller batch (milliseconds)
@@ -144,14 +141,8 @@ class ServingConfig:
     batching: bool = True
     #: LRU bound on resident sessions (None = unbounded)
     cache_capacity: Optional[int] = None
-    #: False re-encodes the window on every request (naive reference)
-    reuse_user_state: bool = True
     #: mask items present in the user's window out of the results
     exclude_seen: bool = True
-    #: rebuild the item table when model parameters changed
-    auto_refresh: bool = True
-    #: chunk very large encode batches (None = single stacked walk)
-    encode_batch_size: Optional[int] = None
     # --- resilience knobs (all off by default) ------------------------
     #: end-to-end per-request deadline in ms (None = no deadline)
     request_timeout_ms: Optional[float] = None
@@ -175,12 +166,6 @@ class ServingConfig:
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.table_dtype not in TABLE_DTYPES:
-            raise ValueError(
-                f"table_dtype must be one of {TABLE_DTYPES}, got {self.table_dtype!r}"
-            )
-        if self.topk not in ("blocked", "full_sort"):
-            raise ValueError(f"topk must be 'blocked' or 'full_sort', got {self.topk!r}")
         if self.micro_batch < 1:
             raise ValueError(f"micro_batch must be >= 1, got {self.micro_batch}")
         if self.max_wait_ms < 0:
@@ -288,9 +273,7 @@ class RecommenderService:
         model.eval()
         self.num_items = int(model.num_items)
         self._lock = threading.Lock()
-        self._table = ItemTable(
-            model, dtype=self.config.table_dtype, block_size=self.config.block_size
-        )
+        self._table = ItemTable(model, self.config.block_size)
         self.sessions = SessionCache(
             model.max_len, capacity=self.config.cache_capacity
         )
@@ -301,9 +284,12 @@ class RecommenderService:
         self._cond = threading.Condition()
         self._collector: Optional[threading.Thread] = None
         self._closed = False
-        # double-buffered table refresh state
+        # table replacement state
         self._refresh_mutex = threading.Lock()
         self._refresh_pending = False
+        #: inference_version() whose table build raised ValueError
+        #: (non-finite); not built again until the parameters change
+        self._failed_version: Optional[int] = None
         # degraded-mode state
         self._fallback_active = False
         self._fallback_reason: Optional[str] = None
@@ -319,6 +305,7 @@ class RecommenderService:
         self._model_errors = 0
         self._collector_failures = 0
         self._refresh_errors = 0
+        self._table_refreshes = 1  # the snapshot built above
 
     # ------------------------------------------------------------------
     # Event ingestion
@@ -598,37 +585,43 @@ class RecommenderService:
             table: Optional[ItemTable] = None
             with self._lock:
                 table = self._table
-                if self.config.auto_refresh and table.is_stale(self.model):
+                if table.is_stale(self.model):
+                    current = self.model.inference_version()
+                    failed = current == self._failed_version
                     if self.config.degrade_on_stale:
                         # never rebuild on the request path: answer this
                         # batch degraded, refresh in the background
-                        self._maybe_refresh_async()
+                        if not failed:
+                            self._maybe_refresh_async()
                         table = None
+                    elif failed:
+                        raise ValueError(
+                            f"the item table of parameter version {current} "
+                            "is non-finite; waiting for new parameters"
+                        )
                     else:
                         try:
-                            faults.trip("serve.refresh")
-                            table.refresh(self.model)
-                        except BaseException:
+                            table = self._build_table()
+                        except BaseException as exc:
                             self._refresh_errors += 1
+                            if isinstance(exc, ValueError):
+                                self._failed_version = current
                             raise
+                        self._table = table
+                        self._table_refreshes += 1
                 if table is not None:
                     version = table.version
                     sessions = [
                         self.sessions.get_or_create(r.user_id) for r in live
                     ]
-                    reuse = self.config.reuse_user_state
                     dirty = [
-                        i
-                        for i, s in enumerate(sessions)
-                        if not (reuse and s.is_fresh(version))
+                        i for i, s in enumerate(sessions) if not s.is_fresh(version)
                     ]
                     self._vec_reuses += len(sessions) - len(dirty)
                     if dirty:
                         windows = np.stack([sessions[i].window() for i in dirty])
                         faults.trip("serve.encode")
-                        vecs = self.model.encode_users(
-                            windows, batch_size=self.config.encode_batch_size
-                        )
+                        vecs = self.model.encode_users(windows)
                         self._encoded += len(dirty)
                         for row, i in enumerate(dirty):
                             sessions[i].store_vec(vecs[row], version)
@@ -686,9 +679,6 @@ class RecommenderService:
         k: int,
         exclude: Optional[List[np.ndarray]],
     ) -> TopKResult:
-        if self.config.topk == "full_sort":
-            scores = table.score_all(users)
-            return full_sort_topk(scores, k, exclude=exclude, exclude_padding=True)
         acc = TopKAccumulator(users.shape[0], k)
         for start in range(0, table.num_columns, self.config.block_size):
             stop = min(start + self.config.block_size, table.num_columns)
@@ -754,28 +744,37 @@ class RecommenderService:
     # ------------------------------------------------------------------
     # Lifecycle / introspection
     # ------------------------------------------------------------------
+    def _build_table(self) -> ItemTable:
+        """A new snapshot of the model's current parameters."""
+        faults.trip("serve.refresh")
+        return ItemTable(self.model, self.config.block_size)
+
     def refresh_table(self) -> None:
         """Re-snapshot the item table, double-buffered.
 
         The expensive part — re-reading ``score_context()`` and rounding
         the ``(d, V+1)`` table — happens **off the serving lock** into a
-        fresh :class:`ItemTable`; only the O(1) reference swap takes the
+        new :class:`ItemTable`; only the O(1) reference swap takes the
         lock, so concurrent ``recommend`` traffic keeps being served
         from the old snapshot for the whole build.  A failed build
         (``serve.refresh`` faults, a non-finite table's ``ValueError``,
-        OOM, ...) is counted and re-raised;
-        the old snapshot stays live either way.
+        OOM, ...) is counted and re-raised; the old snapshot stays live
+        either way.  An explicit call always builds, even at a
+        parameter version whose build already failed.
         """
         with self._refresh_mutex:
+            version = self.model.inference_version()
             try:
-                faults.trip("serve.refresh")
-                new = self._table.rebuilt(self.model)
-            except BaseException:
+                new = self._build_table()
+            except BaseException as exc:
                 with self._lock:
                     self._refresh_errors += 1
+                    if isinstance(exc, ValueError):
+                        self._failed_version = version
                 raise
             with self._lock:
                 self._table = new
+                self._table_refreshes += 1
 
     def _maybe_refresh_async(self) -> None:  # lint: unlocked-ok(caller holds _lock)
         """Kick one background refresh; caller holds ``self._lock``."""
@@ -814,8 +813,7 @@ class RecommenderService:
                 "user_vec_reuses": self._vec_reuses,
                 "sessions": len(self.sessions),
                 "session_evictions": self.sessions.evictions,
-                "table_refreshes": self._table.refreshes,
-                "table_dtype": self._table.storage_dtype,
+                "table_refreshes": self._table_refreshes,
                 "table_nbytes": self._table.nbytes(),
                 # resilience counters
                 "sheds": self._sheds,

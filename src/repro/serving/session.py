@@ -145,7 +145,7 @@ class SessionCache:
     ``capacity=None`` means unbounded (a fixed user population, e.g.
     benchmarks); with a capacity, the least-recently-*used* session is
     dropped on overflow — its ring and cached vector are simply
-    rebuilt from upstream history if that user returns
+    recreated from upstream history if that user returns
     (:meth:`get_or_create` + ``replace_history``).
     """
 

@@ -27,22 +27,21 @@ block widen pairs with the blocked top-k (:mod:`repro.evaluation.topk`):
 one block is widened, scored, folded into the candidate pool, then its
 scratch is reused — the full ``(B, V)`` score matrix never exists.
 
-``dtype="model"`` keeps the model's own dtype (a plain snapshot, no
-rounding): the reference arm the compressed table is pinned against.
-
 **Finite-only contract**: a snapshot never holds a non-finite entry.
-:meth:`ItemTable.refresh` raises ``ValueError`` (with the count) before
-it replaces the current table, so a diverged model cannot slip in as a
-silently wrong table — the integer rounding would turn the float32 NaN
+The constructor raises ``ValueError`` (with the count) instead of
+returning a table, so a diverged model cannot slip in as a silently
+wrong table — the integer rounding would turn the float32 NaN
 ``0x7FFFFFFF`` into bf16 ``0x8000``, a plain ``-0.0``.
 
-**Staleness contract**: a snapshot is valid only while
+**Staleness contract**: a snapshot is immutable and valid only while
 ``model.inference_version()`` is unchanged.  :meth:`ItemTable.is_stale`
 detects any parameter mutation that went through the optimizer /
 ``load_state_dict`` / ``Module.to`` (they bump the global parameter
-version); the serving service checks it per batch and calls
-:meth:`refresh`.  Hand-edited parameter buffers bypass the version
-counter — see ``SequentialEncoderBase.inference_version``.
+version); the serving service checks it per batch and refreshes by
+building a new snapshot and swapping its reference, so the old one
+keeps serving until the swap and stays live when the build fails.
+Hand-edited parameter buffers bypass the version counter — see
+``SequentialEncoderBase.inference_version``.
 
 Thread safety: none here (the scratch buffer is shared state); the
 owning service serializes scoring under its lock.
@@ -54,11 +53,7 @@ from typing import Optional
 
 import numpy as np
 
-__all__ = ["ItemTable", "TABLE_DTYPES", "to_bfloat16_bits", "widen_bfloat16"]
-
-#: accepted ``dtype`` values: bf16 bits widened per scored block, or the
-#: model's own compute dtype (the reference arm)
-TABLE_DTYPES = ("bfloat16", "model")
+__all__ = ["ItemTable", "to_bfloat16_bits", "widen_bfloat16"]
 
 
 def to_bfloat16_bits(values: np.ndarray) -> np.ndarray:
@@ -69,8 +64,8 @@ def to_bfloat16_bits(values: np.ndarray) -> np.ndarray:
     even.  Finite values of magnitude ``>= 0x7F7F8000`` round to ±inf;
     subnormals and signed zeros keep their bits.  The rounding is an
     integer add, so it is only meaningful for finite input (NaN
-    payloads may carry into the sign bit) — :class:`ItemTable` rejects
-    non-finite tables before converting.
+    payloads may carry into the sign bit) — :class:`ItemTable` refuses
+    to build from non-finite input.
     """
     bits = np.asarray(values, dtype=np.float32).view(np.uint32)
     return ((bits + (0x7FFF + ((bits >> 16) & 1))) >> 16).astype(np.uint16)
@@ -93,7 +88,7 @@ def _count_nonfinite(values: np.ndarray) -> int:
 
 
 class ItemTable:
-    """A scoring snapshot of the model's item-embedding table.
+    """An immutable bf16 scoring snapshot of the model's item embeddings.
 
     Parameters
     ----------
@@ -101,28 +96,35 @@ class ItemTable:
         Any model exposing ``score_context()`` and
         ``inference_version()`` (every
         :class:`~repro.core.encoder.SequentialEncoderBase` subclass).
-    dtype:
-        ``"bfloat16"`` (the serving default) or ``"model"`` to keep the
-        model dtype.
     block_size:
         Column-block width of :meth:`score_block`'s widen scratch and of
         the set-up rounding.
+
+    Raises ``ValueError`` naming the count of non-finite entries.
     """
 
-    def __init__(self, model, dtype: str = "bfloat16", block_size: int = 8192) -> None:
-        if dtype not in TABLE_DTYPES:
-            raise ValueError(
-                f"unknown table dtype {dtype!r}; expected one of {TABLE_DTYPES}"
-            )
+    #: dtype user vectors are cast to and scores come out in
+    compute_dtype = np.dtype(np.float32)
+
+    def __init__(self, model, block_size: int = 8192) -> None:
         if block_size < 1:
             raise ValueError(f"block_size must be >= 1, got {block_size}")
-        self.dtype_name = dtype
+        context = model.score_context()  # (d, V+1), contiguous, model dtype
+        # one column block at a time: no table-sized float32/uint32
+        # temporaries (a float64 model rounds to float32 here)
+        table = np.empty(context.shape, np.uint16)
+        nonfinite = 0
+        for start in range(0, context.shape[1], block_size):
+            cols = slice(start, start + block_size)
+            block = context[:, cols].astype(np.float32)
+            nonfinite += int(block.size - np.count_nonzero(np.isfinite(block)))
+            table[:, cols] = to_bfloat16_bits(block)
+        if nonfinite:
+            raise ValueError(f"item table has {nonfinite} non-finite entries")
         self.block_size = int(block_size)
+        self.table = table
+        self.version = model.inference_version()
         self._scratch: Optional[np.ndarray] = None
-        self.table: Optional[np.ndarray] = None
-        self.version = -1
-        self.refreshes = 0
-        self.refresh(model)
 
     # ------------------------------------------------------------------
     @property
@@ -130,73 +132,13 @@ class ItemTable:
         """Catalog columns scored (``V + 1``; column 0 is padding)."""
         return self.table.shape[1]
 
-    @property
-    def is_bfloat16(self) -> bool:
-        return self.dtype_name == "bfloat16"
-
-    @property
-    def compute_dtype(self) -> np.dtype:
-        """Dtype scores come out in (float32 for a bf16 table)."""
-        return np.dtype(np.float32) if self.is_bfloat16 else self.table.dtype
-
-    @property
-    def storage_dtype(self) -> str:
-        """What the snapshot holds: ``"bfloat16"`` or the model dtype."""
-        return "bfloat16" if self.is_bfloat16 else str(self.table.dtype)
-
-    def refresh(self, model) -> None:
-        """Re-snapshot the table from the model's current parameters.
-
-        Raises ``ValueError`` naming the count of non-finite entries —
-        before the current snapshot is replaced, so it stays live.
-        """
-        context = model.score_context()  # (d, V+1), contiguous, model dtype
-        if self.is_bfloat16:
-            # one column block at a time: no table-sized float32/uint32
-            # temporaries (a float64 model rounds to float32 here)
-            table = np.empty(context.shape, np.uint16)
-            nonfinite = 0
-            for start in range(0, context.shape[1], self.block_size):
-                cols = slice(start, start + self.block_size)
-                block = context[:, cols].astype(np.float32)
-                nonfinite += _count_nonfinite(block)
-                table[:, cols] = to_bfloat16_bits(block)
-        else:
-            table = context
-            nonfinite = _count_nonfinite(context)
-        if nonfinite:
-            raise ValueError(
-                f"item table has {nonfinite} non-finite entries; "
-                "keeping the previous snapshot"
-            )
-        self.table = table
-        self.version = model.inference_version()
-        self.refreshes += 1
-
-    def rebuilt(self, model) -> "ItemTable":
-        """A fresh snapshot as a **new** table (double-buffered refresh).
-
-        :meth:`refresh` mutates this table in place, which is fine when
-        the caller owns the serving lock for the duration — but a full
-        re-snapshot of a 10^6-item catalog is exactly the work the
-        serving lock must *not* be held across.  ``rebuilt`` builds a
-        complete replacement off to the side (same dtype/blocking
-        config, cumulative ``refreshes`` counter carried forward) so
-        the owner can do the expensive build lock-free and swap the
-        reference in O(1) under the lock.  The old table stays fully
-        serviceable until the swap — a failed build leaves it live.
-        """
-        new = ItemTable(model, dtype=self.dtype_name, block_size=self.block_size)
-        new.refreshes += self.refreshes
-        return new
-
     def is_stale(self, model) -> bool:
         """Whether parameters changed since this snapshot was taken."""
         return model.inference_version() != self.version
 
     # ------------------------------------------------------------------
     def prepare_users(self, users: np.ndarray) -> np.ndarray:
-        """Cast a ``(B, d)`` user-vector stack to the scoring dtype."""
+        """Cast a ``(B, d)`` user-vector stack to float32 for scoring."""
         return np.ascontiguousarray(users, dtype=self.compute_dtype)
 
     def score_block(self, users: np.ndarray, start: int, stop: int) -> np.ndarray:
@@ -204,37 +146,27 @@ class ItemTable:
 
         ``users`` must come from :meth:`prepare_users`.  Returns a
         freshly written ``(B, stop-start)`` array the caller owns (the
-        blocked top-k masks seen items into it in place).  A bf16
+        blocked top-k masks seen items into it in place).  The bf16
         column block is widened into a reused float32 scratch first,
         so the GEMM runs on BLAS and accumulates in float32.
         """
         stop = min(stop, self.num_columns)
-        block = self.table[:, start:stop]
-        if self.is_bfloat16:
-            width = stop - start
-            if self._scratch is None or self._scratch.shape[1] < width:
-                self._scratch = np.empty(
-                    (self.table.shape[0], max(width, self.block_size)), np.float32
-                )
-            block = widen_bfloat16(block, out=self._scratch[:, :width])
+        width = stop - start
+        if self._scratch is None or self._scratch.shape[1] < width:
+            self._scratch = np.empty(
+                (self.table.shape[0], max(width, self.block_size)), np.float32
+            )
+        block = widen_bfloat16(self.table[:, start:stop], out=self._scratch[:, :width])
         return users @ block
 
     def score_all(self, users: np.ndarray) -> np.ndarray:
-        """Full ``(B, V+1)`` scores in one GEMM (the naive baseline path).
-
-        For a bf16 table this materializes a full float32 copy of the
-        table per call — deliberately so: it is the "no blocking"
-        reference arm of the serving A/B benchmark.
-        """
-        if self.is_bfloat16:
-            return users @ widen_bfloat16(self.table)
-        return users @ self.table
+        """Full ``(B, V+1)`` scores in one GEMM over the whole widened
+        table (a full float32 copy per call): the unblocked scoring
+        that answer checks re-rank through."""
+        return users @ widen_bfloat16(self.table)
 
     def nbytes(self) -> int:
         return int(self.table.nbytes)
 
     def __repr__(self) -> str:
-        return (
-            f"ItemTable(shape={self.table.shape}, dtype={self.storage_dtype}, "
-            f"version={self.version}, refreshes={self.refreshes})"
-        )
+        return f"ItemTable(shape={self.table.shape}, version={self.version})"

@@ -28,8 +28,10 @@ code a production incident would hit:
 - ``serve.collect`` — in the collector thread, after a batch is
   drained from the queue but before it is served (an exception here is
   the "collector thread dies" scenario);
-- ``serve.refresh`` — before an item-table re-snapshot (both the
-  in-batch auto-refresh and the double-buffered ``refresh_table``).
+- ``serve.refresh`` — before a new item-table snapshot is built (the
+  stale-batch build under the serving lock and the double-buffered
+  ``refresh_table``; a fault here never marks the parameter version
+  failed, so the next stale batch builds again).
 
 Production code calls :func:`trip` unconditionally; with no injector
 installed it is a few-nanosecond no-op, so the hooks stay in the real

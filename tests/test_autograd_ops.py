@@ -323,6 +323,22 @@ class TestEmbeddingDropoutNorm:
             [rand(rng, 6), t(rng.uniform(0.5, 1.5, 6)), rand(rng, 6)],
         )
 
+    @pytest.mark.parametrize(
+        "gamma_shape, beta_shape",
+        [((1, 6), (6,)), ((6,), (3, 6)), ((5,), (5,)), ((), (6,)), ((6,), (1,))],
+    )
+    def test_layer_norm_takes_only_1d_affine_over_last_axis(
+        self, rng, gamma_shape, beta_shape
+    ):
+        a = rand(rng, 3, 6)
+        gamma, beta = t(np.ones(gamma_shape)), t(np.zeros(beta_shape))
+        with pytest.raises(ValueError, match="1-D gamma and beta"):
+            F.layer_norm(a, gamma, beta)
+        with pytest.raises(ValueError, match="1-D gamma and beta"):
+            F.dropout_add_layer_norm(
+                a, [rand(rng, 3, 6)], gamma, beta, 0.1, True, np.random.default_rng(0)
+            )
+
     def test_l2_normalize_unit_norm(self, rng):
         out = F.l2_normalize(rand(rng, 5, 7), axis=-1)
         assert np.allclose(np.linalg.norm(out.data, axis=-1), 1.0)

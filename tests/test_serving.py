@@ -11,16 +11,18 @@ The load-bearing properties:
   re-encodes nothing and returns identical results; a parameter update
   is detected (table staleness + per-vector version stamps) and every
   cached artifact is rebuilt before the next response.
-- **The fast path is the reference path.**  Micro-batched + blocked
-  top-k results equal the naive per-request full-sort scoring arm
-  exactly at equal table precision; the bfloat16 table equals scoring
-  against an explicitly widened bf16 table, and its rounding matches an
-  integer-math oracle; on a trained model the bfloat16 + blocked arm
-  and the model-dtype + full-sort arm agree on HR@10 / NDCG@10 within
-  ``FIDELITY_TOLERANCE``.
+- **The fast path is the reference path.**  The service has one arm;
+  its reference is the test-side oracle :func:`cold_reference` (a full
+  re-encode, then ``full_sort_topk`` over a table widened by the
+  integer-rounding :func:`bf16_oracle`).  Micro-batched + blocked +
+  cached results equal it (same ids, scores to float32 reassociation);
+  the table's rounding matches the integer-math oracle; on a trained
+  model the served arm and the model-dtype full-sort oracle agree on
+  HR@10 / NDCG@10 within ``FIDELITY_TOLERANCE``.
 - **A table is finite or it is not replaced.**  A non-finite embedding
-  raises ``ValueError`` on refresh; the previous snapshot keeps serving
-  and ``refresh_errors`` counts the failure.
+  raises ``ValueError`` on build; the previous snapshot stays the
+  service's table, ``refresh_errors`` counts the failure, and the
+  failed parameter version is not rebuilt until the parameters change.
 - **Serving loads what training tested.**  ``repro-serve --checkpoint``
   on a ``repro-train --checkpoint-dir`` store restores the trained
   model's final weights bitwise, through the store's verified load.
@@ -30,6 +32,7 @@ The load-bearing properties:
 
 import shutil
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -49,7 +52,7 @@ from repro.serving import (
 )
 from repro.serving import cli as serve_cli
 from repro.serving.cli import main as serve_cli_main
-from repro.serving.table import TABLE_DTYPES, to_bfloat16_bits, widen_bfloat16
+from repro.serving.table import to_bfloat16_bits, widen_bfloat16
 from repro.train import TrainConfig, Trainer
 from repro.train import cli as train_cli
 from repro.train.trainer import unpack_run_state
@@ -57,7 +60,7 @@ from repro.utils.io import CheckpointStore
 
 MAX_LEN = 16
 #: max |HR@10 / NDCG@10| gap between the bfloat16 + blocked serving arm
-#: and the model-dtype + full-sort reference on a trained model
+#: and the model-dtype + full-sort oracle on a trained model
 FIDELITY_TOLERANCE = 0.01
 
 
@@ -70,8 +73,15 @@ def make_model(dataset, dtype="float32", name="SLIME4Rec", seed=0):
     return build_baseline(name, dataset, hidden_dim=16, seed=seed, dtype=dtype)
 
 
-#: the float16/float32/float64 table spellings the two-dtype table removed
-REMOVED_TABLE_DTYPES = ("float16", "float32", "float64")
+#: reference-arm ServingConfig fields that left the service, with the
+#: repro-serve flag each had (None: the field never had one)
+REMOVED_FIELDS = {
+    "table_dtype": "--table-dtype",
+    "topk": "--topk",
+    "reuse_user_state": None,
+    "auto_refresh": None,
+    "encode_batch_size": None,
+}
 
 
 def poison_item_row(model, item, value):
@@ -90,6 +100,11 @@ def bf16_oracle(values):
     upper, lower = bits >> 16, bits & 0xFFFF
     round_up = (lower > 0x8000) | ((lower == 0x8000) & (upper & 1 == 1))
     return ((upper + round_up) & 0xFFFF).astype(np.uint16)
+
+
+def widened_oracle(context):
+    """The float32 table the bf16 snapshot of ``context`` stands for."""
+    return (bf16_oracle(context).astype(np.uint32) << 16).view(np.float32)
 
 
 # ----------------------------------------------------------------------
@@ -212,9 +227,6 @@ class TestEncoderInferenceHooks:
         np.testing.assert_array_equal(model.encode_users(inputs), want)
         # single-window convenience shape and chunked batches
         np.testing.assert_array_equal(model.encode_users(inputs[0]), want[:1])
-        np.testing.assert_allclose(
-            model.encode_users(inputs, batch_size=4), want, rtol=1e-5, atol=1e-6
-        )
 
     def test_inference_version_ticks_on_optimizer_step(self, dataset):
         model = make_model(dataset)
@@ -241,8 +253,7 @@ class TestItemTable:
     def test_bf16_snapshot_leaves_training_dtype_untouched(self, dataset):
         model = make_model(dataset, dtype="float32")
         table = ItemTable(model)
-        assert table.dtype_name == "bfloat16"
-        assert table.table.dtype == np.uint16 and table.storage_dtype == "bfloat16"
+        assert table.table.dtype == np.uint16
         assert model.item_embedding.weight.dtype == np.float32
         assert table.compute_dtype == np.float32
         np.testing.assert_array_equal(table.table, bf16_oracle(model.score_context()))
@@ -253,21 +264,6 @@ class TestItemTable:
         table = ItemTable(model, block_size=7)
         np.testing.assert_array_equal(table.table, bf16_oracle(context.astype(np.float32)))
         assert table.compute_dtype == np.float32
-
-    def test_model_dtype_snapshot(self, dataset):
-        model = make_model(dataset, dtype="float64")
-        table = ItemTable(model, dtype="model")
-        assert table.table.dtype == np.float64 and table.storage_dtype == "float64"
-        with pytest.raises(ValueError, match="dtype"):
-            ItemTable(model, dtype="int8")
-
-    @pytest.mark.parametrize("removed", REMOVED_TABLE_DTYPES)
-    def test_removed_table_dtypes_raise(self, dataset, removed):
-        model = make_model(dataset)
-        with pytest.raises(ValueError, match="'bfloat16', 'model'"):
-            ItemTable(model, dtype=removed)
-        with pytest.raises(ValueError, match="'bfloat16', 'model'"):
-            ServingConfig(table_dtype=removed)
 
     def test_bf16_rounding_matches_integer_oracle(self):
         rng = np.random.default_rng(0)
@@ -307,31 +303,24 @@ class TestItemTable:
 
     def test_blocked_scoring_matches_full_gemm(self, dataset):
         model = make_model(dataset, dtype="float32")
-        for table_dtype in TABLE_DTYPES:
-            table = ItemTable(model, dtype=table_dtype, block_size=7)
-            users = table.prepare_users(np.random.default_rng(1).standard_normal((5, 16)))
-            full = table.score_all(users)
-            blocks = np.concatenate(
-                [
-                    table.score_block(users, start, start + 7)
-                    for start in range(0, table.num_columns, 7)
-                ],
-                axis=1,
-            )
-            np.testing.assert_allclose(blocks, full, rtol=1e-6, atol=1e-6)
+        table = ItemTable(model, block_size=7)
+        users = table.prepare_users(np.random.default_rng(1).standard_normal((5, 16)))
+        full = table.score_all(users)
+        blocks = np.concatenate(
+            [
+                table.score_block(users, start, start + 7)
+                for start in range(0, table.num_columns, 7)
+            ],
+            axis=1,
+        )
+        np.testing.assert_allclose(blocks, full, rtol=1e-6, atol=1e-6)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    @pytest.mark.parametrize("table_dtype", TABLE_DTYPES)
-    def test_non_finite_refresh_raises_and_keeps_snapshot(self, dataset, table_dtype, bad):
+    def test_non_finite_model_raises(self, dataset, bad):
         model = make_model(dataset)
-        table = ItemTable(model, dtype=table_dtype, block_size=7)
-        snapshot, version = table.table.copy(), table.version
         poison_item_row(model, 3, bad)
-        assert table.is_stale(model)
         with pytest.raises(ValueError, match="16 non-finite entries"):
-            table.refresh(model)
-        assert table.version == version and table.refreshes == 1
-        np.testing.assert_array_equal(table.table, snapshot)
+            ItemTable(model, block_size=7)
 
     def test_staleness_detected_after_parameter_update(self, dataset):
         """score_context consumers can detect parameter updates."""
@@ -342,9 +331,7 @@ class TestItemTable:
         optimizer.zero_grad()
         optimizer.step()
         assert table.is_stale(model)
-        table.refresh(model)
-        assert not table.is_stale(model)
-        assert table.refreshes == 2
+        assert not ItemTable(model).is_stale(model)
 
 
 # ----------------------------------------------------------------------
@@ -353,20 +340,34 @@ class TestItemTable:
 
 
 def exact_config(**overrides):
-    """Blocked path at model precision — isolates machinery from bf16."""
-    base = dict(
-        k=10, table_dtype="model", topk="blocked", block_size=13, batching=False
-    )
+    """Inline serving with a small column block, so the blocked top-k
+    folds many blocks."""
+    base = dict(k=10, block_size=13, batching=False)
     base.update(overrides)
     return ServingConfig(**base)
 
 
-def cold_reference(model, history, k, exclude_seen=True):
-    """The specification: full-history re-encode + full-sort scoring."""
-    window = pad_or_truncate(history, model.max_len)
-    scores = model.predict_scores(window[None, :], context=model.score_context())
-    exclude = [np.unique(window[window > 0])] if exclude_seen else None
-    return full_sort_topk(scores, k, exclude=exclude, exclude_padding=True)
+def cold_reference(model, histories, k, exclude_seen=True, bf16=True):
+    """The specification, one row per history: a full re-encode of each
+    window, then ``full_sort_topk`` over the float32 table the bf16
+    snapshot stands for (widened by :func:`bf16_oracle`) — or, with
+    ``bf16=False``, over the model-dtype table."""
+    windows = np.stack([pad_or_truncate(h, model.max_len) for h in histories])
+    users, context = model.encode_users(windows), model.score_context()
+    if bf16:
+        users, context = users.astype(np.float32), widened_oracle(context)
+    exclude = [np.unique(w[w > 0]) for w in windows] if exclude_seen else None
+    return full_sort_topk(users @ context, k, exclude=exclude, exclude_padding=True)
+
+
+#: served scores vs :func:`cold_reference`: the blocked float32 GEMMs
+#: reassociate against the oracle's single GEMM
+SCORE_RTOL, SCORE_ATOL = 1e-5, 1e-6
+
+
+def assert_matches_reference(got, want):
+    np.testing.assert_array_equal(got.ids, want.ids)
+    np.testing.assert_allclose(got.scores, want.scores, rtol=SCORE_RTOL, atol=SCORE_ATOL)
 
 
 class TestServiceCacheCorrectness:
@@ -397,17 +398,10 @@ class TestServiceCacheCorrectness:
                 np.testing.assert_allclose(
                     session.user_vec, cold_vec, rtol=1e-6, atol=1e-7
                 )
-            # served scores match the cold full-sort reference (the
-            # blocked scoring GEMM may reassociate: 1-ulp tolerance in
-            # float64, accumulated reassociation tolerance in float32)
-            want = cold_reference(model, history, 8)
-            if dtype == "float64":
-                np.testing.assert_array_equal(got.ids, want.ids)
-                np.testing.assert_allclose(got.scores, want.scores, rtol=0, atol=1e-14)
-            else:
-                np.testing.assert_allclose(
-                    got.scores, want.scores, rtol=1e-5, atol=1e-6
-                )
+            # served answers match the cold full-sort reference (both
+            # score in float32 against the bf16 table; the blocked GEMMs
+            # may reassociate)
+            assert_matches_reference(got, cold_reference(model, [history], 8))
 
     def test_second_request_reuses_cached_vector(self, dataset):
         model = make_model(dataset)
@@ -434,8 +428,7 @@ class TestServiceCacheCorrectness:
         optimizer.step()
         model.eval()
         got = service.recommend("u")
-        want = cold_reference(model, [3, 7, 9], service.config.k)
-        np.testing.assert_allclose(got.scores, want.scores, rtol=1e-5, atol=1e-6)
+        assert_matches_reference(got, cold_reference(model, [[3, 7, 9]], service.config.k))
         stats = service.stats()
         assert stats["table_refreshes"] == 2  # initial snapshot + post-update
         assert stats["encodes"] == 2  # re-encoded under the new parameters
@@ -457,8 +450,8 @@ class TestServiceCacheCorrectness:
         service = RecommenderService(model, exact_config(exclude_seen=False, k=5))
         service.observe_history("u", [3, 3, 3, 3])
         result = service.recommend("u")
-        want = cold_reference(model, [3, 3, 3, 3], 5, exclude_seen=False)
-        np.testing.assert_array_equal(result.ids, want.ids)
+        want = cold_reference(model, [[3, 3, 3, 3]], 5, exclude_seen=False)
+        assert_matches_reference(result, want)
 
     def test_lru_capacity_evicts_and_recovers(self, dataset):
         model = make_model(dataset)
@@ -470,8 +463,7 @@ class TestServiceCacheCorrectness:
         # evicted user comes back cold and is simply re-encoded
         service.observe_history("a", [3, 7])
         result = service.recommend("a")
-        want = cold_reference(model, [3, 7], service.config.k)
-        np.testing.assert_allclose(result.scores, want.scores, rtol=1e-5, atol=1e-6)
+        assert_matches_reference(result, cold_reference(model, [[3, 7]], service.config.k))
 
 
 class TestOutOfCatalogIds:
@@ -518,33 +510,26 @@ class TestOutOfCatalogIds:
 
 class TestServicePathEquivalence:
     def test_fast_path_equals_naive_path_at_equal_precision(self, dataset):
-        """Micro-batched + blocked + cached == per-request full-sort."""
+        """Micro-batched + blocked + cached == the per-user full-sort
+        oracle over the same widened bf16 table."""
         model = make_model(dataset, dtype="float32")
         fast = RecommenderService(model, exact_config(block_size=7))
-        naive = RecommenderService(
-            model,
-            ServingConfig(
-                k=10,
-                table_dtype="model",
-                topk="full_sort",
-                batching=False,
-                reuse_user_state=False,
-            ),
-        )
         rng = np.random.default_rng(2)
         users = list(range(5))
-        for user in users:
-            history = rng.integers(1, dataset.num_items + 1, size=12).tolist()
+        histories = [
+            rng.integers(1, dataset.num_items + 1, size=12).tolist() for _ in users
+        ]
+        for user, history in zip(users, histories):
             fast.observe_history(user, history)
-            naive.observe_history(user, history)
-        got = fast.recommend_many(users)
-        for user, fast_result in zip(users, got):
-            naive_result = naive.recommend(user)
+        fast.recommend_many(users)  # encodes and caches every user
+        got = fast.recommend_many(users)  # served from cached vectors
+        assert fast.stats()["user_vec_reuses"] == len(users)
+        for history, fast_result in zip(histories, got):
+            naive_result = cold_reference(model, [history], 10)
             np.testing.assert_array_equal(fast_result.ids, naive_result.ids)
             np.testing.assert_allclose(
                 fast_result.scores, naive_result.scores, rtol=1e-6, atol=1e-7
             )
-        assert naive.stats()["encodes"] == len(users)
 
     @pytest.mark.parametrize("block_size", [1, 7, 8192])
     def test_bf16_table_equals_explicit_widened_reference(self, dataset, block_size):
@@ -557,12 +542,8 @@ class TestServicePathEquivalence:
         service.observe_history("u", [2, 5, 8, 11])
         got = service.recommend("u")
         vec = model.encode_users(service.sessions.get("u").window()[None, :][0])
-        widened = (
-            (bf16_oracle(model.score_context()).astype(np.uint32) << 16)
-            .view(np.float32)
-        )
         users = vec.astype(np.float32).reshape(1, -1)
-        scores = users @ widened
+        scores = users @ widened_oracle(model.score_context())
         table = service.table
         blocks = np.concatenate(
             [
@@ -600,32 +581,28 @@ class TestServicePathEquivalence:
         service = RecommenderService(model, exact_config(k=5))
         service.observe_history("u", [4, 9, 13])
         got = service.recommend("u")
-        want = cold_reference(model, [4, 9, 13], 5)
-        np.testing.assert_allclose(got.scores, want.scores, rtol=1e-5, atol=1e-6)
+        assert_matches_reference(got, cold_reference(model, [[4, 9, 13]], 5))
 
     def test_bf16_blocked_arm_keeps_trained_ranking_quality(self, dataset):
-        """Fidelity: the fast arm (bfloat16 table + blocked top-k) and the
-        reference arm (model-dtype float32 table + full sort) rank the
+        """Fidelity: the served arm (bfloat16 table + blocked top-k) and
+        the model-dtype full-sort oracle (float32 table) rank the
         held-out test targets of a briefly trained model equally well."""
         model = make_model(dataset, dtype="float32")
         Trainer(model, dataset, TrainConfig(epochs=3, batch_size=64, patience=0)).fit()
         model.eval()
         histories = [prefix for prefix, _ in dataset.test]
         targets = np.array([target for _, target in dataset.test])
-        arms = {
-            "fast": ServingConfig(k=10, table_dtype="bfloat16", topk="blocked"),
-            "reference": ServingConfig(
-                k=10, table_dtype="model", topk="full_sort",
-                batching=False, reuse_user_state=False,
-            ),
+        with RecommenderService(model, ServingConfig(k=10)) as service:
+            for user, history in enumerate(histories):
+                service.observe_history(user, history)
+            served = service.recommend_many(range(len(histories)))
+        ids = {
+            "fast": np.concatenate([r.ids for r in served]),
+            "reference": cold_reference(model, histories, 10, bf16=False).ids,
         }
         metrics = {}
-        for name, config in arms.items():
-            with RecommenderService(model, config) as service:
-                for user, history in enumerate(histories):
-                    service.observe_history(user, history)
-                results = service.recommend_many(range(len(histories)))
-            hit = np.concatenate([r.ids for r in results]) == targets[:, None]
+        for name, top in ids.items():
+            hit = top == targets[:, None]
             found = hit.any(axis=1)
             ndcg = np.where(found, 1.0 / np.log2(hit.argmax(axis=1) + 2), 0.0)
             metrics[name] = np.array([found.mean(), ndcg.mean()])
@@ -702,23 +679,43 @@ class TestMicroBatching:
         assert (result.ids[0] != 0).all()
 
 
+def count_calls(monkeypatch, obj, name):
+    """Patch ``obj.name`` to count its calls; returns the count list."""
+    calls = []
+    real = getattr(obj, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(obj, name, counted)
+    return calls
+
+
 class TestNonFiniteTable:
-    def test_refresh_table_rejects_non_finite_and_old_snapshot_serves(self, dataset):
+    def test_refresh_table_rejects_non_finite_and_keeps_snapshot(
+        self, dataset, monkeypatch
+    ):
         model = make_model(dataset)
-        config = ServingConfig(batching=False, auto_refresh=False, k=6)
-        with RecommenderService(model, config) as service:
+        with RecommenderService(model, exact_config(k=6)) as service:
             service.observe_history("u", [2, 5, 8])
-            reference = service.recommend("u")
+            service.recommend("u")
             table = service.table
+            snapshot = table.table.copy()
             poison_item_row(model, 3, np.nan)
             with pytest.raises(ValueError, match="non-finite"):
                 service.refresh_table()
             assert service.table is table
+            np.testing.assert_array_equal(table.table, snapshot)
             assert service.stats()["refresh_errors"] == 1
-            got = service.recommend("u")
-            assert not got.degraded
-            np.testing.assert_array_equal(got.ids, reference.ids)
-            np.testing.assert_array_equal(got.scores, reference.scores)
+            # the failed version is not rebuilt on the request path...
+            builds = count_calls(monkeypatch, model, "score_context")
+            assert service.recommend("u").degraded
+            assert builds == [] and service.stats()["refresh_errors"] == 1
+            # ...but an explicit refresh always tries
+            with pytest.raises(ValueError, match="non-finite"):
+                service.refresh_table()
+            assert builds == [1] and service.stats()["refresh_errors"] == 2
 
     def test_inline_refresh_rejects_non_finite_and_keeps_snapshot(self, dataset):
         model = make_model(dataset)
@@ -735,13 +732,51 @@ class TestNonFiniteTable:
             assert service.table is table and table.version == version
             np.testing.assert_array_equal(table.table, snapshot)
 
+    def test_failed_version_is_built_once(self, dataset, monkeypatch):
+        """A non-finite model is built once per parameter version, not
+        once per batch; new finite parameters serve normally again."""
+        model = make_model(dataset)
+        with RecommenderService(model, exact_config(k=6)) as service:
+            service.observe_history("u", [2, 5, 8])
+            service.recommend("u")
+            good = model.state_dict()
+            poison_item_row(model, 3, np.nan)
+            builds = count_calls(monkeypatch, model, "score_context")
+            results = [service.recommend("u") for _ in range(5)]
+            assert all(r.degraded for r in results)
+            stats = service.stats()
+            assert len(builds) == 1 and stats["refresh_errors"] == 1
+            assert stats["model_errors"] == 5 and stats["degraded"] == 5
+            model.load_state_dict(good)  # finite weights, next version
+            got = service.recommend("u")
+            assert not got.degraded and len(builds) == 2
+            assert_matches_reference(got, cold_reference(model, [[2, 5, 8]], 6))
+            assert service.stats()["table_refreshes"] == 2
+
+    def test_degrade_on_stale_does_not_rebuild_failed_version(
+        self, dataset, monkeypatch
+    ):
+        model = make_model(dataset)
+        config = exact_config(k=6, degrade_on_stale=True)
+        with RecommenderService(model, config) as service:
+            service.observe_history("u", [2, 5, 8])
+            service.recommend("u")
+            poison_item_row(model, 3, np.nan)
+            builds = count_calls(monkeypatch, model, "score_context")
+            assert service.recommend("u").degraded  # starts the rebuild
+            deadline = time.monotonic() + 10.0
+            while service.stats()["refresh_errors"] < 1:
+                assert time.monotonic() < deadline, "background rebuild never ran"
+                time.sleep(0.01)
+            assert all(service.recommend("u").degraded for _ in range(4))
+            time.sleep(0.05)  # a rebuild started by mistake would land here
+            assert len(builds) == 1 and service.stats()["refresh_errors"] == 1
+
 
 class TestServingConfigValidation:
     def test_rejects_bad_knobs(self):
         with pytest.raises(ValueError, match="k must be"):
             ServingConfig(k=0)
-        with pytest.raises(ValueError, match="topk"):
-            ServingConfig(topk="heap")
         with pytest.raises(ValueError, match="micro_batch"):
             ServingConfig(micro_batch=0)
         with pytest.raises(ValueError, match="max_wait_ms"):
@@ -777,13 +812,16 @@ class TestServeCli:
         assert "history: [3, 7, 9]" in out
         assert out.count("item") == 4
 
-    def test_table_dtype_accepts_only_bfloat16_and_model(self):
-        parser = serve_cli.build_parser()
-        assert parser.parse_args([]).table_dtype == "bfloat16"
-        assert parser.parse_args(["--table-dtype", "model"]).table_dtype == "model"
-        for removed in REMOVED_TABLE_DTYPES:
+    @pytest.mark.parametrize("field", sorted(REMOVED_FIELDS))
+    def test_removed_reference_options_are_rejected(self, field):
+        """The reference arms left the service: their config fields are
+        unknown keywords and their CLI flags unknown options."""
+        with pytest.raises(TypeError, match=field):
+            ServingConfig(**{field: None})
+        flag = REMOVED_FIELDS[field]
+        if flag is not None:
             with pytest.raises(SystemExit):
-                parser.parse_args(["--table-dtype", removed])
+                serve_cli.build_parser().parse_args([flag, "model"])
 
 
 #: build flags shared by the training and serving CLI runs below
