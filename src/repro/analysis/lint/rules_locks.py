@@ -11,10 +11,13 @@ traffic.  This rule infers the protocol instead of trusting it:
 - a class **owns locks** if its ``__init__`` assigns
   ``threading.Lock()``/``RLock()``/``Condition()`` to attributes;
 - an attribute is **lock-protected** if any non-``__init__`` method
-  writes it while lexically inside ``with self.<lock>:`` — the
-  protecting set is the union of locks ever held at a write;
-- every other read or write of that attribute in a non-``__init__``
-  method must hold one of its protecting locks.
+  writes it while lexically inside ``with self.<lock>:`` — its guard
+  is the set of locks held at *every* such locked write (a write under
+  ``_refresh_mutex`` and ``_lock`` together, next to a write under
+  ``_lock`` alone, is guarded by ``_lock``);
+- every read or write of that attribute in a non-``__init__`` method
+  must hold a guard lock.  When the locked writes share no lock, no
+  lock guards the attribute, and every access is reported.
 
 Nested ``def`` bodies reset the held-lock set (closures run later, on
 other threads); lambdas keep it (``cond.wait_for(lambda: ...)``
@@ -30,7 +33,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Set, Tuple
+from typing import Dict, FrozenSet, List, Set
 
 from repro.analysis.lint.engine import (
     Finding,
@@ -174,23 +177,40 @@ def _check_class(sf: SourceFile, cls: ast.ClassDef) -> List[Finding]:
             for inner in stmt.body:
                 walker.visit(inner)
             accesses.extend(walker.accesses)
-    protecting: Dict[str, Set[str]] = {}
-    written_in: Dict[str, Set[Tuple[str, str]]] = {}
+    locked_writes: Dict[str, List[_Access]] = {}
     for acc in accesses:
         if acc.is_write and acc.held:
-            protecting.setdefault(acc.attr, set()).update(acc.held)
-            for lock in acc.held:
-                written_in.setdefault(acc.attr, set()).add((acc.method, lock))
+            locked_writes.setdefault(acc.attr, []).append(acc)
+    guarded_by = {
+        attr: frozenset.intersection(*(w.held for w in writes))
+        for attr, writes in locked_writes.items()
+    }
     findings: List[Finding] = []
     for acc in accesses:
-        guards = protecting.get(acc.attr)
-        if not guards or acc.held & guards:
+        if acc.attr not in guarded_by or acc.held & guarded_by[acc.attr]:
             continue
-        origin_method, origin_lock = sorted(written_in[acc.attr])[0]
+        guards, writes = guarded_by[acc.attr], locked_writes[acc.attr]
         verb = "written" if acc.is_write else "read"
         held = (
             f" (holds only {', '.join(sorted(acc.held))})" if acc.held else ""
         )
+        if guards:
+            origin = min(w.method for w in writes)
+            message = (
+                f"'{acc.attr}' is written under self.{min(guards)} in "
+                f"{origin}() but {verb} here without holding "
+                f"{' or '.join('self.' + g for g in sorted(guards))}{held}"
+            )
+        else:
+            sites = sorted(
+                {(w.method, " + ".join("self." + g for g in sorted(w.held)))
+                 for w in writes}
+            )
+            message = (
+                f"'{acc.attr}' is written under locks that share none ("
+                + "; ".join(f"{locks} in {m}()" for m, locks in sites)
+                + f"), so no lock guards it; {verb} here{held}"
+            )
         findings.append(
             Finding(
                 rule="R4",
@@ -198,12 +218,7 @@ def _check_class(sf: SourceFile, cls: ast.ClassDef) -> List[Finding]:
                 path=sf.rel,
                 line=acc.line,
                 scope=f"{cls.name}.{acc.method}",
-                message=(
-                    f"'{acc.attr}' is written under self.{origin_lock} in "
-                    f"{origin_method}() but {verb} here without holding "
-                    f"{' or '.join('self.' + g for g in sorted(guards))}"
-                    f"{held}"
-                ),
+                message=message,
                 detail=f"{cls.name}.{acc.method}.{acc.attr}",
             )
         )

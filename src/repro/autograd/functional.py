@@ -34,12 +34,12 @@ __all__ = [
     "add", "sub", "mul", "div", "neg", "pow", "exp", "log", "sqrt",
     "tanh", "sigmoid", "relu", "gelu", "matmul", "linear", "linear_gelu", "reshape",
     "transpose",
-    "sum", "mean", "var", "getitem", "concat", "stack", "pad_axis",
-    "softmax", "log_softmax", "cross_entropy", "linear_cross_entropy",
+    "sum", "mean", "getitem", "concat", "stack",
+    "softmax", "cross_entropy", "linear_cross_entropy",
     "sampled_softmax_loss",
     "embedding", "dropout",
-    "layer_norm", "dropout_add_layer_norm", "where", "maximum", "clip", "masked_fill", "sum_to",
-    "binary_cross_entropy_with_logits", "logsigmoid", "l2_normalize",
+    "layer_norm", "dropout_add_layer_norm", "clip", "masked_fill",
+    "logsigmoid", "l2_normalize",
 ]
 
 
@@ -346,22 +346,6 @@ def gelu(a) -> Tensor:
     return _make(forward(), (a,), backward, forward)
 
 
-def maximum(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-
-    def forward():
-        return np.maximum(a.data, b.data)
-
-    def backward(grad):
-        mask = a.data >= b.data
-        return (
-            unbroadcast(grad * mask, a.shape),
-            unbroadcast(grad * ~mask, b.shape),
-        )
-
-    return _make(forward(), (a, b), backward, forward)
-
-
 def clip(a, lo: float, hi: float) -> Tensor:
     a = as_tensor(a)
 
@@ -373,28 +357,6 @@ def clip(a, lo: float, hi: float) -> Tensor:
         return (grad * inside,)
 
     return _make(forward(), (a,), backward, forward)
-
-
-def where(cond, a, b) -> Tensor:
-    """Select ``a`` where ``cond`` else ``b``; ``cond`` is a plain array.
-
-    The condition array object is baked into the closures; a
-    step-dependent condition must be refreshed in place via
-    :func:`repro.autograd.graph.record_host` to stay replay-correct.
-    """
-    cond = cond.data if isinstance(cond, Tensor) else np.asarray(cond)
-    a, b = as_tensor(a), as_tensor(b)
-
-    def forward():
-        return np.where(cond, a.data, b.data)
-
-    def backward(grad):
-        return (
-            unbroadcast(grad * cond, a.shape),
-            unbroadcast(grad * ~cond, b.shape),
-        )
-
-    return _make(forward(), (a, b), backward, forward)
 
 
 def masked_fill(a, mask, value: float) -> Tensor:
@@ -514,23 +476,6 @@ def stack(tensors: Sequence, axis: int = 0) -> Tensor:
     return _make(forward(), tuple(tensors), backward, forward)
 
 
-def pad_axis(a, axis: int, before: int, after: int, value: float = 0.0) -> Tensor:
-    """Pad one axis with a constant value."""
-    a = as_tensor(a)
-    widths = [(0, 0)] * a.ndim
-    widths[axis] = (before, after)
-
-    def forward():
-        return np.pad(a.data, widths, constant_values=value)
-
-    def backward(grad):
-        slicer = [slice(None)] * a.ndim
-        slicer[axis] = slice(before, before + a.shape[axis])
-        return (grad[tuple(slicer)],)
-
-    return _make(forward(), (a,), backward, forward)
-
-
 # ----------------------------------------------------------------------
 # Reductions
 # ----------------------------------------------------------------------
@@ -569,28 +514,6 @@ def mean(a, axis=None, keepdims: bool = False) -> Tensor:
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, a.shape).astype(a.dtype, copy=False),)
-
-    return _make(forward(), (a,), backward, forward)
-
-
-def var(a, axis=None, keepdims: bool = False) -> Tensor:
-    """Population variance (ddof=0), composed from differentiable ops."""
-    a = as_tensor(a)
-    mu = mean(a, axis=axis, keepdims=True)
-    centered = sub(a, mu)
-    squared = mul(centered, centered)
-    return mean(squared, axis=axis, keepdims=keepdims)
-
-
-def sum_to(a, shape: Tuple[int, ...]) -> Tensor:
-    """Differentiable reduction of ``a`` to a broadcast-compatible shape."""
-    a = as_tensor(a)
-
-    def forward():
-        return unbroadcast(a.data, shape)
-
-    def backward(grad):
-        return (np.broadcast_to(grad, a.shape).astype(a.dtype, copy=False),)
 
     return _make(forward(), (a,), backward, forward)
 
@@ -742,25 +665,7 @@ def softmax(a, axis: int = -1) -> Tensor:
     return _make(forward(), (a,), backward, forward)
 
 
-def log_softmax(a, axis: int = -1) -> Tensor:
-    a = as_tensor(a)
-    out = None
-
-    def forward():
-        nonlocal out
-        shifted = a.data - a.data.max(axis=axis, keepdims=True)
-        log_z = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-        out = shifted - log_z
-        return out
-
-    def backward(grad):
-        soft = np.exp(out)
-        return (grad - soft * grad.sum(axis=axis, keepdims=True),)
-
-    return _make(forward(), (a,), backward, forward)
-
-
-def cross_entropy(logits, targets, ignore_index: Optional[int] = None) -> Tensor:
+def cross_entropy(logits, targets) -> Tensor:
     """Mean softmax cross-entropy over the last axis.
 
     Parameters
@@ -769,12 +674,10 @@ def cross_entropy(logits, targets, ignore_index: Optional[int] = None) -> Tensor
         Tensor of shape ``(..., num_classes)``.
     targets:
         Integer array of shape ``(...,)`` with class indices.
-    ignore_index:
-        Optional target value whose positions contribute zero loss
-        (used for padding in masked-item objectives).
 
-    To bound memory on production-size vocabularies, score through
-    :func:`linear_cross_entropy`, which never materializes the logits.
+    The InfoNCE objective's op, over ``(2B, 2B)`` similarity logits.
+    The prediction head scores the item table through
+    :func:`linear_cross_entropy`, which never keeps the logits.
     """
     logits = as_tensor(logits)
     targets = targets.data if isinstance(targets, Tensor) else np.asarray(targets)
@@ -782,138 +685,157 @@ def cross_entropy(logits, targets, ignore_index: Optional[int] = None) -> Tensor
     # Target-derived state is recomputed inside ``forward`` — the target
     # array object is baked into the closure, its *contents* are step
     # input that a static-graph replay refreshes in place.
-    log_probs = rows = safe_targets = valid = count = None
+    log_probs = rows = flat_targets = scale = None
 
     def forward():
-        nonlocal log_probs, rows, safe_targets, valid, count
+        nonlocal log_probs, rows, flat_targets, scale
         flat_logits = logits.data.reshape(-1, logits.data.shape[-1])
         flat_targets = targets.reshape(-1).astype(np.int64)
-        if ignore_index is not None:
-            valid = flat_targets != ignore_index
-        else:
-            valid = np.ones_like(flat_targets, dtype=bool)
-        count = max(int(valid.sum()), 1)
-        safe_targets = np.where(valid, flat_targets, 0)
+        count = max(flat_targets.shape[0], 1)
+        # A float64 column, so the backward scales in float64 and then
+        # rounds, whatever the logits dtype.
+        scale = np.full((flat_targets.shape[0], 1), 1.0 / count, dtype=np.float64)
         rows = np.arange(flat_targets.shape[0])
         shifted = flat_logits - flat_logits.max(axis=1, keepdims=True)
         log_z = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
         log_probs = shifted - log_z
-        picked = log_probs[rows, safe_targets]
-        loss = -(picked * valid).sum() / count
+        loss = -log_probs[rows, flat_targets].sum() / count
         return np.asarray(loss, dtype=logits.data.dtype)
 
     def backward(grad):
         soft = np.exp(log_probs)
-        soft[rows, safe_targets] -= 1.0
-        soft *= (valid / count)[:, None]
+        soft[rows, flat_targets] -= 1.0
+        soft *= scale
         return ((grad * soft).reshape(logits.shape).astype(logits.dtype, copy=False),)
 
     return _make(forward(), (logits,), backward, forward)
 
 
-def linear_cross_entropy(
-    inputs,
-    weight,
-    targets,
-    chunk_size: Optional[int] = None,
-) -> Tensor:
-    """Fused ``cross_entropy(inputs @ weight.T, targets)`` streamed by rows.
+#: Cap (in bytes) on the ``(R, C)`` logits block that
+#: :func:`linear_cross_entropy` streams the class table through.  One
+#: block is bitwise the dense composition, so the cap sits above every
+#: head this repo trains: the 100k-item benchmark head (128 rows x
+#: 100,001 classes, float32) is ~51 MB, and BERT4Rec's Cloze head at
+#: the full experiment budget (256 x 50 rows x 356 classes, float64)
+#: is ~36 MB.  Bigger heads stream, and their peak memory stays at
+#: about one block.
+_CE_BLOCK_BYTES = 64 << 20
 
-    The production-vocabulary path for the prediction layer: logits
-    against a ``(V, d)`` class table are computed chunk-by-chunk with an
-    online (running-max) log-sum-exp, so the full ``(R, V)`` logits
-    matrix is **never materialized** — peak extra memory is one
-    ``(R, chunk_size)`` block.  The backward re-computes each chunk's
-    logits (one extra GEMM pass, the classic memory/compute trade) and
-    accumulates the input / weight gradients per chunk.
+
+def linear_cross_entropy(
+    inputs, weight, targets, ignore_index: Optional[int] = None
+) -> Tensor:
+    """Mean softmax cross-entropy of ``inputs @ weight.T`` (Eq. 31-32).
+
+    The full-softmax prediction head, as one graph node.  The op walks
+    the ``(V, d)`` class table in column blocks whose ``(R, C)`` logits
+    fit in :data:`_CE_BLOCK_BYTES`.  The forward keeps a running
+    log-sum-exp per row; the backward recomputes each block's logits
+    (one extra GEMM) instead of keeping them, so no logits array
+    outlives either pass.
 
     Parameters
     ----------
     inputs:
-        Tensor of shape ``(..., d)`` (user vectors).
+        Tensor of shape ``(..., d)`` (user or position vectors).
     weight:
         Tensor of shape ``(V, d)``; class ``c`` scores against row
         ``weight[c]`` (the natural layout of an embedding table).
     targets:
         Integer array of shape ``(...,)`` with class indices.
-    chunk_size:
-        Class-chunk width.  ``None`` (or ``>= V``, which clamps to one
-        chunk) falls back to the dense composition
-        ``cross_entropy(matmul(inputs, weight.T))``, which is
-        byte-for-byte the historical prediction path; ``<= 0`` raises.
+    ignore_index:
+        Optional target value whose positions contribute zero loss
+        (the padding of the Cloze objectives).
 
-    Values match the dense path to floating-point reassociation
-    tolerance (the per-chunk GEMMs and the online normalizer sum in a
-    different order).
+    A head that fits one block runs the dense composition
+    ``cross_entropy(matmul(inputs, weight.T))`` expression for
+    expression, so its loss and both gradients are bitwise that
+    composition's (``tests/ce_reference.py`` keeps it as the oracle).
+    More blocks sum the normalizer and the input gradient in a
+    different order, which moves values at rounding level.
     """
-    if chunk_size is not None and chunk_size < 1:
-        raise ValueError(f"chunk_size must be >= 1 or None, got {chunk_size}")
     inputs, weight = as_tensor(inputs), as_tensor(weight)
-    num_classes = weight.shape[0]
-    if chunk_size is None or chunk_size >= num_classes:
-        return cross_entropy(matmul(inputs, transpose(weight, (1, 0))), targets)
-
     targets = targets.data if isinstance(targets, Tensor) else np.asarray(targets)
-    dim = inputs.shape[-1]
-    row_max = log_z = flat_targets = count = None
+    num_classes, dim = weight.shape
+    row_max = log_z = scale = safe_targets = None
+
+    def blocks():
+        """``(c0, c1, logits)`` per column block, logits ``(R, c1 - c0)``."""
+        x, w = inputs.data, weight.data
+        rows = max(x.size // dim, 1)
+        width = max(1, _CE_BLOCK_BYTES // (rows * x.dtype.itemsize))
+        for c0 in range(0, num_classes, width):
+            c1 = min(c0 + width, num_classes)
+            # The GEMM keeps the leading shape of ``inputs``: on 3-D
+            # input, numpy's batched matmul and one flat 2-D GEMM
+            # round differently.
+            block = x @ w[c0:c1].T
+            yield c0, c1, block.reshape(-1, c1 - c0)
+
+    def targets_in(c0, c1):
+        """Rows whose target falls in block ``[c0, c1)``, and its column."""
+        hit = np.nonzero((safe_targets >= c0) & (safe_targets < c1))[0]
+        return hit, safe_targets[hit] - c0
 
     def forward():
-        nonlocal row_max, log_z, flat_targets, count
-        x = inputs.data.reshape(-1, dim)
-        w = weight.data
+        nonlocal row_max, log_z, scale, safe_targets
         flat_targets = targets.reshape(-1).astype(np.int64)
-        count = max(flat_targets.shape[0], 1)
-        if flat_targets.size and (
-            int(flat_targets.min()) < 0 or int(flat_targets.max()) >= num_classes
+        if ignore_index is None:
+            valid = np.ones_like(flat_targets, dtype=bool)
+        else:
+            valid = flat_targets != ignore_index
+        count = max(int(valid.sum()), 1)
+        scale = (valid / count)[:, None]
+        safe_targets = np.where(valid, flat_targets, 0)
+        if safe_targets.size and (
+            int(safe_targets.min()) < 0 or int(safe_targets.max()) >= num_classes
         ):
-            # The dense path would raise on the fancy-index gather; the
-            # chunked gather would silently skip out-of-range rows and
-            # train on uninitialized memory instead — fail loudly.
+            # A blocked gather would skip an out-of-range row and train
+            # on uninitialized memory instead; fail loudly.
             raise IndexError(
                 f"targets out of range for {num_classes} classes "
-                f"(got min {int(flat_targets.min())}, max {int(flat_targets.max())})"
+                f"(got min {int(safe_targets.min())}, max {int(safe_targets.max())})"
             )
-
-        # Online log-sum-exp over class chunks: one GEMM pass, running
-        # (max, scaled-sum) per row; the target logit is gathered from
-        # the single chunk that covers it.
-        row_max = np.full(x.shape[0], -np.inf, dtype=x.dtype)
-        sum_exp = np.zeros(x.shape[0], dtype=x.dtype)
-        picked = np.empty(x.shape[0], dtype=x.dtype)
-        for c0 in range(0, num_classes, chunk_size):
-            c1 = min(c0 + chunk_size, num_classes)
-            block = x @ w[c0:c1].T  # (R, C)
-            in_chunk = np.nonzero((flat_targets >= c0) & (flat_targets < c1))[0]
-            if in_chunk.size:
-                picked[in_chunk] = block[in_chunk, flat_targets[in_chunk] - c0]
+        dtype = inputs.data.dtype
+        n = safe_targets.shape[0]
+        row_max = np.full(n, -np.inf, dtype=dtype)
+        sum_exp = np.zeros(n, dtype=dtype)
+        picked = np.empty(n, dtype=dtype)
+        for c0, c1, block in blocks():
+            hit, cols = targets_in(c0, c1)
+            picked[hit] = block[hit, cols]
             new_max = np.maximum(row_max, block.max(axis=1))
             sum_exp *= np.exp(row_max - new_max)
             row_max = new_max
             block -= row_max[:, None]
             np.exp(block, out=block)
             sum_exp += block.sum(axis=1)
-        log_z = np.log(sum_exp)  # log-sum-exp relative to the final row max
-        loss = -(picked - row_max - log_z).sum() / count
-        return np.asarray(loss, dtype=inputs.data.dtype)
+        log_z = np.log(sum_exp)
+        picked = picked - row_max - log_z
+        loss = -(picked * valid).sum() / count
+        return np.asarray(loss, dtype=dtype)
 
     def backward(grad):
         x = inputs.data.reshape(-1, dim)
-        w = weight.data
-        g_x = np.zeros_like(x)
-        g_w = np.zeros_like(w)
-        coef = np.asarray(grad / count, dtype=x.dtype)
-        shift = row_max + log_z
-        for c0 in range(0, num_classes, chunk_size):
-            c1 = min(c0 + chunk_size, num_classes)
-            block = x @ w[c0:c1].T
-            block -= shift[:, None]
+        g_x = None
+        g_w = []
+        for c0, c1, block in blocks():
+            # The dense order: shift by the row max, subtract log_z,
+            # exponentiate, take one off the targets, scale, then grad.
+            block -= row_max[:, None]
+            block -= log_z[:, None]
             np.exp(block, out=block)
-            in_chunk = np.nonzero((flat_targets >= c0) & (flat_targets < c1))[0]
-            if in_chunk.size:
-                block[in_chunk, flat_targets[in_chunk] - c0] -= 1.0
-            block *= coef
-            g_x += block @ w[c0:c1]
-            g_w[c0:c1] = block.T @ x
+            hit, cols = targets_in(c0, c1)
+            block[hit, cols] -= 1.0
+            block *= scale
+            block *= grad
+            part = block @ weight.data[c0:c1]
+            if g_x is None:
+                g_x = part
+            else:
+                g_x += part
+            g_w.append((x.T @ block).T)
+        g_w = g_w[0] if len(g_w) == 1 else np.concatenate(g_w)
         return (
             g_x.reshape(inputs.shape).astype(inputs.dtype, copy=False),
             g_w.astype(weight.dtype, copy=False),
@@ -953,7 +875,7 @@ def sampled_softmax_loss(
         Tensor of shape ``(V, d)``; class ``c`` scores against row
         ``weight[c]`` (the natural layout of an embedding table).
     targets, ignore_index:
-        As in :func:`cross_entropy`.
+        As in :func:`linear_cross_entropy`.
     num_negatives, sampler:
         Draw ``num_negatives`` candidate ids from ``sampler`` (a
         :class:`repro.data.negative_sampling.NegativeSampler`, drawn
@@ -1116,24 +1038,6 @@ def sampled_softmax_loss(
         )
 
     return _make(forward(), (inputs, weight), backward, forward)
-
-
-def binary_cross_entropy_with_logits(logits, targets) -> Tensor:
-    """Mean BCE over all elements; ``targets`` is a plain 0/1 array."""
-    logits = as_tensor(logits)
-    targets = targets.data if isinstance(targets, Tensor) else np.asarray(targets)
-
-    def forward():
-        x = logits.data
-        loss = np.maximum(x, 0) - x * targets + np.log1p(np.exp(-np.abs(x)))
-        return np.asarray(loss.mean(), dtype=x.dtype)
-
-    def backward(grad):
-        x = logits.data
-        sig = 1.0 / (1.0 + np.exp(-np.clip(x, -60.0, 60.0)))
-        return ((grad * (sig - targets) / x.size).astype(x.dtype, copy=False),)
-
-    return _make(forward(), (logits,), backward, forward)
 
 
 def embedding(weight, indices) -> Tensor:

@@ -127,6 +127,6 @@ class BERT4Rec(SequentialEncoderBase):
         record_host(prepare, "bert4rec.cloze")
 
         states = self.encode_states(corrupted)  # (B, N, d)
-        table = F.transpose(self._score_table(), (1, 0))
-        logits = F.matmul(states, table)  # (B, N, V+1)
-        return F.cross_entropy(logits, labels, ignore_index=_IGNORE)
+        return F.linear_cross_entropy(
+            states, self._score_table(), labels, ignore_index=_IGNORE
+        )

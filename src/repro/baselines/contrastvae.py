@@ -87,17 +87,11 @@ class ContrastVAE(SASRec):
         with no_grad():
             return self.mu_head(Tensor(users)).data
 
-    def predict_scores(self, input_ids: np.ndarray, context: np.ndarray | None = None) -> np.ndarray:
-        if context is None:
-            context = self.score_context()
-        return self.encode_users(input_ids) @ context
-
     def loss(self, batch: Batch) -> Tensor:
         mu, logvar = self._posterior(batch.input_ids)
         z1 = self._sample(mu, logvar)
         z2 = self._sample(mu, logvar)
-        table = F.transpose(self._score_table(), (1, 0))
-        rec = F.cross_entropy(F.matmul(z1, table), batch.targets)
+        rec = F.linear_cross_entropy(z1, self._score_table(), batch.targets)
         # KL(N(mu, sigma) || N(0, I)) = -0.5 * sum(1 + logvar - mu^2 - e^logvar)
         kl_terms = F.sub(
             F.add(F.mul(mu, mu), F.exp(logvar)),

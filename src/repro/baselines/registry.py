@@ -25,15 +25,15 @@ __all__ = ["BASELINE_NAMES", "build_baseline"]
 #: honors as plain attributes (SLIME4Rec additionally carries them as
 #: ``SlimeConfig`` fields).  ``build_baseline`` extracts these from
 #: ``overrides`` and applies them uniformly, so one switch turns on the
-#: chunked or sampled-softmax training loss for any Table II model
-#: whose objective runs through the shared ``prediction_loss`` head.
-LOSS_KNOBS = ("ce_chunk_size", "train_num_negatives", "negative_sampling")
+#: sampled-softmax training loss for any Table II model whose objective
+#: runs through the shared ``prediction_loss`` head.
+LOSS_KNOBS = ("train_num_negatives", "negative_sampling")
 
 #: Models whose training loss bypasses ``prediction_loss`` entirely
 #: (Cloze over positions, variational CE composition, pairwise BPR).
 #: Passing a loss knob for these would be a silent no-op — the user
-#: would believe sampled/chunked training is on while every step still
-#: runs the bespoke objective — so ``build_baseline`` rejects it.
+#: would believe sampled training is on while every step still runs
+#: the bespoke objective — so ``build_baseline`` rejects it.
 BESPOKE_LOSS_MODELS = frozenset({"BPR-MF", "BERT4Rec", "ContrastVAE"})
 
 #: Table II column order.
@@ -67,7 +67,7 @@ def build_baseline(
     accepts SlimeConfig fields instead).  ``dtype`` selects the compute
     precision of every model uniformly (float32/float64); ``None``
     defers to :func:`repro.nn.init.get_default_dtype`.  The shared
-    prediction-loss knobs (``ce_chunk_size``, ``train_num_negatives``,
+    prediction-loss knobs (``train_num_negatives``,
     ``negative_sampling`` — see :data:`LOSS_KNOBS`) are accepted for
     every model that trains through ``prediction_loss`` and applied as
     post-construction attributes, so e.g.
@@ -97,10 +97,9 @@ def build_baseline(
                 f"negative_sampling must be one of {NegativeSampler.STRATEGIES}, "
                 f"got {knobs['negative_sampling']!r}"
             )
-    for knob in ("ce_chunk_size", "train_num_negatives"):
-        value = knobs.get(knob)
-        if value is not None and value < 1:
-            raise ValueError(f"{knob} must be >= 1 or None, got {value}")
+    value = knobs.get("train_num_negatives")
+    if value is not None and value < 1:
+        raise ValueError(f"train_num_negatives must be >= 1 or None, got {value}")
     common: Dict = dict(
         num_items=dataset.num_items,
         max_len=dataset.max_len,

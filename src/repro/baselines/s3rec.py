@@ -83,9 +83,9 @@ class S3Rec(SASRec):
         labels[masked] = inputs[masked]
         corrupted = np.where(masked, 0, inputs)
         states = self.encode_states(corrupted)
-        table = F.transpose(self._score_table(), (1, 0))
-        logits = F.matmul(states, table)
-        return F.cross_entropy(logits, labels, ignore_index=_IGNORE)
+        return F.linear_cross_entropy(
+            states, self._score_table(), labels, ignore_index=_IGNORE
+        )
 
     def loss(self, batch: Batch) -> Tensor:
         if is_capturing():

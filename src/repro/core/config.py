@@ -63,19 +63,12 @@ class SlimeConfig:
         with per-view dropout streams (``encode_views``).
     cl_temperature:
         Softmax temperature of the InfoNCE objective.
-    ce_chunk_size:
-        Class-chunk width for the prediction cross-entropy.  ``None``
-        keeps the dense ``(B, V+1)`` logits GEMM+softmax; a positive
-        value streams the loss over the item table in chunks of this
-        many rows without materializing the full logits matrix
-        (production-size catalogs).
     train_num_negatives:
         Sampled-softmax training.  ``None`` (default) trains against
-        the full catalog (Eq. 32, possibly chunked — see above); a
-        positive ``K`` scores each row against its positive plus ``K``
-        sampled negatives with the logQ correction, bounding the
-        prediction-layer *compute* for huge catalogs.  Evaluation
-        always ranks the full catalog regardless.
+        the full catalog (Eq. 32); a positive ``K`` scores each row
+        against its positive plus ``K`` sampled negatives with the logQ
+        correction, bounding the prediction-layer *compute* for huge
+        catalogs.  Evaluation always ranks the full catalog regardless.
     negative_sampling:
         Proposal distribution for ``train_num_negatives``:
         ``"uniform"`` (default) or ``"log_uniform"`` (Zipfian,
@@ -122,7 +115,6 @@ class SlimeConfig:
     hidden_dropout: float = 0.3
     cl_weight: float = 0.1
     cl_temperature: float = 1.0
-    ce_chunk_size: int | None = None
     train_num_negatives: int | None = None
     negative_sampling: str = "uniform"
     static_graph: bool = False
@@ -146,10 +138,6 @@ class SlimeConfig:
             raise ValueError(f"gamma must be in [0, 1], got {self.gamma}")
         if self.num_layers < 1:
             raise ValueError("num_layers must be >= 1")
-        if self.ce_chunk_size is not None and self.ce_chunk_size < 1:
-            raise ValueError(
-                f"ce_chunk_size must be >= 1 or None, got {self.ce_chunk_size}"
-            )
         if self.train_num_negatives is not None and self.train_num_negatives < 1:
             raise ValueError(
                 f"train_num_negatives must be >= 1 or None, "

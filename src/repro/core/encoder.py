@@ -129,13 +129,6 @@ class SequentialEncoderBase(Module):
         self.hidden_dim = hidden_dim
         self.noise_eps = noise_eps
         self.dtype = dtype
-        #: Class-chunk width for the prediction-layer cross-entropy.
-        #: ``None`` keeps the dense GEMM+softmax; a positive value makes
-        #: :meth:`prediction_loss` stream over the ``V+1`` item table in
-        #: chunks of this many rows (see
-        #: :func:`repro.autograd.functional.linear_cross_entropy`), the
-        #: memory-bounded path for production-size catalogs.
-        self.ce_chunk_size: int | None = None
         #: Sampled-softmax training: when set to a positive ``K``,
         #: :meth:`prediction_loss` scores each row against its positive
         #: plus ``K`` sampled negatives
@@ -261,12 +254,6 @@ class SequentialEncoderBase(Module):
             for i in range(len(arrays))
         )
 
-    def logits(self, input_ids: np.ndarray) -> Tensor:
-        """Scores over the full vocabulary: ``h @ M_V^T`` (Eq. 31)."""
-        user = self.user_representation(input_ids)
-        table = F.transpose(self._score_table(), (1, 0))
-        return F.matmul(user, table)
-
     def _score_table(self) -> Tensor:
         """Embedding rows used for scoring (padding + real items only)."""
         weight = self.item_embedding.weight
@@ -288,21 +275,16 @@ class SequentialEncoderBase(Module):
         return np.ascontiguousarray(table.T)
 
     def predict_scores(self, input_ids: np.ndarray, context: np.ndarray | None = None) -> np.ndarray:
-        """Numpy scores for evaluation (no graph).
+        """Full-vocabulary scores for evaluation: ``h @ M_V^T`` (Eq. 31).
 
-        ``context`` is an optional :meth:`score_context` result; when
-        given, scoring is a single GEMM against the cached table.
-
-        The whole scoring pass runs under :func:`no_grad` regardless of
-        the caller's grad mode: evaluation only consumes ``.data``, so
-        building (and immediately garbage-collecting) an autograd graph
-        per request was pure bookkeeping overhead — every intermediate
-        tensor allocated a node, parents tuple and backward closure.
+        ``encode_users(input_ids) @ context``, with ``context`` a
+        :meth:`score_context` result (taken fresh when omitted), so
+        evaluation and serving score the same user vectors against the
+        same contiguous table.  No autograd graph is built.
         """
-        with no_grad():
-            if context is not None:
-                return self.user_representation(input_ids).data @ context
-            return self.logits(input_ids).data
+        if context is None:
+            context = self.score_context()
+        return self.encode_users(input_ids) @ context
 
     # ------------------------------------------------------------------
     # Inference-state hooks (the serving path, repro.serving)
@@ -366,17 +348,12 @@ class SequentialEncoderBase(Module):
     def prediction_loss(self, user: Tensor, targets: np.ndarray) -> Tensor:
         """Eq. 31-32 from precomputed user vectors: score table GEMM + CE.
 
-        Honors the training-loss knobs, in precedence order:
-
-        - :attr:`train_num_negatives` — sampled softmax over the
-          positive plus ``K`` drawn negatives
-          (:func:`repro.autograd.functional.sampled_softmax_loss`),
-          bounding *compute* for huge catalogs;
-        - :attr:`ce_chunk_size` — full softmax streamed over the item
-          table in row chunks
-          (:func:`repro.autograd.functional.linear_cross_entropy`),
-          bounding *memory* without changing the objective;
-        - neither — the dense ``(B, V+1)`` GEMM+softmax reference.
+        The full softmax over the ``V+1`` item table
+        (:func:`repro.autograd.functional.linear_cross_entropy`), or,
+        when :attr:`train_num_negatives` is set, the sampled softmax
+        over the positive plus ``K`` drawn negatives
+        (:func:`repro.autograd.functional.sampled_softmax_loss`), which
+        bounds the head's *compute* for huge catalogs.
         """
         if self.train_num_negatives:
             return F.sampled_softmax_loss(
@@ -386,12 +363,7 @@ class SequentialEncoderBase(Module):
                 num_negatives=self.train_num_negatives,
                 sampler=self.negative_sampler(),
             )
-        if self.ce_chunk_size:
-            return F.linear_cross_entropy(
-                user, self._score_table(), targets, chunk_size=self.ce_chunk_size
-            )
-        table = F.transpose(self._score_table(), (1, 0))
-        return F.cross_entropy(F.matmul(user, table), targets)
+        return F.linear_cross_entropy(user, self._score_table(), targets)
 
     def recommendation_loss(self, input_ids: np.ndarray, targets: np.ndarray) -> Tensor:
         """Cross-entropy over the full softmax (Eq. 32)."""

@@ -47,7 +47,6 @@ class Slime4Rec(SequentialEncoderBase):
             dtype=config.dtype,
         )
         self.config = config
-        self.ce_chunk_size = config.ce_chunk_size
         self.train_num_negatives = config.train_num_negatives
         self.negative_sampling = config.negative_sampling
         self.static_graph = config.static_graph

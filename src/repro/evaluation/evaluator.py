@@ -30,17 +30,15 @@ class EvalResult:
 class Evaluator:
     """Ranks the full catalog for every evaluation user.
 
-    Models must expose ``predict_scores(input_ids) -> np.ndarray`` of
-    shape ``(B, vocab_size)``; the padding column (item 0) is excluded
-    from the candidate set during ranking.  Items already present in a
-    user's history are *not* masked, matching the paper's protocol of
-    ranking over the whole item set.
-
-    Models additionally exposing ``score_context()`` (all
-    :class:`~repro.core.encoder.SequentialEncoderBase` subclasses do)
-    get their item table materialized once per evaluation pass and
-    passed back via ``predict_scores(chunk, context=...)`` instead of
-    being rebuilt per batch.
+    Models expose ``score_context()`` and
+    ``predict_scores(input_ids, context) -> np.ndarray`` of shape
+    ``(B, vocab_size)``, as every
+    :class:`~repro.core.encoder.SequentialEncoderBase` does: the item
+    table is materialized once per evaluation pass and passed back with
+    each batch.  The padding column (item 0) is excluded from the
+    candidate set during ranking.  Items already present in a user's
+    history are *not* masked, matching the paper's protocol of ranking
+    over the whole item set.
 
     Scores are ranked in whatever float dtype the model produced — no
     widening copy to float64 — and the model's score buffer is never
@@ -64,14 +62,11 @@ class Evaluator:
         all_ranks = []
         model.eval()
         with no_grad():
-            context = model.score_context() if hasattr(model, "score_context") else None
+            context = model.score_context()
             for start in range(0, inputs.shape[0], self.batch_size):
                 chunk = inputs[start : start + self.batch_size]
                 chunk_targets = targets[start : start + self.batch_size]
-                if context is not None:
-                    scores = np.asarray(model.predict_scores(chunk, context=context))
-                else:
-                    scores = np.asarray(model.predict_scores(chunk))
+                scores = np.asarray(model.predict_scores(chunk, context=context))
                 all_ranks.append(
                     rank_of_target(
                         scores,

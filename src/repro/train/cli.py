@@ -74,14 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(default uniform; requires --train-num-negatives)",
     )
     parser.add_argument(
-        "--ce-chunk-size",
-        type=int,
-        default=None,
-        metavar="C",
-        help="stream the full-catalog cross-entropy over item-table chunks of "
-        "C rows (memory-bounded path; ignored when --train-num-negatives is set)",
-    )
-    parser.add_argument(
         "--checkpoint-dir",
         help="directory for rotated full-run-state checkpoints (model + "
         "best-validation weights + optimizer + RNG streams + history); "
@@ -140,12 +132,10 @@ def main(argv=None) -> int:
             "--negative-sampling requires --train-num-negatives "
             "(it only configures the sampled-softmax proposal)"
         )
-    if args.model in BESPOKE_LOSS_MODELS and (
-        args.train_num_negatives is not None or args.ce_chunk_size is not None
-    ):
+    if args.model in BESPOKE_LOSS_MODELS and args.train_num_negatives is not None:
         parser.error(
             f"{args.model} trains with a bespoke objective that bypasses "
-            f"prediction_loss; --train-num-negatives / --ce-chunk-size do not apply"
+            f"prediction_loss; --train-num-negatives does not apply"
         )
     if args.resume and not args.checkpoint_dir:
         parser.error("--resume requires --checkpoint-dir (the store to resume from)")
@@ -165,8 +155,6 @@ def main(argv=None) -> int:
     if args.train_num_negatives is not None:
         overrides["train_num_negatives"] = args.train_num_negatives
         overrides["negative_sampling"] = args.negative_sampling or "uniform"
-    if args.ce_chunk_size is not None:
-        overrides["ce_chunk_size"] = args.ce_chunk_size
     if args.static_graph:
         overrides["static_graph"] = True
     model = build_baseline(

@@ -26,6 +26,28 @@ class DisciplinedCounter:
             return self._count
 
 
+class NestedLocks:
+    """Every write holds both locks, so either one excludes the writers."""
+
+    def __init__(self):
+        self._outer = threading.Lock()
+        self._inner = threading.Lock()
+        self._value = 0
+
+    def set(self, value):
+        with self._outer:
+            with self._inner:
+                self._value = value
+
+    def get_outer(self):
+        with self._outer:
+            return self._value  # FP pin
+
+    def get_inner(self):
+        with self._inner:
+            return self._value  # FP pin
+
+
 class LockFreeBag:
     """No locks owned: nothing is protected, nothing is flagged."""
 

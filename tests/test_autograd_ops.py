@@ -75,20 +75,11 @@ class TestElementwiseGradients:
     def test_gelu(self, rng):
         gradcheck(F.gelu, [rand(rng, 3, 3)])
 
-    def test_maximum(self, rng):
-        a = rand(rng, 5)
-        b = t(a.data + np.where(rng.normal(size=5) > 0, 0.5, -0.5))
-        gradcheck(F.maximum, [a, b])
-
     def test_clip_gradient_zero_outside(self):
         a = t([-2.0, 0.0, 2.0])
         out = F.clip(a, -1.0, 1.0)
         out.backward(np.ones(3))
         assert np.allclose(a.grad, [0.0, 1.0, 0.0])
-
-    def test_where(self, rng):
-        cond = rng.normal(size=(3, 3)) > 0
-        gradcheck(lambda a, b: F.where(cond, a, b), [rand(rng, 3, 3), rand(rng, 3, 3)])
 
     def test_masked_fill_blocks_gradient(self):
         a = t([1.0, 2.0, 3.0])
@@ -127,13 +118,6 @@ class TestShapeOps:
     def test_stack(self, rng):
         gradcheck(lambda a, b: F.stack([a, b], axis=0), [rand(rng, 2, 3), rand(rng, 2, 3)])
 
-    def test_pad_axis(self, rng):
-        gradcheck(lambda a: F.pad_axis(a, 1, 2, 1), [rand(rng, 2, 3)])
-
-    def test_pad_axis_value(self):
-        out = F.pad_axis(t([[1.0]]), 1, 1, 1, value=7.0)
-        assert np.allclose(out.data, [[7.0, 1.0, 7.0]])
-
 
 class TestReductions:
     def test_sum_all(self, rng):
@@ -150,16 +134,6 @@ class TestReductions:
 
     def test_mean_axis(self, rng):
         gradcheck(lambda a: F.mean(a, axis=1), [rand(rng, 3, 4)])
-
-    def test_var_matches_numpy(self, rng):
-        a = rand(rng, 5, 6)
-        assert np.allclose(F.var(a, axis=1).data, a.data.var(axis=1))
-
-    def test_var_gradcheck(self, rng):
-        gradcheck(lambda a: F.var(a, axis=1), [rand(rng, 3, 4)])
-
-    def test_sum_to(self, rng):
-        gradcheck(lambda a: F.sum_to(a, (1, 4)), [rand(rng, 3, 4)])
 
 
 class TestMatmul:
@@ -210,18 +184,13 @@ class TestSoftmaxFamily:
     def test_softmax_gradcheck(self, rng):
         gradcheck(lambda a: F.softmax(a, axis=-1), [rand(rng, 3, 5)])
 
-    def test_log_softmax_consistent_with_softmax(self, rng):
-        a = rand(rng, 3, 5)
-        assert np.allclose(F.log_softmax(a).data, np.log(F.softmax(a).data))
-
-    def test_log_softmax_gradcheck(self, rng):
-        gradcheck(lambda a: F.log_softmax(a, axis=-1), [rand(rng, 3, 5)])
-
     def test_cross_entropy_matches_manual(self, rng):
         logits = rand(rng, 4, 6)
         targets = np.array([0, 2, 5, 1])
         loss = F.cross_entropy(logits, targets)
-        lp = F.log_softmax(Tensor(logits.data)).data
+        x = logits.data
+        lp = x - x.max(axis=1, keepdims=True)
+        lp -= np.log(np.exp(lp).sum(axis=1, keepdims=True))
         manual = -lp[np.arange(4), targets].mean()
         assert np.isclose(float(loss.data), manual)
 
@@ -229,39 +198,10 @@ class TestSoftmaxFamily:
         targets = np.array([1, 0, 3])
         gradcheck(lambda a: F.cross_entropy(a, targets), [rand(rng, 3, 4)])
 
-    def test_cross_entropy_ignore_index(self, rng):
-        logits = rand(rng, 4, 5)
-        targets = np.array([1, -100, 2, -100])
-        loss = F.cross_entropy(logits, targets, ignore_index=-100)
-        dense = F.cross_entropy(
-            Tensor(logits.data[[0, 2]]), np.array([1, 2])
-        )
-        assert np.isclose(float(loss.data), float(dense.data))
-
-    def test_cross_entropy_ignore_index_gradcheck(self, rng):
-        targets = np.array([1, -100, 2])
-        gradcheck(
-            lambda a: F.cross_entropy(a, targets, ignore_index=-100), [rand(rng, 3, 4)]
-        )
-
     def test_cross_entropy_3d_logits(self, rng):
         logits = rand(rng, 2, 3, 5)
         targets = np.array([[0, 1, 2], [3, 4, 0]])
         gradcheck(lambda a: F.cross_entropy(a, targets), [logits])
-
-    def test_bce_with_logits_matches_manual(self, rng):
-        logits = rand(rng, 8)
-        targets = (rng.random(8) > 0.5).astype(float)
-        loss = F.binary_cross_entropy_with_logits(logits, targets)
-        p = 1.0 / (1.0 + np.exp(-logits.data))
-        manual = -(targets * np.log(p) + (1 - targets) * np.log(1 - p)).mean()
-        assert np.isclose(float(loss.data), manual)
-
-    def test_bce_with_logits_gradcheck(self, rng):
-        targets = (rng.random(6) > 0.5).astype(float)
-        gradcheck(
-            lambda a: F.binary_cross_entropy_with_logits(a, targets), [rand(rng, 6)]
-        )
 
 
 class TestEmbeddingDropoutNorm:

@@ -16,12 +16,9 @@ Covered here:
 - the **view count** ``encode_views`` sets for ``inject_noise`` is
   restored when the stacked pass raises (a stacked dropout draw equals
   V per-view draws by the one mask rule, a case of
-  ``test_last_position.py::test_dropout_is_the_seed_formula``);
-- the **chunked prediction head**
-  (:func:`repro.autograd.functional.linear_cross_entropy` and the
-  model-level ``ce_chunk_size`` knob) against the dense path: values
-  and gradients to reassociation tolerance, bitwise once the chunk
-  covers the whole table.
+  ``test_last_position.py::test_dropout_is_the_seed_formula``).
+
+The prediction head itself is pinned in ``test_linear_cross_entropy.py``.
 """
 
 import copy
@@ -281,95 +278,11 @@ class TestEncodeViewsViewCount:
 
 
 # ----------------------------------------------------------------------
-# Chunked prediction head
+# Prediction-head config
 # ----------------------------------------------------------------------
 
 
-class TestChunkedCrossEntropy:
-    @pytest.mark.parametrize("chunk", [1, 5, 7, 30])
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_linear_ce_matches_dense_composition(self, rng, dtype, chunk):
-        atol = 1e-11 if dtype is np.float64 else 1e-4
-        user = rng.normal(size=(7, 8)).astype(dtype)
-        weight = rng.normal(size=(31, 8)).astype(dtype)
-        targets = rng.integers(0, 31, size=7)
-        ua, wa = Tensor(user.copy(), requires_grad=True), Tensor(weight.copy(), requires_grad=True)
-        ub, wb = Tensor(user.copy(), requires_grad=True), Tensor(weight.copy(), requires_grad=True)
-        dense = F.linear_cross_entropy(ua, wa, targets)  # falls back to dense
-        chunked = F.linear_cross_entropy(ub, wb, targets, chunk_size=chunk)
-        dense.backward()
-        chunked.backward()
-        assert chunked.data.dtype == np.dtype(dtype)
-        np.testing.assert_allclose(float(dense.data), float(chunked.data), atol=atol)
-        np.testing.assert_allclose(ua.grad, ub.grad, atol=atol)
-        np.testing.assert_allclose(wa.grad, wb.grad, atol=atol)
-
-    @pytest.mark.parametrize("chunk", [1, 5])
-    def test_linear_ce_gradcheck(self, rng, chunk):
-        from repro.autograd.gradcheck import gradcheck
-
-        user = Tensor(rng.normal(size=(4, 6)), requires_grad=True)
-        weight = Tensor(rng.normal(size=(13, 6)), requires_grad=True)
-        targets = rng.integers(0, 13, size=4)
-        gradcheck(
-            lambda u, w: F.linear_cross_entropy(u, w, targets, chunk_size=chunk),
-            [user, weight],
-        )
-
-    @pytest.mark.parametrize("chunk", [-4, -1, 0])
-    def test_linear_ce_rejects_nonpositive_chunk(self, rng, chunk):
-        user = Tensor(rng.normal(size=(3, 4)))
-        weight = Tensor(rng.normal(size=(9, 4)))
-        with pytest.raises(ValueError, match="chunk_size"):
-            F.linear_cross_entropy(user, weight, np.zeros(3, dtype=np.int64), chunk_size=chunk)
-
-    def test_linear_ce_rejects_out_of_range_targets(self, rng):
-        """Chunked gather must fail loudly like the dense fancy-index would."""
-        user = Tensor(rng.normal(size=(3, 4)))
-        weight = Tensor(rng.normal(size=(9, 4)))
-        bad = np.array([1, 9, 2])  # 9 >= V
-        with pytest.raises(IndexError):
-            F.linear_cross_entropy(user, weight, bad, chunk_size=4)
-        with pytest.raises(IndexError):
-            F.linear_cross_entropy(user, weight, np.array([1, -3, 2]), chunk_size=4)
-
-    @pytest.mark.parametrize("chunk", [13, 999])
-    def test_oversized_chunk_clamps_to_dense(self, rng, chunk):
-        """chunk_size >= V is one chunk: bitwise the dense path."""
-        user = rng.normal(size=(4, 5))
-        table = rng.normal(size=(13, 5))
-        targets = rng.integers(0, 13, size=4)
-        ua, wa = Tensor(user.copy(), requires_grad=True), Tensor(table.copy(), requires_grad=True)
-        ub, wb = Tensor(user.copy(), requires_grad=True), Tensor(table.copy(), requires_grad=True)
-        dense = F.cross_entropy(F.matmul(ua, F.transpose(wa, (1, 0))), targets)
-        clamped = F.linear_cross_entropy(ub, wb, targets, chunk_size=chunk)
-        dense.backward()
-        clamped.backward()
-        assert float(dense.data) == float(clamped.data)
-        np.testing.assert_array_equal(ua.grad, ub.grad)
-        np.testing.assert_array_equal(wa.grad, wb.grad)
-
-    @pytest.mark.parametrize("chunk", [1, 7, NUM_ITEMS + 1])
-    def test_model_ce_chunk_size_matches_dense(self, chunk):
-        """The model knob: tolerance below V+1 rows, bitwise at V+1."""
-        batch = random_batch()
-        dense_model = build("SLIME4Rec")
-        chunked_model = build("SLIME4Rec", ce_chunk_size=chunk)
-        dense_model.train()
-        chunked_model.train()
-        dense = dense_model.loss(batch)
-        chunked = chunked_model.loss(batch)
-        dense.backward()
-        chunked.backward()
-        atol = 0.0 if chunk > NUM_ITEMS else 1e-10
-        np.testing.assert_allclose(float(dense.data), float(chunked.data), rtol=0, atol=atol)
-        dense_grads = dict(dense_model.named_parameters())
-        for name, p in chunked_model.named_parameters():
-            np.testing.assert_allclose(
-                p.grad, dense_grads[name].grad, rtol=0, atol=atol, err_msg=name
-            )
-
-    @pytest.mark.parametrize("chunk", [0, -4])
-    def test_config_rejects_nonpositive_chunk_size(self, chunk):
-        with pytest.raises(ValueError, match="ce_chunk_size"):
-            SlimeConfig(num_items=10, ce_chunk_size=chunk)
+def test_config_rejects_chunk_width():
+    """The full-softmax head sizes its own blocks: no width field."""
+    with pytest.raises(TypeError, match="ce_chunk_size"):
+        SlimeConfig(num_items=10, ce_chunk_size=16)

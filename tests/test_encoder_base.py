@@ -42,14 +42,14 @@ class TestEmbeddingLayer:
 
 
 class TestPredictionLayer:
-    def test_logits_use_item_embedding_table(self, encoder):
+    def test_scores_use_item_embedding_table(self, encoder):
         encoder.eval()
         ids = np.zeros((2, 8), dtype=np.int64)
         ids[:, -1] = [1, 2]
-        logits = encoder.logits(ids)
+        scores = encoder.predict_scores(ids)
         user = encoder.user_representation(ids).data
         manual = user @ encoder.item_embedding.weight.data.T
-        assert np.allclose(logits.data, manual, atol=1e-8)
+        assert np.allclose(scores, manual, atol=1e-8)
 
     def test_predict_scores_has_no_graph(self, encoder):
         scores = encoder.predict_scores(np.zeros((1, 8), dtype=np.int64))

@@ -29,7 +29,10 @@ class _RandomModel:
     def eval(self):
         return self
 
-    def predict_scores(self, input_ids):
+    def score_context(self):
+        return None
+
+    def predict_scores(self, input_ids, context=None):
         return self._rng.random((input_ids.shape[0], self._vocab))
 
 

@@ -22,6 +22,7 @@ from repro.analysis.lint.baseline import BaselineError
 from repro.analysis.lint.cli import main as lint_main
 
 FIXTURES = Path(__file__).resolve().parent / "lint_fixtures"
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def lint(name, rules, **kwargs):
@@ -124,6 +125,37 @@ class TestLockRule:
 
     def test_pragma_suppresses(self):
         assert lint("r4_locks.py", ["R4"]).suppressed == 1
+
+    def test_guard_is_the_lock_held_at_every_write(self):
+        """A lock held at only some writes guards nothing on its own."""
+        report = lint("r4_nested.py", ["R4"])
+        assert details(report) == [
+            "Refresher.peek._table",
+            "Refresher.refresh._failed",
+            "Refresher.serve._failed",
+        ]
+
+    def test_catches_an_unlocked_write_under_the_refresh_mutex(self, tmp_path):
+        """``refresh_table`` holds ``_refresh_mutex`` around its ``_lock``
+        blocks; a ``_failed_version`` write moved out of ``_lock`` but
+        still under the mutex races with ``_serve_batch``."""
+        source = (ROOT / "src/repro/serving/service.py").read_text()
+        locked = (
+            "                with self._lock:\n"
+            "                    self._refresh_errors += 1\n"
+            "                    if isinstance(exc, ValueError):\n"
+            "                        self._failed_version = version\n"
+        )
+        unlocked = (
+            "                with self._lock:\n"
+            "                    self._refresh_errors += 1\n"
+            "                if isinstance(exc, ValueError):\n"
+            "                    self._failed_version = version\n"
+        )
+        assert locked in source
+        (tmp_path / "service.py").write_text(source.replace(locked, unlocked))
+        report = run_lint([tmp_path / "service.py"], root=tmp_path, rules=["R4"])
+        assert "RecommenderService.refresh_table._failed_version" in details(report)
 
 
 # ----------------------------------------------------------------------

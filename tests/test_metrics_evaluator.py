@@ -90,7 +90,10 @@ class _OracleModel:
     def eval(self):
         return self
 
-    def predict_scores(self, input_ids):
+    def score_context(self):
+        return None
+
+    def predict_scores(self, input_ids, context=None):
         scores = np.zeros((input_ids.shape[0], self._vocab))
         for row, inp in enumerate(input_ids):
             scores[row, self._lookup[inp.tobytes()]] = 1.0
@@ -98,7 +101,7 @@ class _OracleModel:
 
 
 class _AntiOracleModel(_OracleModel):
-    def predict_scores(self, input_ids):
+    def predict_scores(self, input_ids, context=None):
         return -super().predict_scores(input_ids)
 
 
@@ -153,7 +156,7 @@ class _SharedBufferModel(_OracleModel):
         super().__init__(dataset, split)
         self._buffer = None
 
-    def predict_scores(self, input_ids):
+    def predict_scores(self, input_ids, context=None):
         scores = super().predict_scores(input_ids)
         scores[:, 0] = 100.0  # shared state that must survive evaluation
         self._buffer = scores
@@ -181,7 +184,7 @@ class TestEvaluator:
 
     def test_padding_item_never_recommended(self, dataset):
         class PadLover(_OracleModel):
-            def predict_scores(self, input_ids):
+            def predict_scores(self, input_ids, context=None):
                 scores = super().predict_scores(input_ids)
                 scores[:, 0] = 100.0  # tries to recommend padding
                 return scores

@@ -393,20 +393,16 @@ class TestModelPlumbing:
         loss.backward()
         assert np.isfinite(float(loss.data))
 
-    def test_sampled_takes_precedence_over_chunked(self):
-        """train_num_negatives wins over ce_chunk_size: the sampled loss
-        differs from the full CE; dropping the knob restores it."""
+    def test_sampled_replaces_the_full_softmax(self):
+        """train_num_negatives switches the head: the sampled loss
+        differs from the full CE on the same weights and batch."""
         batch = _tiny_batch()
         cfg = dict(num_items=30, max_len=12, hidden_dim=16, cl_weight=0.0, seed=0)
-        both = Slime4Rec(SlimeConfig(**cfg, ce_chunk_size=7, train_num_negatives=4))
-        chunked = Slime4Rec(SlimeConfig(**cfg, ce_chunk_size=7))
+        sampled = Slime4Rec(SlimeConfig(**cfg, train_num_negatives=4))
         full = Slime4Rec(SlimeConfig(**cfg))
-        for m in (both, chunked, full):
+        for m in (sampled, full):
             m.train()
-        assert float(chunked.loss(batch).data) == pytest.approx(
-            float(full.loss(batch).data), abs=1e-10
-        )
-        assert float(both.loss(batch).data) != pytest.approx(
+        assert float(sampled.loss(batch).data) != pytest.approx(
             float(full.loss(batch).data), abs=1e-6
         )
 
@@ -443,13 +439,16 @@ class TestModelPlumbing:
                 "SASRec", sampling_dataset, negative_sampling="zipf",
             )
 
-    @pytest.mark.parametrize("knob", ["train_num_negatives", "ce_chunk_size"])
     @pytest.mark.parametrize("bad", [0, -5])
-    def test_registry_rejects_bad_counts_at_build_time(
-        self, sampling_dataset, knob, bad
-    ):
-        with pytest.raises(ValueError, match=knob):
-            build_baseline("SASRec", sampling_dataset, **{knob: bad})
+    def test_registry_rejects_bad_counts_at_build_time(self, sampling_dataset, bad):
+        with pytest.raises(ValueError, match="train_num_negatives"):
+            build_baseline("SASRec", sampling_dataset, train_num_negatives=bad)
+
+    @pytest.mark.parametrize("name", ["SASRec", "SLIME4Rec"])
+    def test_registry_rejects_chunk_width(self, sampling_dataset, name):
+        """The full-softmax head sizes its own blocks: no width knob."""
+        with pytest.raises(TypeError, match="ce_chunk_size"):
+            build_baseline(name, sampling_dataset, ce_chunk_size=32)
 
     @pytest.mark.parametrize("name", ["BERT4Rec", "ContrastVAE", "BPR-MF"])
     def test_registry_rejects_knobs_for_bespoke_loss_models(
@@ -459,8 +458,6 @@ class TestModelPlumbing:
         be a silent no-op on exactly the catalogs the knobs exist for."""
         with pytest.raises(ValueError, match="bespoke"):
             build_baseline(name, sampling_dataset, train_num_negatives=64)
-        with pytest.raises(ValueError, match="bespoke"):
-            build_baseline(name, sampling_dataset, ce_chunk_size=32)
         # Without knobs they still build normally.
         assert build_baseline(name, sampling_dataset, hidden_dim=16) is not None
 

@@ -131,15 +131,12 @@ class TestTrainCli:
         assert "bespoke" in captured.err
         assert "users=" not in captured.out  # no dataset was built first
 
-    def test_ce_chunk_size_flag(self, capsys):
-        code = main([
-            "--model", "SLIME4Rec", "--dataset", "beauty",
-            "--scale", "0.1", "--max-len", "8", "--hidden-dim", "16",
-            "--epochs", "1", "--patience", "0", "--quiet",
-            "--ce-chunk-size", "16",
-        ])
-        assert code == 0
-        assert "test:" in capsys.readouterr().out
+    def test_rejects_ce_chunk_size_flag(self, capsys):
+        """The full-softmax head sizes its own blocks: no width flag."""
+        with pytest.raises(SystemExit) as exc:
+            main(["--model", "SLIME4Rec", "--quiet", "--ce-chunk-size", "16"])
+        assert exc.value.code == 2
+        assert "--ce-chunk-size" in capsys.readouterr().err
 
     def test_rejects_unknown_model(self):
         with pytest.raises(SystemExit):

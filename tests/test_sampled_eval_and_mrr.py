@@ -42,7 +42,10 @@ class _OracleModel:
     def eval(self):
         return self
 
-    def predict_scores(self, input_ids):
+    def score_context(self):
+        return None
+
+    def predict_scores(self, input_ids, context=None):
         scores = np.zeros((input_ids.shape[0], self._vocab))
         for row, inp in enumerate(input_ids):
             scores[row, self._lookup[inp.tobytes()]] = 1.0
@@ -57,7 +60,10 @@ class _UniformModel:
     def eval(self):
         return self
 
-    def predict_scores(self, input_ids):
+    def score_context(self):
+        return None
+
+    def predict_scores(self, input_ids, context=None):
         return self._rng.random((input_ids.shape[0], self._vocab))
 
 

@@ -213,8 +213,7 @@ class TestEncoderInferenceHooks:
         model = make_model(dataset, dtype="float64")
         model.eval()
         inputs = dataset.eval_arrays("valid")[0][:4]
-        with no_grad():
-            want = model.logits(inputs).data
+        want = model.user_representation(inputs).data @ model.score_context()
         np.testing.assert_array_equal(model.predict_scores(inputs), want)
 
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
