@@ -17,7 +17,11 @@ traffic.  This rule infers the protocol instead of trusting it:
   ``_lock`` alone, is guarded by ``_lock``);
 - every read or write of that attribute in a non-``__init__`` method
   must hold a guard lock.  When the locked writes share no lock, no
-  lock guards the attribute, and every access is reported.
+  lock guards the attribute, and every access is reported;
+- an attribute that some method **reads under a lock** but that every
+  non-``__init__`` method writes with no lock held (a counter bumped
+  bare, snapshotted under the lock) has its bare writes reported: the
+  reader's lock orders nothing, and concurrent writers lose updates.
 
 Nested ``def`` bodies reset the held-lock set (closures run later, on
 other threads); lambdas keep it (``cond.wait_for(lambda: ...)``
@@ -185,8 +189,28 @@ def _check_class(sf: SourceFile, cls: ast.ClassDef) -> List[Finding]:
         attr: frozenset.intersection(*(w.held for w in writes))
         for attr, writes in locked_writes.items()
     }
+    locked_reads: Dict[str, List[_Access]] = {}
+    for acc in accesses:
+        if not acc.is_write and acc.held and acc.attr not in locked_writes:
+            locked_reads.setdefault(acc.attr, []).append(acc)
     findings: List[Finding] = []
     for acc in accesses:
+        if acc.is_write and acc.attr in locked_reads:
+            # Every write of this attribute outside __init__ holds no
+            # lock, yet a reader takes one: the lock orders nothing, so
+            # concurrent writers lose updates the locked read expects.
+            readers = sorted(
+                {(r.method, " + ".join("self." + g for g in sorted(r.held)))
+                 for r in locked_reads[acc.attr]}
+            )
+            message = (
+                f"'{acc.attr}' is read under "
+                + "; ".join(f"{locks} in {m}()" for m, locks in readers)
+                + " but written here, as everywhere outside __init__, "
+                "with no lock held"
+            )
+            findings.append(_finding(sf, cls, acc, message))
+            continue
         if acc.attr not in guarded_by or acc.held & guarded_by[acc.attr]:
             continue
         guards, writes = guarded_by[acc.attr], locked_writes[acc.attr]
@@ -211,18 +235,20 @@ def _check_class(sf: SourceFile, cls: ast.ClassDef) -> List[Finding]:
                 + "; ".join(f"{locks} in {m}()" for m, locks in sites)
                 + f"), so no lock guards it; {verb} here{held}"
             )
-        findings.append(
-            Finding(
-                rule="R4",
-                slug="unlocked",
-                path=sf.rel,
-                line=acc.line,
-                scope=f"{cls.name}.{acc.method}",
-                message=message,
-                detail=f"{cls.name}.{acc.method}.{acc.attr}",
-            )
-        )
+        findings.append(_finding(sf, cls, acc, message))
     return findings
+
+
+def _finding(sf: SourceFile, cls: ast.ClassDef, acc: _Access, message: str) -> Finding:
+    return Finding(
+        rule="R4",
+        slug="unlocked",
+        path=sf.rel,
+        line=acc.line,
+        scope=f"{cls.name}.{acc.method}",
+        message=message,
+        detail=f"{cls.name}.{acc.method}.{acc.attr}",
+    )
 
 
 @register_rule(

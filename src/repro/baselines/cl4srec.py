@@ -25,7 +25,24 @@ from repro.data.augmentation import crop_sequence, mask_sequence, reorder_sequen
 from repro.data.batching import Batch
 from repro.data.preprocess import pad_or_truncate
 
-__all__ = ["CL4SRec", "augmented_contrastive_loss"]
+__all__ = ["CL4SRec", "augment_batch", "augmented_contrastive_loss"]
+
+
+def augment_batch(model, input_ids: np.ndarray) -> np.ndarray:
+    """One augmented view: ``model._augment_row`` applied to every row.
+
+    Static-graph replay re-augments (fresh draws from the model's
+    ``_aug_rng``) into the same array the captured graph reads from.
+    """
+    ids = np.asarray(input_ids)
+    out = np.stack([model._augment_row(row) for row in ids])
+
+    def refresh():
+        for i, row in enumerate(ids):
+            out[i] = model._augment_row(row)
+
+    record_host(refresh, "augment")
+    return out
 
 
 def augmented_contrastive_loss(model, batch: Batch) -> Tensor:
@@ -33,15 +50,15 @@ def augmented_contrastive_loss(model, batch: Batch) -> Tensor:
 
     Used by the CL4SRec-style models (CL4SRec, CoSeRec) whose views
     come from index-level augmentation: the model must expose
-    ``cl_weight``, ``cl_temperature`` and ``_augment_batch``.  Both
+    ``cl_weight``, ``cl_temperature`` and ``_augment_row``.  Both
     views are augmented from ``_aug_rng`` in order, then the original
     batch and the two views run as one stacked ``(3B, N, d)`` walk
     (:meth:`~repro.core.encoder.SequentialEncoderBase.encode_views`).
     """
     if model.cl_weight <= 0.0:
         return model.recommendation_loss(batch.input_ids, batch.targets)
-    aug_a = model._augment_batch(batch.input_ids)
-    aug_b = model._augment_batch(batch.input_ids)
+    aug_a = augment_batch(model, batch.input_ids)
+    aug_b = augment_batch(model, batch.input_ids)
     user, view_a, view_b = model.encode_views((batch.input_ids, aug_a, aug_b))
     rec = model.prediction_loss(user, batch.targets)
     cl = info_nce_loss(view_a, view_b, temperature=model.cl_temperature)
@@ -95,19 +112,6 @@ class CL4SRec(SASRec):
         else:
             items = reorder_sequence(items, 1.0 - self.aug_ratio, self._aug_rng)
         return pad_or_truncate(items, self.max_len)
-
-    def _augment_batch(self, input_ids: np.ndarray) -> np.ndarray:
-        ids = np.asarray(input_ids)
-        out = np.stack([self._augment_row(row) for row in ids])
-
-        def refresh():
-            # Static-graph replay: re-augment (fresh RNG draws) into the
-            # same array the captured graph reads from.
-            for i, row in enumerate(ids):
-                out[i] = self._augment_row(row)
-
-        record_host(refresh, "cl4srec.augment")
-        return out
 
     # ------------------------------------------------------------------
     def loss(self, batch: Batch) -> Tensor:

@@ -21,7 +21,6 @@ import numpy as np
 from repro.autograd.tensor import Tensor
 from repro.baselines.cl4srec import augmented_contrastive_loss
 from repro.baselines.sasrec import SASRec
-from repro.autograd.graph import record_host
 from repro.data.augmentation import ItemCorrelation, insert_sequence, substitute_sequence
 from repro.data.batching import Batch
 from repro.data.dataset import SequenceDataset
@@ -78,19 +77,6 @@ class CoSeRec(SASRec):
         else:
             items = insert_sequence(items, self.aug_ratio, self._correlation, self._aug_rng)
         return pad_or_truncate(items, self.max_len)
-
-    def _augment_batch(self, input_ids: np.ndarray) -> np.ndarray:
-        ids = np.asarray(input_ids)
-        out = np.stack([self._augment_row(row) for row in ids])
-
-        def refresh():
-            # Static-graph replay: re-augment (fresh RNG draws) into the
-            # same array the captured graph reads from.
-            for i, row in enumerate(ids):
-                out[i] = self._augment_row(row)
-
-        record_host(refresh, "coserec.augment")
-        return out
 
     # ------------------------------------------------------------------
     def loss(self, batch: Batch) -> Tensor:

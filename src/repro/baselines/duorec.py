@@ -17,10 +17,9 @@ masks.
 
 from __future__ import annotations
 
-from repro.autograd import functional as F
 from repro.autograd.tensor import Tensor
 from repro.baselines.sasrec import SASRec
-from repro.core.contrastive import info_nce_loss
+from repro.core.contrastive import same_target_contrastive_loss
 from repro.data.batching import Batch
 
 __all__ = ["DuoRec"]
@@ -58,13 +57,6 @@ class DuoRec(SASRec):
         self.cl_temperature = cl_temperature
 
     def loss(self, batch: Batch) -> Tensor:
-        if self.cl_weight <= 0.0 or batch.positive_ids is None:
-            return self.recommendation_loss(batch.input_ids, batch.targets)
-        # One stacked (3B, N, d) walk: main + dropout + same-target
-        # views under per-view dropout streams (see encode_views).
-        user, unsup, sup = self.encode_views(
-            (batch.input_ids, batch.input_ids, batch.positive_ids)
+        return same_target_contrastive_loss(
+            self, batch, self.cl_weight, self.cl_temperature
         )
-        rec = self.prediction_loss(user, batch.targets)
-        cl = info_nce_loss(unsup, sup, temperature=self.cl_temperature)
-        return F.add(rec, F.mul(cl, self.cl_weight))

@@ -14,7 +14,7 @@ import numpy as np
 from repro.autograd import functional as F
 from repro.autograd.tensor import Tensor
 
-__all__ = ["info_nce_loss"]
+__all__ = ["info_nce_loss", "same_target_contrastive_loss"]
 
 
 def info_nce_loss(view_a: Tensor, view_b: Tensor, temperature: float = 1.0) -> Tensor:
@@ -48,3 +48,25 @@ def info_nce_loss(view_a: Tensor, view_b: Tensor, temperature: float = 1.0) -> T
     sim = F.masked_fill(sim, np.eye(2 * batch, dtype=bool), -1e9)
     targets = np.concatenate([np.arange(batch, 2 * batch), np.arange(0, batch)])
     return F.cross_entropy(sim, targets)
+
+
+def same_target_contrastive_loss(model, batch, weight: float, temperature: float) -> Tensor:
+    """The joint objective of Eq. 36, shared by SLIME4Rec and DuoRec.
+
+    ``L_rec + weight · NCE(h', h'_s)``: the recommendation loss of the
+    main pass plus InfoNCE between the same inputs under fresh dropout
+    masks (``h'``) and the same-target positives (``h'_s``).  The three
+    encodes run as one stacked ``(3B, N, d)`` walk
+    (:meth:`~repro.core.encoder.SequentialEncoderBase.encode_views`)
+    whose per-view dropout draws are the masks three separate encodes
+    would take.  With ``weight <= 0`` or no positives in the batch it is
+    the recommendation loss alone.
+    """
+    if weight <= 0.0 or batch.positive_ids is None:
+        return model.recommendation_loss(batch.input_ids, batch.targets)
+    user, unsup_view, sup_view = model.encode_views(
+        (batch.input_ids, batch.input_ids, batch.positive_ids)
+    )
+    rec = model.prediction_loss(user, batch.targets)
+    cl = info_nce_loss(unsup_view, sup_view, temperature=temperature)
+    return F.add(rec, F.mul(cl, weight))

@@ -8,7 +8,7 @@ from repro.autograd import functional as F
 from repro.autograd.spectral import num_frequency_bins
 from repro.autograd.tensor import Tensor
 from repro.core.config import SlimeConfig
-from repro.core.contrastive import info_nce_loss
+from repro.core.contrastive import same_target_contrastive_loss
 from repro.core.encoder import SequentialEncoderBase
 from repro.core.filter_mixer import FilterMixerLayer, run_mixer_layers
 from repro.core.filters import ramp_masks
@@ -110,26 +110,10 @@ class Slime4Rec(SequentialEncoderBase):
 
     # ------------------------------------------------------------------
     def loss(self, batch: Batch) -> Tensor:
-        """Joint objective of Eq. 36.
-
-        When contrastive learning is enabled the step needs three
-        encodes of the batch: the main pass (recommendation term), the
-        same inputs under fresh dropout masks (the unsupervised view
-        ``h'``), and the same-target positives (the supervised view
-        ``h'_s``).  All three run as **one** stacked ``(3B, N, d)``
-        graph walk (:meth:`encode_views`): each view draws the dropout
-        masks three separate encodes would, so the losses equal theirs
-        to float reassociation.
-        """
-        if self.config.cl_weight <= 0.0 or batch.positive_ids is None:
-            return self.recommendation_loss(batch.input_ids, batch.targets)
-
-        user, unsup_view, sup_view = self.encode_views(
-            (batch.input_ids, batch.input_ids, batch.positive_ids)
+        """Joint objective of Eq. 36 (:func:`same_target_contrastive_loss`)."""
+        return same_target_contrastive_loss(
+            self, batch, self.config.cl_weight, self.config.cl_temperature
         )
-        rec_loss = self.prediction_loss(user, batch.targets)
-        cl = info_nce_loss(unsup_view, sup_view, temperature=self.config.cl_temperature)
-        return F.add(rec_loss, F.mul(cl, self.config.cl_weight))
 
     # ------------------------------------------------------------------
     def filter_amplitudes(self) -> dict:

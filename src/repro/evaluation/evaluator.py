@@ -13,6 +13,10 @@ from repro.evaluation.metrics import hit_ratio_at_k, ndcg_at_k, rank_of_target
 
 __all__ = ["Evaluator", "EvalResult"]
 
+#: Score rows ranked per ``rank_of_target`` block: bounds the boolean
+#: comparison temporaries to ``_RANK_CHUNK_SIZE × vocab_size``.
+_RANK_CHUNK_SIZE = 256
+
 
 @dataclass
 class EvalResult:
@@ -50,12 +54,10 @@ class Evaluator:
         dataset: SequenceDataset,
         ks: Sequence[int] = (5, 10),
         batch_size: int = 512,
-        rank_chunk_size: int = 256,
     ) -> None:
         self.dataset = dataset
         self.ks = tuple(ks)
         self.batch_size = batch_size
-        self.rank_chunk_size = rank_chunk_size
 
     def ranks(self, model, split: str = "test") -> np.ndarray:
         inputs, targets = self.dataset.eval_arrays(split)
@@ -72,7 +74,7 @@ class Evaluator:
                         scores,
                         chunk_targets,
                         exclude_padding=True,
-                        chunk_size=self.rank_chunk_size,
+                        chunk_size=_RANK_CHUNK_SIZE,
                     )
                 )
         return np.concatenate(all_ranks)

@@ -1,17 +1,6 @@
-"""Optimizers and learning-rate schedules for the repro autograd engine."""
+"""The update rule of the repro autograd engine: Adam, plus gradient clipping."""
 
-from repro.optim.optimizer import Optimizer, clip_grad_norm
 from repro.optim.adam import Adam
-from repro.optim.sgd import SGD
-from repro.optim.lr_scheduler import ConstantLR, LRScheduler, StepLR, WarmupCosineLR
+from repro.optim.clip import clip_grad_norm
 
-__all__ = [
-    "Optimizer",
-    "Adam",
-    "SGD",
-    "clip_grad_norm",
-    "LRScheduler",
-    "ConstantLR",
-    "StepLR",
-    "WarmupCosineLR",
-]
+__all__ = ["Adam", "clip_grad_norm"]

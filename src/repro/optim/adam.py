@@ -1,23 +1,26 @@
-"""Adam optimizer (the paper trains every model with Adam, lr=1e-3)."""
+"""Adam, the one update rule (the paper trains every model with Adam at a
+constant lr=1e-3, Section IV-D)."""
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable
+from typing import Dict, Iterable, List
 
 import numpy as np
 
 from repro.autograd.tensor import Tensor, bump_parameter_version
-from repro.optim.optimizer import Optimizer
 
 __all__ = ["Adam"]
 
 
-class Adam(Optimizer):
-    """Adam with bias correction and optional decoupled weight decay.
+class Adam:
+    """Adam with bias correction and optional L2 weight decay.
 
     Parameters mirror the common PyTorch defaults; the paper uses
-    ``lr=0.001`` and default betas.
+    ``lr=0.001`` and default betas.  ``weight_decay`` adds
+    ``weight_decay · p`` to the gradient before the moments, as
+    ``torch.optim.Adam`` does.  Only parameters with ``requires_grad``
+    are updated.
 
     The update runs fully in place: ``p.data``, the moment buffers and a
     per-parameter scratch buffer are reused across steps, and the bias
@@ -37,7 +40,9 @@ class Adam(Optimizer):
         eps: float = 1e-8,
         weight_decay: float = 0.0,
     ) -> None:
-        super().__init__(params)
+        self.params: List[Tensor] = [p for p in params if p.requires_grad]
+        if not self.params:
+            raise ValueError("optimizer received no trainable parameters")
         self.lr = lr
         self.beta1, self.beta2 = betas
         self.eps = eps
@@ -49,6 +54,10 @@ class Adam(Optimizer):
         self._decayed = (
             [np.empty_like(p.data) for p in self.params] if weight_decay else None
         )
+
+    def zero_grad(self) -> None:
+        for p in self.params:
+            p.zero_grad()
 
     def step(self) -> None:
         self._step += 1
@@ -85,23 +94,45 @@ class Adam(Optimizer):
     # Resume state
     # ------------------------------------------------------------------
     def state_dict(self) -> Dict:
-        """Step count, lr, and copies of the first/second moment buffers.
+        """lr, step count, and copies of the first/second moment buffers.
 
         The bias corrections are pure functions of the step count, so
         ``(step, m, v)`` is the complete update state: a restored Adam
         continues the moment recursions and the folded bias-correction
-        schedule bitwise-identically.
+        schedule bitwise-identically.  The buffer arrays are copies,
+        safe to archive.
         """
-        state = super().state_dict()
-        state.update(
-            step=int(self._step),
-            m=[m.copy() for m in self._m],
-            v=[v.copy() for v in self._v],
-        )
-        return state
+        return {
+            "lr": float(self.lr),
+            "step": int(self._step),
+            "m": [m.copy() for m in self._m],
+            "v": [v.copy() for v in self._v],
+        }
 
     def load_state_dict(self, state: Dict) -> None:
-        super().load_state_dict(state)
-        self._restore_buffers(self._m, state["m"], "m")
-        self._restore_buffers(self._v, state["v"], "v")
+        self.lr = float(state["lr"])
+        _restore_buffers(self._m, state["m"], "m")
+        _restore_buffers(self._v, state["v"], "v")
         self._step = int(state["step"])
+
+
+def _restore_buffers(buffers, saved, label: str) -> None:
+    """Copy ``saved`` arrays into preallocated ``buffers`` in place.
+
+    Validates count, shape and dtype so a checkpoint from a
+    differently built model (or dtype) fails loudly instead of
+    corrupting moments.
+    """
+    if len(saved) != len(buffers):
+        raise ValueError(
+            f"optimizer state mismatch: checkpoint has {len(saved)} "
+            f"{label} buffers, optimizer has {len(buffers)}"
+        )
+    for i, (buf, value) in enumerate(zip(buffers, saved)):
+        value = np.asarray(value)
+        if value.shape != buf.shape or value.dtype != buf.dtype:
+            raise ValueError(
+                f"optimizer {label} buffer {i} mismatch: checkpoint has "
+                f"{value.dtype}{value.shape}, optimizer has {buf.dtype}{buf.shape}"
+            )
+        np.copyto(buf, value)

@@ -273,6 +273,10 @@ class RecommenderService:
         model.eval()
         self.num_items = int(model.num_items)
         self._lock = threading.Lock()
+        # Guards the counters bumped outside the model path.  It is held
+        # for one increment and never while taking another lock, so a
+        # request never waits behind a batch that holds ``_lock``.
+        self._counter_lock = threading.Lock()
         self._table = ItemTable(model, self.config.block_size)
         self.sessions = SessionCache(
             model.max_len, capacity=self.config.cache_capacity
@@ -365,7 +369,8 @@ class RecommenderService:
         raised when ``on_error="raise"``.
         """
         request = self._new_request(user_id, k)
-        self._requests += 1
+        with self._counter_lock:
+            self._requests += 1
         if not self.config.batching:
             self._serve_batch([request])
         else:
@@ -391,7 +396,8 @@ class RecommenderService:
         results instead of raising.
         """
         requests = [self._new_request(user_id, k) for user_id in user_ids]
-        self._requests += len(requests)
+        with self._counter_lock:
+            self._requests += len(requests)
         self._serve_batch(requests)
         for request in requests:
             if request.error is not None:
@@ -649,7 +655,8 @@ class RecommenderService:
                     )
                 )
         except BaseException as exc:
-            self._model_errors += 1
+            with self._counter_lock:
+                self._model_errors += 1
             if self.config.on_error == "degrade":
                 try:
                     self._serve_fallback(live)
@@ -802,7 +809,7 @@ class RecommenderService:
 
     def stats(self) -> dict:
         """Serving counters: request/batch/cache plus failure accounting."""
-        with self._lock:
+        with self._lock, self._counter_lock:
             batches = max(self._batches, 1)
             return {
                 "requests": self._requests,

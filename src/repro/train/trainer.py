@@ -1,9 +1,9 @@
 """Mini-batch trainer with validation-based early stopping.
 
-Mirrors the paper's protocol (Section IV-D): Adam with lr=1e-3, batch
-training on all prefix instances, hyper-parameters tuned on the
-validation split, final metrics reported on the test split with the
-best-validation checkpoint restored.
+Mirrors the paper's protocol (Section IV-D): Adam at a constant
+lr=1e-3, batch training on all prefix instances, hyper-parameters tuned
+on the validation split, final metrics reported on the test split with
+the best-validation checkpoint restored.
 
 On top of the paper's protocol the trainer is a **fault-tolerant
 runtime** (see ``docs/ARCHITECTURE.md``, "Fault tolerance & checkpoint
@@ -11,11 +11,11 @@ format"):
 
 - **Full-state checkpointing** — model parameters, Adam moments and
   step count, the best-validation snapshot, the complete
-  :class:`TrainHistory`, the LR-scheduler state, and the bit state of
-  *every* random stream (dropout/augmentation/noise generators via
-  ``Module.rng_state_dict``, the batch iterator's shuffle stream and
-  epoch position, the negative sampler) are archived together in a
-  rotated, checksummed :class:`~repro.utils.io.CheckpointStore`.
+  :class:`TrainHistory`, and the bit state of *every* random stream
+  (dropout/augmentation/noise generators via ``Module.rng_state_dict``,
+  the batch iterator's shuffle stream and epoch position, the negative
+  sampler) are archived together in a rotated, checksummed
+  :class:`~repro.utils.io.CheckpointStore`.
 - **Bitwise-identical resume** — ``fit(resume_from=...)`` restores all
   of the above and continues mid-epoch from the exact batch after the
   checkpoint; the resumed trajectory (losses, parameters, metrics) is
@@ -202,7 +202,6 @@ class Trainer:
         dataset: SequenceDataset,
         config: Optional[TrainConfig] = None,
         with_same_target: Optional[bool] = None,
-        scheduler_factory=None,
     ) -> None:
         self.model = model
         self.dataset = dataset
@@ -228,9 +227,6 @@ class Trainer:
         self.optimizer = Adam(
             model.parameters(), lr=self.config.lr, weight_decay=self.config.weight_decay
         )
-        # Optional per-step LR schedule, e.g.
-        # ``lambda opt: WarmupCosineLR(opt, 100, 1000)``.
-        self.scheduler = scheduler_factory(self.optimizer) if scheduler_factory else None
         self.store = (
             CheckpointStore(self.config.checkpoint_dir, keep_last=self.config.keep_last)
             if self.config.checkpoint_dir
@@ -398,8 +394,6 @@ class Trainer:
             self.optimizer.zero_grad()
         else:
             self.optimizer.step()
-            if self.scheduler is not None:
-                self.scheduler.step()
             self._zero_padding_rows()
             if cfg.spike_factor > 0:
                 window = self._epoch_losses[-cfg.spike_window:]
@@ -459,7 +453,6 @@ class Trainer:
                 **history.guard_counters(),
             },
             "optim": optim_scalars,
-            "scheduler": self.scheduler.state_dict() if self.scheduler else None,
             "rng": {
                 "model": self.model.rng_state_dict(),
                 "iterator": self.iterator.state_dict(),
@@ -476,6 +469,15 @@ class Trainer:
     def _restore_run_state(self, snapshot: Dict) -> None:
         """Restore model/optimizer/rng/history state from an archive."""
         meta = snapshot["metadata"]
+        # Archives from before the schedules were removed carry
+        # ``"scheduler": null``; a non-null one was written by a run
+        # whose lr moved, which a constant-lr Adam cannot continue.
+        if meta.get("scheduler") is not None:
+            raise ValueError(
+                f"run-state archive {snapshot.get('path')} carries LR-scheduler "
+                f"state (scheduler={meta['scheduler']!r}); the trainer runs Adam "
+                f"at a constant lr and cannot resume a scheduled run"
+            )
         groups = unpack_run_state(snapshot)
         self.model.load_state_dict(groups["model"])
         optim_state: Dict = {}
@@ -490,13 +492,6 @@ class Trainer:
             else:
                 optim_state[key] = value
         self.optimizer.load_state_dict(optim_state)
-        if (self.scheduler is not None) != (meta.get("scheduler") is not None):
-            raise ValueError(
-                "scheduler mismatch: the checkpointed run and this trainer "
-                "disagree on whether an LR scheduler is attached"
-            )
-        if self.scheduler is not None:
-            self.scheduler.load_state_dict(meta["scheduler"])
         # Lazily built streams must exist before their state can load.
         model_rng = meta["rng"]["model"]
         if hasattr(self.model, "negative_sampler") and any(

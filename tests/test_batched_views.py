@@ -29,6 +29,7 @@ import pytest
 from repro.autograd import functional as F
 from repro.autograd.tensor import Tensor
 from repro.baselines import CL4SRec, CoSeRec, DuoRec
+from repro.baselines.cl4srec import augment_batch
 from repro.core import Slime4Rec, SlimeConfig
 from repro.core.contrastive import info_nce_loss
 from repro.data.augmentation import ItemCorrelation
@@ -80,13 +81,13 @@ def sequential_loss(model, batch):
     stacked path's masks and views.
     """
     config = getattr(model, "config", model)
-    augmented = hasattr(model, "_augment_batch")
+    augmented = hasattr(model, "_augment_row")
     if config.cl_weight <= 0.0 or (not augmented and batch.positive_ids is None):
         return model.recommendation_loss(batch.input_ids, batch.targets)
     user = model.user_representation(batch.input_ids)
     if augmented:
-        view_a = model.user_representation(model._augment_batch(batch.input_ids))
-        view_b = model.user_representation(model._augment_batch(batch.input_ids))
+        view_a = model.user_representation(augment_batch(model, batch.input_ids))
+        view_b = model.user_representation(augment_batch(model, batch.input_ids))
     else:
         view_a = model.user_representation(batch.input_ids)
         view_b = model.user_representation(batch.positive_ids)

@@ -16,7 +16,6 @@ from repro.data.dataset import SequenceDataset
 from repro.data.synthetic import SyntheticConfig, generate_interactions
 from repro.optim import Adam
 from repro.train import TrainConfig, Trainer
-from repro.train.trainer import Trainer as TrainerClass
 
 
 @pytest.fixture(scope="module")
@@ -118,20 +117,18 @@ class TestTrainerEdgeCases:
         history = trainer.fit()
         assert len(history.losses) == 1
 
-    def test_scheduler_integration(self, dataset):
-        from repro.optim import StepLR
-
+    def test_rejects_scheduler_factory(self, dataset):
+        """Adam runs at a constant lr: there is no schedule to attach."""
         model = Slime4Rec(
             SlimeConfig(num_items=dataset.num_items, max_len=8, hidden_dim=16, seed=0)
         )
-        trainer = TrainerClass(
-            model,
-            dataset,
-            TrainConfig(epochs=1, batch_size=64, patience=0),
-            scheduler_factory=lambda opt: StepLR(opt, step_size=1, gamma=0.5),
-        )
-        trainer.fit()
-        assert trainer.optimizer.lr < trainer.config.lr
+        with pytest.raises(TypeError, match="scheduler_factory"):
+            Trainer(
+                model,
+                dataset,
+                TrainConfig(epochs=1, batch_size=64, patience=0),
+                scheduler_factory=lambda opt: None,
+            )
 
     def test_zero_epochs_is_a_noop(self, dataset):
         model = Slime4Rec(

@@ -18,7 +18,7 @@ from repro.data.batching import BatchIterator
 from repro.data.dataset import SequenceDataset
 from repro.data.negative_sampling import NegativeSampler
 from repro.data.synthetic import SyntheticConfig, generate_interactions
-from repro.optim import SGD, Adam, clip_grad_norm
+from repro.optim import Adam, clip_grad_norm
 from repro.train import TrainConfig, Trainer
 from repro.train.trainer import unpack_run_state
 from repro.utils import faults
@@ -165,6 +165,94 @@ class TestKillResumeBitwise:
         trainer = make_trainer(build_model(dataset, "SASRec"), dataset, "SASRec")
         with pytest.raises(ValueError, match="not a run-state checkpoint"):
             trainer.fit(resume_from=tmp_path)
+
+
+def copy_newest(store_dir, out_dir, **metadata):
+    """Re-save the newest archive of ``store_dir`` into a fresh store at
+    ``out_dir``, with ``metadata`` merged into its metadata."""
+    snapshot = CheckpointStore(store_dir).load_latest()
+    meta = dict(snapshot["metadata"], **metadata)
+    CheckpointStore(out_dir).save(snapshot["state"], meta, step=snapshot["step"])
+
+
+def resume_state(trainer):
+    """Everything a restore writes: parameters, Adam state, every stream."""
+    return {
+        "params": trainer.model.state_dict(),
+        "optim": trainer.optimizer.state_dict(),
+        "model_rng": trainer.model.rng_state_dict(),
+        "iterator": trainer.iterator.state_dict(),
+        "shuffle": generator_state(trainer.iterator._rng),
+    }
+
+
+def assert_same_state(got, want):
+    assert got["params"].keys() == want["params"].keys()
+    for name, array in got["params"].items():
+        assert np.array_equal(array, want["params"][name]), name
+    assert got["optim"]["step"] == want["optim"]["step"]
+    assert got["optim"]["lr"] == want["optim"]["lr"]
+    for key in ("m", "v"):
+        for a, b in zip(got["optim"][key], want["optim"][key]):
+            assert np.array_equal(a, b), key
+    for key in ("model_rng", "iterator", "shuffle"):
+        assert got[key] == want[key], key
+
+
+class TestArchiveCompatibility:
+    """Archives written while the trainer still had an LR-scheduler slot
+    carry ``"scheduler": null`` in their metadata."""
+
+    def test_null_scheduler_archive_resumes_bitwise(self, dataset, reference, tmp_path):
+        ref = reference("SASRec", "float64")
+        spe = ref["steps_per_epoch"]
+        store_dir = tmp_path / "store"
+        trainer = make_trainer(
+            build_model(dataset, "SASRec"), dataset, "SASRec",
+            checkpoint_dir=str(store_dir), checkpoint_every=spe - 1,
+        )
+        # The newest archive is the periodic save at step 2·spe − 2,
+        # mid-way through epoch 2.
+        with faults.inject(FaultInjector().crash_at("trainer.step", at=2 * spe - 1)):
+            with pytest.raises(InjectedCrash):
+                trainer.fit()
+        written = CheckpointStore(store_dir).load_latest()
+        assert "scheduler" not in written["metadata"]
+        assert written["metadata"]["rng"]["iterator"]["position"] > 0
+
+        legacy_dir = tmp_path / "legacy"
+        copy_newest(store_dir, legacy_dir, scheduler=None)
+        model = build_model(dataset, "SASRec")
+        resumed = make_trainer(
+            model, dataset, "SASRec",
+            checkpoint_dir=str(legacy_dir), checkpoint_every=spe - 1,
+        )
+        history = resumed.fit(resume_from=legacy_dir)
+        assert_matches_reference(history, model, ref)
+
+    def test_scheduled_archive_is_refused_before_any_state_changes(
+        self, dataset, tmp_path
+    ):
+        store_dir = tmp_path / "store"
+        make_trainer(
+            build_model(dataset, "SLIME4Rec"), dataset, "SLIME4Rec",
+            epochs=1, checkpoint_dir=str(store_dir),
+        ).fit()
+        scheduled_dir = tmp_path / "scheduled"
+        copy_newest(store_dir, scheduled_dir, scheduler={"step": 7, "base_lr": 1e-3})
+
+        trainer = make_trainer(build_model(dataset, "SLIME4Rec"), dataset, "SLIME4Rec")
+        before = resume_state(trainer)
+        with pytest.raises(ValueError, match="scheduler"):
+            trainer.fit(resume_from=scheduled_dir)
+        assert_same_state(resume_state(trainer), before)
+        # The archive differs from the fresh state, so a partial restore
+        # would have shown above.
+        archived = unpack_run_state(CheckpointStore(scheduled_dir).load_latest())
+        assert any(
+            not np.array_equal(archived["model"][name], array)
+            for name, array in before["params"].items()
+        )
 
 
 class TestUnpackRunState:
@@ -612,31 +700,6 @@ class TestOptimizerState:
         state["v"][0] = np.zeros((2, 2), dtype=state["v"][0].dtype)
         with pytest.raises(ValueError, match="v buffer 0 mismatch"):
             adam.load_state_dict(state)
-
-    def test_sgd_momentum_round_trip(self, dataset):
-        batch = one_batch(dataset)
-        model = build_model(dataset, "SASRec")
-        sgd = SGD(model.parameters(), lr=1e-2, momentum=0.9)
-        train_steps(model, sgd, batch, 2)
-        state = sgd.state_dict()
-
-        model2 = build_model(dataset, "SASRec")
-        model2.load_state_dict(model.state_dict())
-        model2.load_rng_state_dict(model.rng_state_dict())  # dropout streams
-        sgd2 = SGD(model2.parameters(), lr=1e-2, momentum=0.9)
-        sgd2.load_state_dict(state)
-
-        train_steps(model, sgd, batch, 1)
-        train_steps(model2, sgd2, batch, 1)
-        for a, b in zip(model.parameters(), model2.parameters()):
-            assert np.array_equal(a.data, b.data)
-
-    def test_sgd_momentum_presence_mismatch_rejected(self, dataset):
-        model = build_model(dataset, "SASRec")
-        with_momentum = SGD(model.parameters(), momentum=0.9)
-        plain = SGD(model.parameters())
-        with pytest.raises(ValueError, match="momentum"):
-            plain.load_state_dict(with_momentum.state_dict())
 
 
 # ----------------------------------------------------------------------

@@ -135,6 +135,48 @@ class TestLockRule:
             "Refresher.serve._failed",
         ]
 
+    def test_bare_writes_of_an_attribute_read_under_a_lock(self):
+        """No method writes these under a lock, but ``stats`` reads
+        them under one: the bare writes are the race."""
+        report = lint("r4_bare_writes.py", ["R4"])
+        assert details(report) == [
+            "Tally.bump._hits",
+            "Tally.bump_many._hits",
+            "Tally.serve._errors",
+        ]
+        assert all("read under self._lock in stats()" in f.message for f in report.findings)
+
+    def test_catches_the_bare_serving_counters(self, tmp_path):
+        """``recommend``, ``recommend_many`` and ``_serve_batch`` bump
+        counters that ``stats`` reads under ``_counter_lock``; dropping
+        the lock around the increments is a finding."""
+        source = (ROOT / "src/repro/serving/service.py").read_text()
+        pairs = [
+            (
+                "        with self._counter_lock:\n            self._requests += 1\n",
+                "        self._requests += 1\n",
+            ),
+            (
+                "        with self._counter_lock:\n            self._requests += len(requests)\n",
+                "        self._requests += len(requests)\n",
+            ),
+            (
+                "            with self._counter_lock:\n                self._model_errors += 1\n",
+                "            self._model_errors += 1\n",
+            ),
+        ]
+        for locked, bare in pairs:
+            assert source.count(locked) == 1, locked
+            source = source.replace(locked, bare)
+        (tmp_path / "service.py").write_text(source)
+        report = run_lint([tmp_path / "service.py"], root=tmp_path, rules=["R4"])
+        found = set(details(report))
+        assert {
+            "RecommenderService.recommend._requests",
+            "RecommenderService.recommend_many._requests",
+            "RecommenderService._serve_batch._model_errors",
+        } <= found
+
     def test_catches_an_unlocked_write_under_the_refresh_mutex(self, tmp_path):
         """``refresh_table`` holds ``_refresh_mutex`` around its ``_lock``
         blocks; a ``_failed_version`` write moved out of ``_lock`` but

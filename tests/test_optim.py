@@ -1,12 +1,12 @@
-"""Tests for Adam, SGD, and gradient clipping."""
+"""Tests for Adam and gradient clipping."""
 
 import numpy as np
 import pytest
 
 from repro.autograd import functional as F
 from repro.autograd.tensor import Tensor
-from repro.optim import SGD, Adam, clip_grad_norm
-from repro.optim.optimizer import Optimizer
+import repro.optim
+from repro.optim import Adam, clip_grad_norm
 
 
 def quadratic_loss(param):
@@ -50,6 +50,22 @@ class TestAdam:
     def test_rejects_empty_params(self):
         with pytest.raises(ValueError):
             Adam([])
+
+    def test_zero_grad_clears(self):
+        p = Tensor(np.zeros(2), requires_grad=True)
+        p.grad = np.ones(2)
+        opt = Adam([p], lr=0.1)
+        opt.zero_grad()
+        assert p.grad is None
+
+    def test_ignores_frozen_params(self):
+        frozen = Tensor(np.ones(2))
+        p = Tensor(np.zeros(2), requires_grad=True)
+        assert Adam([frozen, p]).params == [p]
+
+
+def test_adam_is_the_one_update_rule():
+    assert repro.optim.__all__ == ["Adam", "clip_grad_norm"]
 
 
 class ReferenceAdam:
@@ -114,32 +130,6 @@ class TestAdamMatchesReference:
         assert np.allclose(opt._m[1], 0.0) and np.allclose(opt._v[1], 0.0)
 
 
-class TestSGD:
-    def test_step_is_lr_times_grad(self):
-        p = Tensor(np.array([1.0]), requires_grad=True)
-        opt = SGD([p], lr=0.5)
-        p.grad = np.array([2.0])
-        opt.step()
-        assert np.isclose(p.data[0], 0.0)
-
-    def test_momentum_accumulates(self):
-        p = Tensor(np.array([0.0]), requires_grad=True)
-        opt = SGD([p], lr=1.0, momentum=0.9)
-        p.grad = np.array([1.0])
-        opt.step()  # v=1, p=-1
-        opt.step()  # v=1.9, p=-2.9
-        assert np.isclose(p.data[0], -2.9)
-
-    def test_converges_on_quadratic(self):
-        p = Tensor(np.zeros(3), requires_grad=True)
-        opt = SGD([p], lr=0.1)
-        for _ in range(200):
-            opt.zero_grad()
-            quadratic_loss(p).backward()
-            opt.step()
-        assert np.allclose(p.data, 3.0, atol=1e-3)
-
-
 class TestClipGradNorm:
     def test_reports_norm(self):
         p = Tensor(np.zeros(4), requires_grad=True)
@@ -162,17 +152,3 @@ class TestClipGradNorm:
     def test_handles_missing_grads(self):
         p = Tensor(np.zeros(2), requires_grad=True)
         assert clip_grad_norm([p], 1.0) == 0.0
-
-
-class TestOptimizerBase:
-    def test_zero_grad_clears(self):
-        p = Tensor(np.zeros(2), requires_grad=True)
-        p.grad = np.ones(2)
-        opt = SGD([p], lr=0.1)
-        opt.zero_grad()
-        assert p.grad is None
-
-    def test_base_step_not_implemented(self):
-        p = Tensor(np.zeros(1), requires_grad=True)
-        with pytest.raises(NotImplementedError):
-            Optimizer([p]).step()

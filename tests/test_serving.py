@@ -31,6 +31,7 @@ The load-bearing properties:
 """
 
 import shutil
+import sys
 import threading
 import time
 
@@ -651,6 +652,48 @@ class TestMicroBatching:
         assert stats["batched_requests"] == len(users)
         # coalescing happened: fewer batches than requests
         assert stats["batches"] < len(users)
+
+    def test_counters_lose_no_concurrent_update(self, dataset):
+        """``stats()`` reads ``requests`` and ``model_errors`` under
+        ``_counter_lock``; their increments must hold it too.  More client
+        threads than cores and a short switch interval give a lost
+        read-modify-write the most chances to show."""
+        model = make_model(dataset)
+        service = RecommenderService(model, exact_config(k=3))
+
+        def broken_encode(windows):
+            raise RuntimeError("encoder down")
+
+        model.encode_users = broken_encode  # every batch is a model error
+        threads_n, rounds = 6, 150
+        errors = []
+
+        def client(index):
+            try:
+                for i in range(rounds):
+                    service.recommend(f"u{index}-{i}")
+                    service.recommend_many([f"a{index}-{i}", f"b{index}-{i}"])
+            except BaseException as exc:  # pragma: no cover - diagnostic
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=client, args=(n,)) for n in range(threads_n)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors
+        stats = service.stats()
+        assert stats["requests"] == threads_n * rounds * 3
+        assert stats["model_errors"] == threads_n * rounds * 2
+        assert stats["degraded"] == threads_n * rounds * 3
 
     def test_per_request_k_override_inside_one_batch(self, dataset):
         model = make_model(dataset)
