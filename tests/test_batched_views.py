@@ -27,6 +27,7 @@ import numpy as np
 import pytest
 
 from repro.autograd import functional as F
+from repro.autograd.graph import capture
 from repro.autograd.tensor import Tensor
 from repro.baselines import CL4SRec, CoSeRec, DuoRec
 from repro.baselines.cl4srec import augment_batch
@@ -276,6 +277,37 @@ class TestEncodeViewsViewCount:
         with pytest.raises(Boom):
             model.encode_views((bad.input_ids, bad.input_ids, bad.input_ids))
         assert _view_count() == 1
+
+
+# ----------------------------------------------------------------------
+# One augmented view for CL4SRec and CoSeRec
+# ----------------------------------------------------------------------
+
+
+class TestAugmentBatch:
+    @pytest.mark.parametrize("name", ["CL4SRec", "CoSeRec"])
+    def test_rows_are_augment_row_in_order(self, name):
+        model, twin = build(name), build(name)
+        ids = random_batch(seed=4).input_ids
+        view = augment_batch(model, ids)
+        assert view.shape == ids.shape
+        for row, got in zip(ids, view):
+            assert np.array_equal(got, twin._augment_row(row))
+        assert not np.array_equal(view, ids)
+
+    def test_capture_replays_fresh_views_in_place(self):
+        model, twin = build("CL4SRec"), build("CL4SRec")
+        ids = random_batch(seed=5).input_ids
+        with capture() as tape:
+            view = augment_batch(model, ids)
+        (entry,) = tape._entries
+        _, refresh, name = entry
+        assert name == "augment"
+        first = augment_batch(twin, ids)
+        assert np.array_equal(view, first)
+        refresh()  # the next step's draws, written into the same array
+        assert np.array_equal(view, augment_batch(twin, ids))
+        assert not np.array_equal(view, first)
 
 
 # ----------------------------------------------------------------------

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from repro.data.dataset import SequenceDataset
 from repro.data.synthetic import SyntheticConfig, generate_interactions
 from repro.evaluation import Evaluator, hit_ratio_at_k, ndcg_at_k, rank_of_target
+from repro.evaluation.evaluator import _RANK_CHUNK_SIZE
 
 
 class TestRankOfTarget:
@@ -207,6 +208,28 @@ class TestEvaluator:
         small = Evaluator(dataset, ks=(5,), batch_size=7).ranks(model)
         big = Evaluator(dataset, ks=(5,), batch_size=10_000).ranks(model)
         assert np.array_equal(small, big)
+
+    def test_ranks_across_rank_chunks_match_one_block(self):
+        """More rows than one ranking block in a single score batch: the
+        block boundary must not change any rank."""
+        cfg = SyntheticConfig(num_users=_RANK_CHUNK_SIZE + 40, num_items=35, seed=6)
+        dataset = SequenceDataset(generate_interactions(cfg), max_len=8)
+        inputs, targets = dataset.eval_arrays("test")
+        assert len(inputs) > _RANK_CHUNK_SIZE
+
+        class Hashed(_OracleModel):
+            def predict_scores(self, input_ids, context=None):
+                seed = input_ids @ np.arange(1, input_ids.shape[1] + 1)
+                return np.sin(np.outer(seed, np.arange(self._vocab)) * 0.37)
+
+        model = Hashed(dataset, "test")
+        got = Evaluator(dataset, ks=(5,), batch_size=10_000).ranks(model)
+        scores = model.predict_scores(inputs)
+        assert np.array_equal(got, rank_of_target(scores, targets, exclude_padding=True))
+
+    def test_rank_chunk_size_is_not_an_option(self, dataset):
+        with pytest.raises(TypeError, match="rank_chunk_size"):
+            Evaluator(dataset, rank_chunk_size=8)
 
     def test_result_as_row_format(self, dataset):
         ev = Evaluator(dataset, ks=(5,))

@@ -63,6 +63,80 @@ class TestAdam:
         p = Tensor(np.zeros(2), requires_grad=True)
         assert Adam([frozen, p]).params == [p]
 
+    def test_lr_is_constant_across_steps(self):
+        """No schedule: under a constant gradient m̂/√v̂ is 1 at every
+        step, so every update moves each parameter by exactly ``lr``."""
+        p = Tensor(np.zeros(3), requires_grad=True)
+        opt = Adam([p], lr=0.01)
+        for k in range(1, 21):
+            before = p.data.copy()
+            p.grad = np.array([2.0, -0.5, 30.0])
+            opt.step()
+            assert opt.lr == 0.01
+            np.testing.assert_allclose(
+                before - p.data, [0.01, -0.01, 0.01], rtol=1e-6, err_msg=f"step {k}"
+            )
+
+
+class TestAdamState:
+    def test_fresh_state_is_zero(self):
+        p = Tensor(np.ones((2, 3)), requires_grad=True)
+        state = Adam([p], lr=0.05).state_dict()
+        assert state["lr"] == 0.05 and state["step"] == 0
+        for key in ("m", "v"):
+            assert len(state[key]) == 1
+            assert state[key][0].shape == (2, 3)
+            assert not state[key][0].any()
+
+    def test_state_dict_copies_the_buffers(self):
+        p = Tensor(np.zeros(2), requires_grad=True)
+        opt = Adam([p], lr=0.1)
+        p.grad = np.ones(2)
+        opt.step()
+        state = opt.state_dict()
+        state["m"][0][:] = 99.0
+        state["v"][0][:] = 99.0
+        assert np.allclose(opt._m[0], 0.1) and np.allclose(opt._v[0], 1e-3)
+
+    def test_load_restores_lr_and_continues_bitwise(self):
+        rng = np.random.default_rng(11)
+        grads = [rng.normal(size=(3, 2)) for _ in range(6)]
+        start = rng.normal(size=(3, 2))
+
+        def run(opt, param, steps):
+            for g in steps:
+                param.grad = g.copy()
+                opt.step()
+
+        p = Tensor(start.copy(), requires_grad=True)
+        opt = Adam([p], lr=0.02, weight_decay=0.01)
+        run(opt, p, grads[:3])
+        q = Tensor(p.data.copy(), requires_grad=True)
+        resumed = Adam([q], lr=0.5, weight_decay=0.01)  # wrong lr on purpose
+        resumed.load_state_dict(opt.state_dict())
+        assert resumed.lr == 0.02 and resumed.state_dict()["step"] == 3
+        run(opt, p, grads[3:])
+        run(resumed, q, grads[3:])
+        assert np.array_equal(p.data, q.data)
+
+    def test_load_writes_into_the_existing_buffers(self):
+        p = Tensor(np.zeros(2), requires_grad=True)
+        opt = Adam([p], lr=0.1)
+        m, v = opt._m[0], opt._v[0]
+        opt.load_state_dict(
+            {"lr": 0.1, "step": 4, "m": [np.full(2, 0.5)], "v": [np.full(2, 0.25)]}
+        )
+        assert opt._m[0] is m and opt._v[0] is v
+        assert np.array_equal(m, [0.5, 0.5]) and np.array_equal(v, [0.25, 0.25])
+
+    def test_load_rejects_dtype_mismatch(self):
+        p = Tensor(np.zeros(2), requires_grad=True)
+        opt = Adam([p])
+        state = opt.state_dict()
+        state["m"][0] = state["m"][0].astype(np.float32)
+        with pytest.raises(ValueError, match="m buffer 0 mismatch"):
+            opt.load_state_dict(state)
+
 
 def test_adam_is_the_one_update_rule():
     assert repro.optim.__all__ == ["Adam", "clip_grad_norm"]
@@ -148,6 +222,15 @@ class TestClipGradNorm:
         before = p.grad.copy()
         clip_grad_norm([p], 5.0)
         assert np.allclose(p.grad, before)
+
+    def test_norm_is_global_across_params(self):
+        a = Tensor(np.zeros(2), requires_grad=True)
+        b = Tensor(np.zeros(1), requires_grad=True)
+        a.grad = np.array([3.0, 0.0])
+        b.grad = np.array([4.0])  # global norm 5, each alone is below 5
+        assert clip_grad_norm([a, b], 1.0) == 5.0
+        np.testing.assert_allclose(a.grad, [0.6, 0.0])
+        np.testing.assert_allclose(b.grad, [0.8])
 
     def test_handles_missing_grads(self):
         p = Tensor(np.zeros(2), requires_grad=True)

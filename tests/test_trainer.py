@@ -7,6 +7,7 @@ from repro.core import Slime4Rec, SlimeConfig
 from repro.data.dataset import SequenceDataset
 from repro.data.synthetic import SyntheticConfig, generate_interactions
 from repro.train import TrainConfig, Trainer
+from repro.utils.io import CheckpointStore
 
 
 @pytest.fixture(scope="module")
@@ -87,3 +88,18 @@ class TestTrainer:
         trainer = Trainer(model, dataset, TrainConfig(epochs=1, batch_size=64, patience=0))
         history = trainer.fit()
         assert "best_epoch" in history.summary()
+
+    def test_lr_stays_constant_through_fit(self, dataset, tmp_path):
+        """Adam runs at the configured lr for the whole run, and every
+        archived run state records that lr and no schedule."""
+        model = make_model(dataset)
+        config = TrainConfig(
+            epochs=2, batch_size=64, patience=0, lr=3e-3, checkpoint_dir=str(tmp_path)
+        )
+        trainer = Trainer(model, dataset, config)
+        trainer.fit()
+        assert trainer.optimizer.lr == 3e-3
+        assert trainer.optimizer.state_dict()["step"] > 0
+        metadata = CheckpointStore(tmp_path).load_latest()["metadata"]
+        assert metadata["optim"]["lr"] == 3e-3
+        assert "scheduler" not in metadata
