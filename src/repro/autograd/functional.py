@@ -844,19 +844,7 @@ def linear_cross_entropy(
     return _make(forward(), (inputs, weight), backward, forward)
 
 
-def sampled_softmax_loss(
-    inputs,
-    weight,
-    targets,
-    num_negatives: Optional[int] = None,
-    sampler=None,
-    negatives: Optional[np.ndarray] = None,
-    neg_log_q: Optional[np.ndarray] = None,
-    target_log_q: Optional[np.ndarray] = None,
-    logq_correction: bool = True,
-    remove_accidental_hits: bool = True,
-    ignore_index: Optional[int] = None,
-) -> Tensor:
+def sampled_softmax_loss(inputs, weight, targets, sampler, num_negatives: int) -> Tensor:
     """Sampled softmax: CE over the positive plus ``K`` drawn negatives.
 
     The compute-bounded counterpart of :func:`linear_cross_entropy` for
@@ -874,147 +862,75 @@ def sampled_softmax_loss(
     weight:
         Tensor of shape ``(V, d)``; class ``c`` scores against row
         ``weight[c]`` (the natural layout of an embedding table).
-    targets, ignore_index:
-        As in :func:`linear_cross_entropy`.
-    num_negatives, sampler:
-        Draw ``num_negatives`` candidate ids from ``sampler`` (a
+    targets:
+        Integer array of shape ``(...,)`` with class indices.
+    sampler, num_negatives:
+        Each call draws ``num_negatives`` candidate ids from
+        ``sampler.sample`` (a
         :class:`repro.data.negative_sampling.NegativeSampler`, drawn
-        *with replacement* and shared across the batch — the standard
-        shared-candidate scheme, one ``(K, d)`` gather and one
-        ``(R, K)`` GEMM per step).
-    negatives:
-        Alternatively, an explicit 1-D int array of candidate row ids
-        (used by deterministic tests; overrides ``sampler``).
-    neg_log_q, target_log_q:
-        Explicit ``log q`` values when ``negatives`` is given without a
-        ``sampler``.
-    logq_correction:
-        Subtract each candidate's log proposal probability from its
-        logit (positives included) — the classic correction that makes
-        the sampled softmax consistent for the full softmax under the
-        proposal distribution.  For a uniform proposal the correction
-        is a constant shift and provably cancels in the softmax.
-    remove_accidental_hits:
-        Mask (to ``-inf``) sampled candidates that collide with a row's
-        own target, so a row never scores its positive as a negative.
+        *with replacement* and shared across the batch — one
+        ``(K, d)`` gather and one ``(R, K)`` GEMM per step) and reads
+        the proposal's log probabilities from ``sampler.log_q``.
 
-    The loss is the mean over valid rows of
+    Every candidate's logit, the positive's included, has its
+    ``log q`` subtracted — the correction that makes the sampled
+    softmax consistent for the full softmax under the proposal (for a
+    uniform proposal it is a constant shift and cancels).  A sampled
+    candidate equal to a row's own target is masked to ``-inf`` there,
+    so a row never scores its positive as a negative.
+
+    The loss is the mean over rows of
     ``-log softmax([pos_logit, neg_logits])[0]``; gradients flow to
     ``inputs`` and to exactly the gathered rows of ``weight`` (a
-    scatter-add, duplicates accumulated).
+    scatter-add, duplicates accumulated).  The checks run inside the
+    forward, which builds the node and reruns on every replay; the
+    targets are range-checked before the sampler draws, so a refused
+    call leaves the sampler's stream where it was.
     """
     inputs, weight = as_tensor(inputs), as_tensor(weight)
-    num_classes = weight.shape[0]
-    if negatives is None:
-        if sampler is None or num_negatives is None:
-            raise ValueError(
-                "sampled_softmax_loss needs either explicit `negatives` or a "
-                "`sampler` plus `num_negatives`"
-            )
-        if num_negatives < 1:
-            raise ValueError(f"num_negatives must be >= 1, got {num_negatives}")
-        explicit_negatives = None
-    else:
-        explicit_negatives = np.asarray(negatives, dtype=np.int64).reshape(-1)
-        if explicit_negatives.size < 1:
-            raise ValueError("sampled_softmax_loss needs at least one negative")
     targets = targets.data if isinstance(targets, Tensor) else np.asarray(targets)
-    # Build-time validation in the seed's order: candidate and target
-    # range errors surface before the logq-source check.  The forward
-    # closure re-validates on every call (replays see fresh contents).
-    if explicit_negatives is not None and (
-        int(explicit_negatives.min()) < 0
-        or int(explicit_negatives.max()) >= num_classes
-    ):
-        raise IndexError(
-            f"negatives out of range for {num_classes} classes "
-            f"(got min {int(explicit_negatives.min())}, "
-            f"max {int(explicit_negatives.max())})"
-        )
-    _flat0 = targets.reshape(-1).astype(np.int64)
-    _safe0 = np.where(_flat0 != ignore_index, _flat0, 0) if ignore_index is not None else _flat0
-    if _safe0.size and (int(_safe0.min()) < 0 or int(_safe0.max()) >= num_classes):
-        raise IndexError(
-            f"targets out of range for {num_classes} classes "
-            f"(got min {int(_safe0.min())}, max {int(_safe0.max())})"
-        )
-    if logq_correction and sampler is None and (neg_log_q is None or target_log_q is None):
-        raise ValueError(
-            "logq_correction=True needs a `sampler` or explicit "
-            "`neg_log_q` AND `target_log_q` arrays; pass "
-            "logq_correction=False to score raw logits"
-        )
+    num_classes, dim = weight.shape
+    # Per-step state shared with the backward; ``forward`` re-draws the
+    # negatives on every replay, so the candidate stream under a static
+    # graph consumes the sampler's generator exactly like the dynamic
+    # engine.
+    flat_targets = negs = pos_rows = neg_rows = shifted = None
 
-    dim = inputs.shape[-1]
-    # Per-step state shared with the backward; a sampler-backed call
-    # re-draws its negatives inside ``forward`` on every replay, so the
-    # candidate stream under a static graph consumes the sampler's
-    # generator exactly like the dynamic engine.
-    negs = pos_rows = neg_rows = shifted = safe_targets = valid = count = None
+    def check_range(name, ids):
+        if ids.size and (int(ids.min()) < 0 or int(ids.max()) >= num_classes):
+            raise IndexError(
+                f"{name} out of range for {num_classes} classes "
+                f"(got min {int(ids.min())}, max {int(ids.max())})"
+            )
 
     def forward():
-        nonlocal negs, pos_rows, neg_rows, shifted, safe_targets, valid, count
+        nonlocal flat_targets, negs, pos_rows, neg_rows, shifted
+        if num_negatives < 1:
+            raise ValueError(f"num_negatives must be >= 1, got {num_negatives}")
+        flat_targets = targets.reshape(-1).astype(np.int64)
+        check_range("targets", flat_targets)
+        negs = np.asarray(sampler.sample(int(num_negatives)), dtype=np.int64).reshape(-1)
+        check_range("negatives", negs)
         x = inputs.data.reshape(-1, dim)
         w = weight.data
-        if explicit_negatives is not None:
-            negs = explicit_negatives
-        else:
-            negs = np.asarray(sampler.sample(int(num_negatives)), dtype=np.int64).reshape(-1)
-        if negs.size < 1:
-            raise ValueError("sampled_softmax_loss needs at least one negative")
-        if int(negs.min()) < 0 or int(negs.max()) >= num_classes:
-            raise IndexError(
-                f"negatives out of range for {num_classes} classes "
-                f"(got min {int(negs.min())}, max {int(negs.max())})"
-            )
-        flat_targets = targets.reshape(-1).astype(np.int64)
-        if ignore_index is not None:
-            valid = flat_targets != ignore_index
-        else:
-            valid = np.ones_like(flat_targets, dtype=bool)
-        count = max(int(valid.sum()), 1)
-        safe_targets = np.where(valid, flat_targets, 0)
-        if safe_targets.size and (
-            int(safe_targets.min()) < 0 or int(safe_targets.max()) >= num_classes
-        ):
-            raise IndexError(
-                f"targets out of range for {num_classes} classes "
-                f"(got min {int(safe_targets.min())}, max {int(safe_targets.max())})"
-            )
-
-        if logq_correction and sampler is not None:
-            cand_log_q = sampler.log_q(negs)
-            # Rows masked by ignore_index hold a placeholder target (0),
-            # which may lie outside the proposal support (log-uniform
-            # q(0) = 0 → an inf correction that would NaN the masked
-            # row's logit).  Correct only the valid rows; masked rows
-            # contribute nothing to the loss either way.
-            tgt_log_q = np.zeros(safe_targets.shape, dtype=np.float64)
-            if valid.any():
-                tgt_log_q[valid] = sampler.log_q(safe_targets[valid])
-        else:
-            cand_log_q, tgt_log_q = neg_log_q, target_log_q
-
-        pos_rows = w[safe_targets]  # (R, d) gather; rows may repeat
+        pos_rows = w[flat_targets]  # (R, d) gather; rows may repeat
         neg_rows = w[negs]  # (K, d)
         # Candidate logits: one fused (R, K+1) block — column 0 is the
         # positive, columns 1.. the shared negatives.
         all_logits = np.empty((x.shape[0], negs.size + 1), dtype=x.dtype)
         np.einsum("rd,rd->r", x, pos_rows, out=all_logits[:, 0])
         np.matmul(x, neg_rows.T, out=all_logits[:, 1:])
-        if logq_correction:
-            all_logits[:, 0] -= tgt_log_q.astype(x.dtype, copy=False)
-            all_logits[:, 1:] -= cand_log_q.astype(x.dtype, copy=False)[None, :]
-        if remove_accidental_hits:
-            hits = negs[None, :] == safe_targets[:, None]  # (R, K)
-            all_logits[:, 1:][hits] = -np.inf
+        all_logits[:, 0] -= sampler.log_q(flat_targets).astype(x.dtype, copy=False)
+        all_logits[:, 1:] -= sampler.log_q(negs).astype(x.dtype, copy=False)[None, :]
+        hits = negs[None, :] == flat_targets[:, None]  # (R, K)
+        all_logits[:, 1:][hits] = -np.inf
 
         row_max = all_logits.max(axis=1)
         shifted = all_logits - row_max[:, None]
         np.exp(shifted, out=shifted)
         # exp(-inf - max) underflows to 0: masked hits drop out of the sum.
         log_z = np.log(shifted.sum(axis=1))
-        loss = -((all_logits[:, 0] - row_max - log_z) * valid).sum() / count
+        loss = -(all_logits[:, 0] - row_max - log_z).sum() / max(x.shape[0], 1)
         return np.asarray(loss, dtype=x.dtype)
 
     def backward(grad):
@@ -1023,14 +939,14 @@ def sampled_softmax_loss(
         # Softmax over the K+1 candidates; column 0 is the positive.
         soft = shifted / shifted.sum(axis=1, keepdims=True)
         soft[:, 0] -= 1.0
-        soft *= (grad * valid / count).astype(x.dtype, copy=False)[:, None]
+        soft *= (np.asarray(grad) / max(x.shape[0], 1)).astype(x.dtype, copy=False)
         g_x = soft[:, 0:1] * pos_rows
         g_x += soft[:, 1:] @ neg_rows
         g_w = np.zeros_like(w)
         # Scatter-add both gathers back: positives row-by-row (targets
         # repeat across the batch), negatives via one (K, d) GEMM then
         # a K-row scatter (sampled-with-replacement ids repeat too).
-        np.add.at(g_w, safe_targets, soft[:, 0:1] * x)
+        np.add.at(g_w, flat_targets, soft[:, 0:1] * x)
         np.add.at(g_w, negs, soft[:, 1:].T @ x)
         return (
             g_x.reshape(inputs.shape).astype(inputs.dtype, copy=False),

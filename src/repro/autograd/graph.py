@@ -275,13 +275,11 @@ class TapeExecutor:
     * **The tape itself**, plus its validity snapshot (see the module
       docstring's invalidation table).
 
-    ``loss_fn`` defaults to ``model.loss``; pass a callable taking the
-    (buffer-backed) batch to capture a different objective.
+    Each step's objective is ``model.loss`` on the (buffer-backed) batch.
     """
 
-    def __init__(self, model, loss_fn: Optional[Callable] = None) -> None:
+    def __init__(self, model) -> None:
         self.model = model
-        self.loss_fn = loss_fn if loss_fn is not None else model.loss
         self._tape: Optional[Tape] = None
         self._grad_bufs: Dict[int, np.ndarray] = {}
         self._input_bufs: Optional[Dict[str, Optional[np.ndarray]]] = None
@@ -304,7 +302,7 @@ class TapeExecutor:
         """
         if self.disabled_reason is not None:
             self.fallback_steps += 1
-            return StepResult("dynamic", self.loss_fn(batch), self)
+            return StepResult("dynamic", self.model.loss(batch), self)
 
         signature = _batch_signature(batch)
         if self._tape is not None:
@@ -316,7 +314,7 @@ class TapeExecutor:
                     "step dynamically (tape kept)",
                 )
                 self.fallback_steps += 1
-                return StepResult("dynamic", self.loss_fn(batch), self)
+                return StepResult("dynamic", self.model.loss(batch), self)
             reason = self._invalid_reason()
             if reason is not None:
                 self._warn_once(
@@ -359,7 +357,7 @@ class TapeExecutor:
         )
         try:
             with capture() as tape:
-                root = self.loss_fn(buffered)
+                root = self.model.loss(buffered)
         except GraphCaptureError as exc:
             self.disabled_reason = str(exc)
             logger.warning(
@@ -370,7 +368,7 @@ class TapeExecutor:
             self.fallback_steps += 1
             if rng_snapshot is not None:
                 self.model.load_rng_state_dict(rng_snapshot)
-            return StepResult("dynamic", self.loss_fn(buffered), self)
+            return StepResult("dynamic", self.model.loss(buffered), self)
         tape.finalize(root, list(self.model.parameters()))
         self._tape = tape
         self.captures += 1

@@ -53,6 +53,7 @@ __all__ = [
     "get_workspace",
     "reset_workspace",
     "generator_state",
+    "check_generator_state",
     "set_generator_state",
 ]
 
@@ -172,6 +173,15 @@ def generator_state(gen: np.random.Generator) -> Dict[str, Any]:
     never stopped.
     """
     return copy.deepcopy(gen.bit_generator.state)
+
+
+def check_generator_state(gen: np.random.Generator, state: Dict[str, Any]) -> None:
+    """Raise what :func:`set_generator_state` would, leaving ``gen`` as is.
+
+    The snapshot is loaded into a throwaway bit generator of ``gen``'s
+    algorithm.
+    """
+    type(gen.bit_generator)(0).state = state
 
 
 def set_generator_state(gen: np.random.Generator, state: Dict[str, Any]) -> None:

@@ -21,9 +21,9 @@ from repro.data.dataset import SequenceDataset
 
 __all__ = ["BASELINE_NAMES", "build_baseline"]
 
-#: Prediction-loss knobs every :class:`SequentialEncoderBase` subclass
-#: honors as plain attributes (SLIME4Rec additionally carries them as
-#: ``SlimeConfig`` fields).  ``build_baseline`` extracts these from
+#: Prediction-loss knobs, the arguments of
+#: :meth:`SequentialEncoderBase.configure_head` (SLIME4Rec carries them
+#: as ``SlimeConfig`` fields).  ``build_baseline`` extracts these from
 #: ``overrides`` and applies them uniformly, so one switch turns on the
 #: sampled-softmax training loss for any Table II model whose objective
 #: runs through the shared ``prediction_loss`` head.
@@ -69,8 +69,8 @@ def build_baseline(
     defers to :func:`repro.nn.init.get_default_dtype`.  The shared
     prediction-loss knobs (``train_num_negatives``,
     ``negative_sampling`` — see :data:`LOSS_KNOBS`) are accepted for
-    every model that trains through ``prediction_loss`` and applied as
-    post-construction attributes, so e.g.
+    every model that trains through ``prediction_loss`` and applied
+    through its ``configure_head``, so e.g.
     ``build_baseline("SASRec", ds, train_num_negatives=256)`` trains
     SASRec with the sampled softmax; models with bespoke objectives
     (:data:`BESPOKE_LOSS_MODELS`) reject the knobs instead of silently
@@ -81,25 +81,13 @@ def build_baseline(
     # SlimeConfig field for SLIME4Rec, a plain post-construction
     # attribute (declared on SequentialEncoderBase) for every baseline.
     static_graph = overrides.pop("static_graph", None)
-    # Fail at build time, not at the first training step (mirrors the
-    # SlimeConfig validation for the attribute-plumbed models).
+    # Fail at build time, not at the first training step.
     if knobs and name in BESPOKE_LOSS_MODELS:
         raise ValueError(
             f"{name} trains with a bespoke objective that bypasses "
             f"prediction_loss; the loss knobs {sorted(knobs)} would be a "
             f"silent no-op — remove them or pick a prediction_loss model"
         )
-    if "negative_sampling" in knobs:
-        from repro.data.negative_sampling import NegativeSampler
-
-        if knobs["negative_sampling"] not in NegativeSampler.STRATEGIES:
-            raise ValueError(
-                f"negative_sampling must be one of {NegativeSampler.STRATEGIES}, "
-                f"got {knobs['negative_sampling']!r}"
-            )
-    value = knobs.get("train_num_negatives")
-    if value is not None and value < 1:
-        raise ValueError(f"train_num_negatives must be >= 1 or None, got {value}")
     common: Dict = dict(
         num_items=dataset.num_items,
         max_len=dataset.max_len,
@@ -146,8 +134,8 @@ def build_baseline(
         model = DuoRec(**common, num_layers=num_layers, **overrides)
     else:
         raise KeyError(f"unknown model '{name}'; choose from {BASELINE_NAMES}")
-    for key, value in knobs.items():
-        setattr(model, key, value)
+    if knobs:
+        model.configure_head(**knobs)
     if static_graph is not None:
         model.static_graph = bool(static_graph)
     return model

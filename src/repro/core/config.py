@@ -138,18 +138,9 @@ class SlimeConfig:
             raise ValueError(f"gamma must be in [0, 1], got {self.gamma}")
         if self.num_layers < 1:
             raise ValueError("num_layers must be >= 1")
-        if self.train_num_negatives is not None and self.train_num_negatives < 1:
-            raise ValueError(
-                f"train_num_negatives must be >= 1 or None, "
-                f"got {self.train_num_negatives}"
-            )
-        from repro.data.negative_sampling import NegativeSampler
+        from repro.core.encoder import check_head
 
-        if self.negative_sampling not in NegativeSampler.STRATEGIES:
-            raise ValueError(
-                f"negative_sampling must be one of {NegativeSampler.STRATEGIES}, "
-                f"got {self.negative_sampling!r}"
-            )
+        check_head(self.train_num_negatives, self.negative_sampling)
         if not (self.use_dfs or self.use_sfs):
             raise ValueError("at least one of use_dfs/use_sfs must be enabled")
         if isinstance(self.slide_mode, int):

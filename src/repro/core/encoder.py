@@ -40,7 +40,7 @@ from repro.data.negative_sampling import NegativeSampler
 from repro.nn import Dropout, Embedding, LayerNorm, Linear, Module
 from repro.nn import init as nn_init
 
-__all__ = ["SequentialEncoderBase", "PointwiseFeedForward"]
+__all__ = ["SequentialEncoderBase", "PointwiseFeedForward", "check_head"]
 
 #: ``views``: the view count of the stacked encode running on this
 #: thread (1 outside :meth:`SequentialEncoderBase.encode_views`); read
@@ -50,6 +50,19 @@ _stacked = threading.local()
 
 def _view_count() -> int:
     return getattr(_stacked, "views", 1)
+
+
+def check_head(train_num_negatives: int | None, negative_sampling: str) -> None:
+    """Reject a training-head setting (see :meth:`SequentialEncoderBase.configure_head`)."""
+    if train_num_negatives is not None and train_num_negatives < 1:
+        raise ValueError(
+            f"train_num_negatives must be >= 1 or None, got {train_num_negatives}"
+        )
+    if negative_sampling not in NegativeSampler.STRATEGIES:
+        raise ValueError(
+            f"negative_sampling must be one of {NegativeSampler.STRATEGIES}, "
+            f"got {negative_sampling!r}"
+        )
 
 
 class PointwiseFeedForward(Module):
@@ -129,17 +142,10 @@ class SequentialEncoderBase(Module):
         self.hidden_dim = hidden_dim
         self.noise_eps = noise_eps
         self.dtype = dtype
-        #: Sampled-softmax training: when set to a positive ``K``,
-        #: :meth:`prediction_loss` scores each row against its positive
-        #: plus ``K`` sampled negatives
-        #: (:func:`repro.autograd.functional.sampled_softmax_loss`)
-        #: instead of the full ``V+1``-way softmax — the compute-bounded
-        #: path for huge catalogs.  ``negative_sampling`` picks the
-        #: proposal distribution (``"uniform"`` / ``"log_uniform"``);
-        #: the logQ correction is always applied.  Evaluation is
-        #: unaffected (it ranks the full catalog either way).
+        #: The training head, set through :meth:`configure_head`: the
+        #: full softmax while ``_train_sampler`` is None, else the
+        #: sampled softmax over ``train_num_negatives`` drawn negatives.
         self.train_num_negatives: int | None = None
-        self.negative_sampling: str = "uniform"
         self._train_sampler: NegativeSampler | None = None
         self._train_sampler_seed = seed + 20011
         self._noise_rng = np.random.default_rng(seed + 104729)
@@ -328,40 +334,45 @@ class SequentialEncoderBase(Module):
         with no_grad():
             return self.user_representation(input_ids).data
 
-    def negative_sampler(self) -> NegativeSampler:
-        """The model's shared training :class:`NegativeSampler` (lazy).
+    def configure_head(
+        self, train_num_negatives: int | None = None, negative_sampling: str = "uniform"
+    ) -> None:
+        """Pick the training head and build its sampler now.
 
-        Built on first use from :attr:`negative_sampling` and the model
-        seed; rebuilt if the strategy attribute changes between calls.
+        ``train_num_negatives=None`` keeps the full softmax (Eq. 32); a
+        positive ``K`` switches :meth:`prediction_loss` to the sampled
+        softmax over the positive plus ``K`` negatives drawn from a
+        :class:`NegativeSampler` with the ``negative_sampling``
+        proposal (``"uniform"`` / ``"log_uniform"``), seeded from the
+        model seed.  Evaluation ranks the full catalog either way.
         """
-        if (
-            self._train_sampler is None
-            or self._train_sampler.strategy != self.negative_sampling
-        ):
-            self._train_sampler = NegativeSampler(
-                self.num_items,
-                strategy=self.negative_sampling,
-                seed=self._train_sampler_seed,
+        check_head(train_num_negatives, negative_sampling)
+        self.train_num_negatives = train_num_negatives
+        self._train_sampler = (
+            None
+            if train_num_negatives is None
+            else NegativeSampler(
+                self.num_items, strategy=negative_sampling, seed=self._train_sampler_seed
             )
-        return self._train_sampler
+        )
 
     def prediction_loss(self, user: Tensor, targets: np.ndarray) -> Tensor:
         """Eq. 31-32 from precomputed user vectors: score table GEMM + CE.
 
         The full softmax over the ``V+1`` item table
         (:func:`repro.autograd.functional.linear_cross_entropy`), or,
-        when :attr:`train_num_negatives` is set, the sampled softmax
-        over the positive plus ``K`` drawn negatives
+        after :meth:`configure_head` picked ``K`` negatives, the sampled
+        softmax over the positive plus ``K`` drawn negatives
         (:func:`repro.autograd.functional.sampled_softmax_loss`), which
         bounds the head's *compute* for huge catalogs.
         """
-        if self.train_num_negatives:
+        if self._train_sampler is not None:
             return F.sampled_softmax_loss(
                 user,
                 self._score_table(),
                 targets,
-                num_negatives=self.train_num_negatives,
-                sampler=self.negative_sampler(),
+                self._train_sampler,
+                self.train_num_negatives,
             )
         return F.linear_cross_entropy(user, self._score_table(), targets)
 

@@ -47,8 +47,7 @@ class Slime4Rec(SequentialEncoderBase):
             dtype=config.dtype,
         )
         self.config = config
-        self.train_num_negatives = config.train_num_negatives
-        self.negative_sampling = config.negative_sampling
+        self.configure_head(config.train_num_negatives, config.negative_sampling)
         self.static_graph = config.static_graph
         rng = np.random.default_rng(config.seed + 2)
         m = num_frequency_bins(config.max_len)
@@ -74,7 +73,6 @@ class Slime4Rec(SequentialEncoderBase):
                 )
             )
         self.layers = ModuleList(layers)
-        self._cl_rng = np.random.default_rng(config.seed + 3)
 
     # ------------------------------------------------------------------
     def to(self, dtype) -> "Slime4Rec":

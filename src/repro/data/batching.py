@@ -21,7 +21,11 @@ from typing import Dict, Iterator, Optional
 
 import numpy as np
 
-from repro.autograd.workspace import generator_state, set_generator_state
+from repro.autograd.workspace import (
+    check_generator_state,
+    generator_state,
+    set_generator_state,
+)
 from repro.data.dataset import SequenceDataset
 
 __all__ = ["Batch", "BatchIterator"]
@@ -134,17 +138,22 @@ class BatchIterator:
             "position": int(self._position),
         }
 
-    def load_state_dict(self, state: Dict) -> None:
-        """Restore a :meth:`state_dict`; the next :meth:`epoch` call
-        re-draws the saved epoch's permutation and resumes after the
-        already-consumed batches."""
+    def check_state_dict(self, state: Dict) -> None:
+        """Raise unless :meth:`load_state_dict` would accept ``state``."""
         position = int(state["position"])
         if position < 0 or position > len(self):
             raise ValueError(
                 f"iterator position {position} out of range for "
                 f"{len(self)} batches per epoch"
             )
+        check_generator_state(self._rng, state["epoch_start_state"])
+
+    def load_state_dict(self, state: Dict) -> None:
+        """Restore a :meth:`state_dict`; the next :meth:`epoch` call
+        re-draws the saved epoch's permutation and resumes after the
+        already-consumed batches."""
+        self.check_state_dict(state)
         set_generator_state(self._rng, state["epoch_start_state"])
         self._epoch_start_state = copy.deepcopy(state["epoch_start_state"])
-        self._position = position
-        self._resume_skip = position
+        self._position = int(state["position"])
+        self._resume_skip = self._position

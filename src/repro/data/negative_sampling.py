@@ -41,7 +41,11 @@ from typing import Dict, Tuple, Union
 
 import numpy as np
 
-from repro.autograd.workspace import generator_state, set_generator_state
+from repro.autograd.workspace import (
+    check_generator_state,
+    generator_state,
+    set_generator_state,
+)
 
 __all__ = ["NegativeSampler"]
 
@@ -195,14 +199,19 @@ class NegativeSampler:
             "bit_state": generator_state(self._rng),
         }
 
-    def load_rng_state_dict(self, state: Dict) -> None:
-        """Restore a :meth:`rng_state_dict` snapshot in place."""
+    def check_rng_state_dict(self, state: Dict) -> None:
+        """Raise unless :meth:`load_rng_state_dict` would accept ``state``."""
         for field in ("num_items", "strategy"):
             if state.get(field) != getattr(self, field):
                 raise ValueError(
                     f"sampler state mismatch on {field!r}: checkpoint has "
                     f"{state.get(field)!r}, live sampler has {getattr(self, field)!r}"
                 )
+        check_generator_state(self._rng, state["bit_state"])
+
+    def load_rng_state_dict(self, state: Dict) -> None:
+        """Restore a :meth:`rng_state_dict` snapshot in place."""
+        self.check_rng_state_dict(state)
         set_generator_state(self._rng, state["bit_state"])
 
     # ------------------------------------------------------------------

@@ -25,7 +25,11 @@ from typing import Dict, Iterator, List, Optional, Tuple
 import numpy as np
 
 from repro.autograd.tensor import Tensor, bump_parameter_version
-from repro.autograd.workspace import generator_state, set_generator_state
+from repro.autograd.workspace import (
+    check_generator_state,
+    generator_state,
+    set_generator_state,
+)
 
 __all__ = ["Parameter", "Module", "ModuleList"]
 
@@ -130,17 +134,18 @@ class Module:
     def state_dict(self) -> Dict[str, np.ndarray]:
         return {name: param.data.copy() for name, param in self.named_parameters()}
 
-    def load_state_dict(self, state: Dict[str, np.ndarray], cast: bool = False) -> None:
-        """Restore a :meth:`state_dict`, validating keys, shapes and dtypes.
+    def check_state_dict(self, state: Dict[str, np.ndarray], cast: bool = False) -> None:
+        """Raise unless :meth:`load_state_dict` would accept ``state``.
 
-        A dtype mismatch raises a :class:`ValueError` naming the
-        offending key instead of casting silently — a float32
-        checkpoint loaded into a float64 model would otherwise carry
-        only float32 precision while claiming float64, and the reverse
-        direction would silently truncate.  Pass ``cast=True`` to opt
-        into the conversion deliberately (e.g. restoring a float64
-        reference checkpoint into a model already moved with
-        :meth:`to`).
+        Keys must match exactly, and every array must have its
+        parameter's shape and dtype.  A dtype mismatch raises a
+        :class:`ValueError` naming the offending key instead of casting
+        silently — a float32 checkpoint loaded into a float64 model
+        would otherwise carry only float32 precision while claiming
+        float64, and the reverse direction would silently truncate.
+        ``cast=True`` allows the conversion deliberately (e.g.
+        restoring a float64 reference checkpoint into a model already
+        moved with :meth:`to`).
         """
         own = dict(self.named_parameters())
         missing = set(own) - set(state)
@@ -161,7 +166,11 @@ class Module:
                     f"parameter is {param.dtype}; build the model in the "
                     f"checkpoint's dtype or pass cast=True to convert explicitly"
                 )
-        for name, param in own.items():
+
+    def load_state_dict(self, state: Dict[str, np.ndarray], cast: bool = False) -> None:
+        """Restore a :meth:`state_dict` after :meth:`check_state_dict` passes."""
+        self.check_state_dict(state, cast=cast)
+        for name, param in self.named_parameters():
             param.data = np.asarray(state[name]).astype(param.dtype, copy=True)
         # Restored payloads invalidate parameter-derived caches (e.g.
         # the serving tier's item table).
@@ -176,7 +185,8 @@ class Module:
         Two kinds of owner are discovered by scanning module attributes:
         bare ``numpy.random.Generator`` instances (dropout streams,
         augmentation/noise/mask rngs) and *delegates* — objects exposing
-        their own ``rng_state_dict``/``load_rng_state_dict`` pair (the
+        their own ``rng_state_dict``/``load_rng_state_dict`` pair plus a
+        ``check_rng_state_dict`` (the
         :class:`~repro.data.negative_sampling.NegativeSampler`).  The
         walk order is deterministic (attribute-assignment order per
         module, :meth:`named_modules` order across the tree).
@@ -209,13 +219,11 @@ class Module:
             out[path] = generator_state(owner) if kind == "generator" else owner.rng_state_dict()
         return out
 
-    def load_rng_state_dict(self, state: Dict[str, Dict]) -> None:
-        """Restore a :meth:`rng_state_dict` snapshot in place.
+    def check_rng_state_dict(self, state: Dict[str, Dict]) -> None:
+        """Raise unless :meth:`load_rng_state_dict` would accept ``state``.
 
-        Raises :class:`KeyError` on any mismatch between the snapshot
-        and the live tree's stream owners.  A lazily created stream
-        (e.g. the training negative sampler) must be materialized before
-        restoring — the trainer does this for streams it knows about.
+        The snapshot must name exactly the live tree's stream owners
+        (:class:`KeyError` otherwise), and each entry must fit its owner.
         """
         owners = self._named_rng_owners()
         missing = set(owners) - set(state)
@@ -223,10 +231,19 @@ class Module:
         if missing or unexpected:
             raise KeyError(
                 f"rng state mismatch: missing={sorted(missing)}, "
-                f"unexpected={sorted(unexpected)} (a lazily built stream, e.g. "
-                f"the negative sampler, must exist before its state can load)"
+                f"unexpected={sorted(unexpected)}"
             )
         for path, (kind, owner) in owners.items():
+            if kind == "generator":
+                check_generator_state(owner, state[path])
+            else:
+                owner.check_rng_state_dict(state[path])
+
+    def load_rng_state_dict(self, state: Dict[str, Dict]) -> None:
+        """Restore a :meth:`rng_state_dict` snapshot in place, all streams
+        or none (:meth:`check_rng_state_dict` runs first)."""
+        self.check_rng_state_dict(state)
+        for path, (kind, owner) in self._named_rng_owners().items():
             if kind == "generator":
                 set_generator_state(owner, state[path])
             else:

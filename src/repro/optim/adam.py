@@ -109,30 +109,36 @@ class Adam:
             "v": [v.copy() for v in self._v],
         }
 
+    def check_state_dict(self, state: Dict) -> None:
+        """Raise unless :meth:`load_state_dict` would accept ``state``.
+
+        ``m`` and ``v`` must hold one array per parameter, each with its
+        buffer's shape and dtype, so a checkpoint from a differently
+        built model (or dtype) fails loudly instead of corrupting
+        moments.
+        """
+        # lr and step must convert, or the load would fail half-way.
+        float(state["lr"])
+        int(state["step"])
+        for label in ("m", "v"):
+            saved, buffers = state[label], getattr(self, f"_{label}")
+            if len(saved) != len(buffers):
+                raise ValueError(
+                    f"optimizer state mismatch: checkpoint has {len(saved)} "
+                    f"{label} buffers, optimizer has {len(buffers)}"
+                )
+            for i, (buf, value) in enumerate(zip(buffers, saved)):
+                value = np.asarray(value)
+                if value.shape != buf.shape or value.dtype != buf.dtype:
+                    raise ValueError(
+                        f"optimizer {label} buffer {i} mismatch: checkpoint has "
+                        f"{value.dtype}{value.shape}, optimizer has {buf.dtype}{buf.shape}"
+                    )
+
     def load_state_dict(self, state: Dict) -> None:
+        """Copy a :meth:`state_dict` into place after :meth:`check_state_dict`."""
+        self.check_state_dict(state)
         self.lr = float(state["lr"])
-        _restore_buffers(self._m, state["m"], "m")
-        _restore_buffers(self._v, state["v"], "v")
+        for buf, value in zip([*self._m, *self._v], [*state["m"], *state["v"]]):
+            np.copyto(buf, value)
         self._step = int(state["step"])
-
-
-def _restore_buffers(buffers, saved, label: str) -> None:
-    """Copy ``saved`` arrays into preallocated ``buffers`` in place.
-
-    Validates count, shape and dtype so a checkpoint from a
-    differently built model (or dtype) fails loudly instead of
-    corrupting moments.
-    """
-    if len(saved) != len(buffers):
-        raise ValueError(
-            f"optimizer state mismatch: checkpoint has {len(saved)} "
-            f"{label} buffers, optimizer has {len(buffers)}"
-        )
-    for i, (buf, value) in enumerate(zip(buffers, saved)):
-        value = np.asarray(value)
-        if value.shape != buf.shape or value.dtype != buf.dtype:
-            raise ValueError(
-                f"optimizer {label} buffer {i} mismatch: checkpoint has "
-                f"{value.dtype}{value.shape}, optimizer has {buf.dtype}{buf.shape}"
-            )
-        np.copyto(buf, value)

@@ -467,7 +467,8 @@ class Trainer:
         return self.store.save(payload, metadata, step=self._global_step)
 
     def _restore_run_state(self, snapshot: Dict) -> None:
-        """Restore model/optimizer/rng/history state from an archive."""
+        """Restore model/optimizer/rng/history state from an archive, all
+        or nothing."""
         meta = snapshot["metadata"]
         # Archives from before the schedules were removed carry
         # ``"scheduler": null``; a non-null one was written by a run
@@ -479,7 +480,6 @@ class Trainer:
                 f"at a constant lr and cannot resume a scheduled run"
             )
         groups = unpack_run_state(snapshot)
-        self.model.load_state_dict(groups["model"])
         optim_state: Dict = {}
         for key, value in meta["optim"].items():
             if isinstance(value, dict) and "__arrays__" in value:
@@ -491,18 +491,13 @@ class Trainer:
                 optim_state[key] = arrays
             else:
                 optim_state[key] = value
-        self.optimizer.load_state_dict(optim_state)
-        # Lazily built streams must exist before their state can load.
-        model_rng = meta["rng"]["model"]
-        if hasattr(self.model, "negative_sampler") and any(
-            path.rsplit(".", 1)[-1] == "_train_sampler" for path in model_rng
-        ):
-            self.model.negative_sampler()
-        self.model.load_rng_state_dict(model_rng)
-        self.iterator.load_state_dict(meta["rng"]["iterator"])
-        self._best_state = groups["best"]
+        # Archives from before SLIME4Rec dropped its never-drawn
+        # contrastive generator still carry its stream.
+        model_rng = {
+            path: state for path, state in meta["rng"]["model"].items() if path != "_cl_rng"
+        }
         hist_meta = meta["history"]
-        self.history = TrainHistory(
+        history = TrainHistory(
             losses=list(hist_meta["losses"]),
             valid_metrics=[dict(m) for m in hist_meta["valid_metrics"]],
             best_epoch=int(hist_meta["best_epoch"]),
@@ -515,10 +510,24 @@ class Trainer:
             rollbacks=int(hist_meta.get("rollbacks", 0)),
             loss_spikes=int(hist_meta.get("loss_spikes", 0)),
         )
-        self._stale = int(meta["stale"])
-        self._epoch = int(meta["epoch"])
-        self._global_step = int(meta["global_step"])
-        self._epoch_losses = [float(v) for v in meta["epoch_losses"]]
+        stale, epoch, global_step = (
+            int(meta["stale"]), int(meta["epoch"]), int(meta["global_step"])
+        )
+        epoch_losses = [float(v) for v in meta["epoch_losses"]]
+        # Check every group before assigning any, so a refused archive
+        # leaves the trainer as it was.
+        self.model.check_state_dict(groups["model"])
+        self.optimizer.check_state_dict(optim_state)
+        self.model.check_rng_state_dict(model_rng)
+        self.iterator.check_state_dict(meta["rng"]["iterator"])
+        self.model.load_state_dict(groups["model"])
+        self.optimizer.load_state_dict(optim_state)
+        self.model.load_rng_state_dict(model_rng)
+        self.iterator.load_state_dict(meta["rng"]["iterator"])
+        self._best_state = groups["best"]
+        self.history = history
+        self._stale, self._epoch, self._global_step = stale, epoch, global_step
+        self._epoch_losses = epoch_losses
 
     # ------------------------------------------------------------------
     def test(self) -> EvalResult:

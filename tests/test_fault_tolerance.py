@@ -8,6 +8,8 @@ baseline) and dtypes (float64 and float32).
 """
 
 import json
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -253,6 +255,87 @@ class TestArchiveCompatibility:
             not np.array_equal(archived["model"][name], array)
             for name, array in before["params"].items()
         )
+
+
+    def test_refused_archive_leaves_every_group_unchanged(self, dataset, tmp_path):
+        """One bad ``optim/v`` array refuses the archive before the model,
+        Adam, the model's generators or the iterator take any of it."""
+        store_dir = tmp_path / "store"
+        make_trainer(
+            build_model(dataset, "SLIME4Rec"), dataset, "SLIME4Rec",
+            epochs=1, checkpoint_dir=str(store_dir),
+        ).fit()
+        snapshot = CheckpointStore(store_dir).load_latest()
+        state = dict(snapshot["state"])
+        state["optim/v/00003"] = np.zeros((2, 2))
+        bad_dir = tmp_path / "bad"
+        CheckpointStore(bad_dir).save(state, snapshot["metadata"], step=snapshot["step"])
+
+        trainer = make_trainer(
+            build_model(dataset, "SLIME4Rec"), dataset, "SLIME4Rec", lr=5e-4
+        )
+        before = resume_state(trainer)
+        with pytest.raises(ValueError, match="v buffer 3"):
+            trainer.fit(resume_from=bad_dir)
+        assert_same_state(resume_state(trainer), before)
+        # Every group of the archive differs from the fresh trainer, so
+        # a partial restore would have shown above.
+        archived = unpack_run_state(snapshot)
+        meta = snapshot["metadata"]
+        assert any(
+            not np.array_equal(archived["model"][name], array)
+            for name, array in before["params"].items()
+        )
+        assert meta["optim"]["lr"] != before["optim"]["lr"]
+        assert any(np.any(m) for m in archived["optim"]["m"])
+        assert meta["rng"]["model"]["embed_dropout.rng"] != before["model_rng"]["embed_dropout.rng"]
+        assert meta["rng"]["iterator"] != before["iterator"]
+
+
+#: Mid-epoch archives (step 24 of 39, iterator position 11) written by
+#: commit 2743db6, whose sampled head built its sampler at the first
+#: training step and whose SLIME4Rec still owned a never-drawn
+#: ``_cl_rng`` generator.  Each was written by training the model below
+#: on the ``dataset`` fixture with ``make_trainer`` defaults and the
+#: suite's float64 default dtype, ``checkpoint_every=12``, killed at
+#: step 25, and its newest entry re-saved alone.
+OLD_ARCHIVES = Path(__file__).parent / "archives"
+
+
+class TestOlderArchives:
+    @pytest.mark.parametrize(
+        "label, name, knobs",
+        [
+            ("SASRec-uniform", "SASRec",
+             dict(train_num_negatives=8, negative_sampling="uniform")),
+            ("SASRec-log_uniform", "SASRec",
+             dict(train_num_negatives=8, negative_sampling="log_uniform")),
+            ("SLIME4Rec", "SLIME4Rec", {}),
+        ],
+        ids=["SASRec-uniform", "SASRec-log_uniform", "SLIME4Rec"],
+    )
+    def test_resumes_bitwise(self, dataset, tmp_path, label, name, knobs):
+        def build():
+            return build_baseline(
+                name, dataset, hidden_dim=8, num_layers=1, seed=0,
+                dtype="float64", **knobs,
+            )
+
+        model = build()
+        history = make_trainer(model, dataset, name).fit()
+        ref = {
+            "losses": list(history.losses),
+            "valid": [dict(m) for m in history.valid_metrics],
+            "params": model.state_dict(),
+        }
+        archive = CheckpointStore(OLD_ARCHIVES / label).load_latest()
+        assert archive["metadata"]["rng"]["iterator"]["position"] > 0
+        assert ("_cl_rng" in archive["metadata"]["rng"]["model"]) == (name == "SLIME4Rec")
+        store_dir = tmp_path / "store"
+        shutil.copytree(OLD_ARCHIVES / label, store_dir)
+        model = build()
+        history = make_trainer(model, dataset, name).fit(resume_from=store_dir)
+        assert_matches_reference(history, model, ref)
 
 
 class TestUnpackRunState:
@@ -561,6 +644,23 @@ class TestModuleRngStateDict:
         with pytest.raises(KeyError):
             model.load_rng_state_dict(snapshot)
 
+    def test_refused_snapshot_changes_no_stream(self, dataset):
+        """A bad sampler entry is refused before any dropout stream
+        moves, although the dropout streams come first in the walk."""
+        model = build_baseline(
+            "SASRec", dataset, hidden_dim=16, num_layers=1, seed=0,
+            train_num_negatives=8,
+        )
+        snapshot = model.rng_state_dict()
+        model.train()
+        model.loss(one_batch(dataset))  # every stream moves on
+        live = model.rng_state_dict()
+        assert all(live[path] != snapshot[path] for path in snapshot if path != "_noise_rng")
+        snapshot["_train_sampler"]["bit_state"] = {"bit_generator": "MT19937"}
+        with pytest.raises(ValueError):
+            model.load_rng_state_dict(snapshot)
+        assert model.rng_state_dict() == live
+
 
 class TestNegativeSamplerState:
     def test_round_trip_resumes_mid_stream(self):
@@ -700,6 +800,26 @@ class TestOptimizerState:
         state["v"][0] = np.zeros((2, 2), dtype=state["v"][0].dtype)
         with pytest.raises(ValueError, match="v buffer 0 mismatch"):
             adam.load_state_dict(state)
+
+    def test_adam_refusal_leaves_its_state(self, dataset):
+        """lr and m come before v in the state, and stay put when v is refused."""
+        batch = one_batch(dataset)
+        model = build_model(dataset, "SASRec")
+        adam = Adam(model.parameters(), lr=1e-3)
+        train_steps(model, adam, batch, 2)
+        before = adam.state_dict()
+        state = adam.state_dict()
+        state["lr"] = 0.5
+        state["step"] = 9
+        state["m"] = [np.ones_like(m) for m in state["m"]]
+        state["v"][-1] = np.zeros((2, 2))
+        with pytest.raises(ValueError, match="v buffer"):
+            adam.load_state_dict(state)
+        after = adam.state_dict()
+        assert (after["lr"], after["step"]) == (before["lr"], before["step"])
+        for key in ("m", "v"):
+            for a, b in zip(after[key], before[key]):
+                assert np.array_equal(a, b), key
 
 
 # ----------------------------------------------------------------------

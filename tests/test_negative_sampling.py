@@ -4,12 +4,15 @@ Covers the shared :class:`repro.data.negative_sampling.NegativeSampler`
 (both proposal strategies, the vectorized exclusion draw), the
 :func:`repro.autograd.functional.sampled_softmax_loss` autograd node
 (exact full-CE equality on the all-classes candidate set, logQ
-correction semantics, float64 gradcheck, accidental-hit masking), the
+correction semantics, float64 gradcheck, accidental-hit masking; fixed
+candidate sets come from a :class:`FixedSampler`), the
 model plumbing (``SlimeConfig(train_num_negatives=...)`` /
 ``build_baseline`` knobs / ``prediction_loss`` precedence), and the
 headline acceptance property: sampled-softmax training reaches the
 full-CE HR@10 / NDCG@10 within 0.02 absolute on the synthetic dataset.
 """
+
+import inspect
 
 import numpy as np
 import pytest
@@ -136,54 +139,67 @@ def _problem(seed=0, rows=5, dim=4, classes=12):
     return x, w, targets
 
 
+class FixedSampler:
+    """A sampler that always draws ``negatives``, for fixed candidate sets.
+
+    ``log_q`` defaults to zero everywhere, which leaves the logits raw;
+    pass a real sampler's ``log_q`` to apply its correction.
+    """
+
+    def __init__(self, negatives, log_q=None):
+        self.negatives = np.asarray(negatives, dtype=np.int64)
+        self._log_q = log_q
+
+    def sample(self, size):
+        return self.negatives.copy()
+
+    def log_q(self, ids):
+        ids = np.asarray(ids)
+        return np.zeros(ids.shape) if self._log_q is None else self._log_q(ids)
+
+
+def _sampled(x, w, targets, sampler):
+    return F.sampled_softmax_loss(x, w, targets, sampler, sampler.negatives.size)
+
+
 class TestSampledSoftmaxLoss:
-    def test_needs_sampler_or_negatives(self):
+    def test_signature_is_the_five_parameters(self):
+        params = list(inspect.signature(F.sampled_softmax_loss).parameters)
+        assert params == ["inputs", "weight", "targets", "sampler", "num_negatives"]
         x, w, targets = _problem()
-        with pytest.raises(ValueError, match="sampler"):
+        for removed in (
+            "negatives", "neg_log_q", "target_log_q", "logq_correction",
+            "remove_accidental_hits", "ignore_index",
+        ):
+            with pytest.raises(TypeError, match=removed):
+                F.sampled_softmax_loss(
+                    x, w, targets, NegativeSampler(11), 4, **{removed: None}
+                )
+
+    def test_needs_a_sampler_and_a_positive_count(self):
+        x, w, targets = _problem()
+        with pytest.raises(TypeError, match="sampler"):
             F.sampled_softmax_loss(x, w, targets)
         with pytest.raises(ValueError, match="num_negatives"):
-            F.sampled_softmax_loss(
-                x, w, targets, num_negatives=0, sampler=NegativeSampler(11)
-            )
-        with pytest.raises(ValueError, match="at least one"):
-            F.sampled_softmax_loss(x, w, targets, negatives=np.array([], dtype=np.int64))
+            F.sampled_softmax_loss(x, w, targets, NegativeSampler(11), 0)
 
     def test_rejects_out_of_range_ids(self):
         x, w, targets = _problem()
         with pytest.raises(IndexError, match="negatives"):
-            F.sampled_softmax_loss(x, w, targets, negatives=np.array([1, 12]))
+            _sampled(x, w, targets, FixedSampler([1, 12]))
         with pytest.raises(IndexError, match="targets"):
-            F.sampled_softmax_loss(
-                x, w, np.array([1, 2, 3, 4, 99]), negatives=np.array([1, 2])
-            )
+            _sampled(x, w, np.array([1, 2, 3, 4, 99]), FixedSampler([1, 2]))
 
-    def test_logq_correction_needs_a_source(self):
-        x, w, targets = _problem()
-        with pytest.raises(ValueError, match="logq_correction"):
-            F.sampled_softmax_loss(
-                x, w, targets, negatives=np.array([1, 2, 3]), logq_correction=True
-            )
-        # Half a source is no source: neg_log_q without target_log_q.
-        with pytest.raises(ValueError, match="target_log_q"):
-            F.sampled_softmax_loss(
-                x, w, targets, negatives=np.array([1, 2, 3]),
-                neg_log_q=np.full(3, -2.0),
-            )
-
-    def test_ignore_index_with_log_uniform_correction_is_finite(self):
-        """Masked rows' placeholder target (0) lies outside the
-        log-uniform support; the correction must skip them, not NaN."""
-        x, w, targets = _problem(seed=13)
-        targets = targets.copy()
-        targets[0] = -1
-        s = NegativeSampler(11, strategy="log_uniform", seed=1)
-        loss = F.sampled_softmax_loss(
-            x, w, targets, num_negatives=6, sampler=s, ignore_index=-1
-        )
-        loss.backward()
-        assert np.isfinite(float(loss.data))
-        assert np.isfinite(x.grad).all() and np.isfinite(w.grad).all()
-        assert np.abs(x.grad[0]).max() == 0.0  # masked row contributes nothing
+    def test_out_of_range_target_leaves_the_sampler_stream(self):
+        """The targets are checked before the draw: a refused call
+        consumes nothing from the sampler's generator."""
+        x, w, _ = _problem()
+        s = NegativeSampler(11, seed=2)
+        before = s.rng_state_dict()
+        with pytest.raises(IndexError, match="targets"):
+            F.sampled_softmax_loss(x, w, np.array([1, 2, 3, 4, 99]), s, 5)
+        assert s.rng_state_dict() == before
+        assert np.array_equal(s.sample(5), NegativeSampler(11, seed=2).sample(5))
 
     def test_all_classes_candidates_equal_full_cross_entropy(self):
         """With every class as a candidate (duplicated target masked),
@@ -191,9 +207,7 @@ class TestSampledSoftmaxLoss:
         x, w, targets = _problem()
         x2 = Tensor(x.data.copy(), requires_grad=True)
         w2 = Tensor(w.data.copy(), requires_grad=True)
-        sampled = F.sampled_softmax_loss(
-            x, w, targets, negatives=np.arange(12), logq_correction=False
-        )
+        sampled = _sampled(x, w, targets, FixedSampler(np.arange(12)))
         full = F.cross_entropy(F.matmul(x2, F.transpose(w2, (1, 0))), targets)
         sampled.backward()
         full.backward()
@@ -205,36 +219,23 @@ class TestSampledSoftmaxLoss:
         """A uniform proposal's correction is a constant logit shift —
         provably cancelled by the softmax."""
         x, w, targets = _problem()
-        s = NegativeSampler(11, strategy="uniform", seed=4)
-        negs = s.sample(7)
+        negs = NegativeSampler(11, strategy="uniform", seed=4).sample(7)
         corrected = F.sampled_softmax_loss(
-            x, w, targets, negatives=negs,
-            neg_log_q=s.log_q(negs), target_log_q=s.log_q(targets),
+            x, w, targets, NegativeSampler(11, strategy="uniform", seed=4), 7
         )
-        raw = F.sampled_softmax_loss(x, w, targets, negatives=negs, logq_correction=False)
+        raw = _sampled(x, w, targets, FixedSampler(negs))
         np.testing.assert_allclose(float(corrected.data), float(raw.data), atol=1e-12)
 
     def test_gradcheck_float64(self):
         x, w, targets = _problem(seed=3)
         negs = np.concatenate([[int(targets[0])], NegativeSampler(11, seed=5).sample(6)])
-        gradcheck(
-            lambda a, b: F.sampled_softmax_loss(
-                a, b, targets, negatives=negs, logq_correction=False
-            ),
-            [x, w],
-        )
+        gradcheck(lambda a, b: _sampled(a, b, targets, FixedSampler(negs)), [x, w])
 
     def test_gradcheck_with_log_uniform_correction(self):
         x, w, targets = _problem(seed=6)
         s = NegativeSampler(11, strategy="log_uniform", seed=7)
-        negs = s.sample(8)
-        gradcheck(
-            lambda a, b: F.sampled_softmax_loss(
-                a, b, targets, negatives=negs,
-                neg_log_q=s.log_q(negs), target_log_q=s.log_q(targets),
-            ),
-            [x, w],
-        )
+        fixed = FixedSampler(s.sample(8), log_q=s.log_q)
+        gradcheck(lambda a, b: _sampled(a, b, targets, fixed), [x, w])
 
     def test_accidental_hit_masking(self):
         """A sampled candidate equal to the row's target never counts as
@@ -243,9 +244,7 @@ class TestSampledSoftmaxLoss:
         clean = np.setdiff1d(np.arange(1, 12), targets)[:3]
         assert not set(clean.tolist()) & set(targets.tolist())
         with_hit = np.concatenate([clean, [int(targets[0])]])
-        masked = F.sampled_softmax_loss(
-            x, w, targets, negatives=with_hit, logq_correction=False
-        )
+        masked = _sampled(x, w, targets, FixedSampler(with_hit))
         # Row 0's candidate set collapses to `clean`; other rows score
         # the extra candidate normally, so compare row-by-row manually.
         logits = x.data @ w.data.T
@@ -259,35 +258,17 @@ class TestSampledSoftmaxLoss:
     def test_all_negatives_hit_is_finite(self):
         x, w, targets = _problem(seed=9)
         same = np.full(4, int(targets[0]))
-        loss = F.sampled_softmax_loss(
-            x, w, np.full_like(targets, int(targets[0])), negatives=same,
-            logq_correction=False,
-        )
+        loss = _sampled(x, w, np.full_like(targets, int(targets[0])), FixedSampler(same))
         loss.backward()
         assert float(loss.data) == pytest.approx(0.0)
         assert np.isfinite(x.grad).all() and np.isfinite(w.grad).all()
-
-    def test_ignore_index_rows_contribute_nothing(self):
-        x, w, targets = _problem(seed=10)
-        targets = targets.copy()
-        targets[1::2] = -1
-        negs = np.array([1, 4, 6])
-        loss = F.sampled_softmax_loss(
-            x, w, targets, negatives=negs, logq_correction=False, ignore_index=-1
-        )
-        loss.backward()
-        valid_rows = targets != -1
-        assert np.abs(x.grad[~valid_rows]).max() == 0.0
-        assert np.isfinite(float(loss.data))
 
     def test_float32_stays_float32(self):
         rng = np.random.default_rng(11)
         x = Tensor(rng.normal(size=(3, 4)).astype(np.float32), requires_grad=True)
         w = Tensor(rng.normal(size=(9, 4)).astype(np.float32), requires_grad=True)
         s = NegativeSampler(8, seed=1)
-        loss = F.sampled_softmax_loss(
-            x, w, np.array([1, 2, 3]), num_negatives=4, sampler=s
-        )
+        loss = F.sampled_softmax_loss(x, w, np.array([1, 2, 3]), s, 4)
         loss.backward()
         assert loss.data.dtype == np.float32
         assert x.grad.dtype == np.float32 and w.grad.dtype == np.float32
@@ -296,27 +277,25 @@ class TestSampledSoftmaxLoss:
         """Each call draws a fresh candidate set from the sampler."""
         x, w, targets = _problem(seed=12)
         s = NegativeSampler(11, seed=2)
-        a = F.sampled_softmax_loss(x, w, targets, num_negatives=5, sampler=s)
-        b = F.sampled_softmax_loss(x, w, targets, num_negatives=5, sampler=s)
+        a = F.sampled_softmax_loss(x, w, targets, s, 5)
+        b = F.sampled_softmax_loss(x, w, targets, s, 5)
         assert float(a.data) != float(b.data)
 
 
 @pytest.mark.parametrize("dup_hits", [False, True], ids=["clean", "dup-hits"])
-@pytest.mark.parametrize("masked", [False, True], ids=["all-rows", "ignore-index"])
 @pytest.mark.parametrize("strategy", ["uniform", "log_uniform"])
 class TestSampledSoftmaxComboSweep:
-    """combo_check-style grid over the loss's interacting options.
+    """combo_check-style grid over the loss's interacting inputs.
 
-    Every cell of sampler strategy x ignore_index x accidental-hit
-    duplication passes float64 gradcheck and, at float32, reproduces the
-    float64 analytic value/gradients while preserving the input dtype.
-    Candidates are drawn once and passed explicitly so both dtypes (and
-    the numeric/analytic sides of gradcheck) see the same set; the
-    sampler still rides along for the logQ correction, which is how the
-    trainer calls it.
+    Every cell of sampler strategy x accidental-hit duplication passes
+    float64 gradcheck and, at float32, reproduces the float64 analytic
+    value/gradients while preserving the input dtype.  Candidates are
+    drawn once and served by a :class:`FixedSampler` so both dtypes
+    (and the numeric/analytic sides of gradcheck) see the same set;
+    the real sampler still supplies the logQ correction.
     """
 
-    def _case(self, strategy, masked, dup_hits, seed=29):
+    def _case(self, strategy, dup_hits, seed=29):
         rng = np.random.default_rng(seed)
         x = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
         w = Tensor(rng.normal(size=(12, 4)), requires_grad=True)
@@ -328,28 +307,19 @@ class TestSampledSoftmaxComboSweep:
             # copies, and the weight-grad scatter must accumulate the
             # surviving duplicates exactly once each
             negatives = np.concatenate([negatives, [int(targets[0])] * 2])
-        kwargs = dict(negatives=negatives, sampler=sampler)
-        if masked:
-            targets = targets.copy()
-            targets[2] = -1
-            kwargs["ignore_index"] = -1
-        return x, w, targets, kwargs
+        return x, w, targets, FixedSampler(negatives, log_q=sampler.log_q)
 
-    def test_gradcheck_float64(self, strategy, masked, dup_hits):
-        x, w, targets, kwargs = self._case(strategy, masked, dup_hits)
-        gradcheck(
-            lambda a, b: F.sampled_softmax_loss(a, b, targets, **kwargs), [x, w]
-        )
+    def test_gradcheck_float64(self, strategy, dup_hits):
+        x, w, targets, fixed = self._case(strategy, dup_hits)
+        gradcheck(lambda a, b: _sampled(a, b, targets, fixed), [x, w])
 
-    def test_float32_matches_float64_and_keeps_dtype(
-        self, strategy, masked, dup_hits
-    ):
-        x64, w64, targets, kwargs = self._case(strategy, masked, dup_hits)
-        loss64 = F.sampled_softmax_loss(x64, w64, targets, **kwargs)
+    def test_float32_matches_float64_and_keeps_dtype(self, strategy, dup_hits):
+        x64, w64, targets, fixed = self._case(strategy, dup_hits)
+        loss64 = _sampled(x64, w64, targets, fixed)
         loss64.backward()
         x32 = Tensor(x64.data.astype(np.float32), requires_grad=True)
         w32 = Tensor(w64.data.astype(np.float32), requires_grad=True)
-        loss32 = F.sampled_softmax_loss(x32, w32, targets, **kwargs)
+        loss32 = _sampled(x32, w32, targets, fixed)
         loss32.backward()
         assert loss32.data.dtype == np.float32
         assert x32.grad.dtype == np.float32 and w32.grad.dtype == np.float32
@@ -387,7 +357,7 @@ class TestModelPlumbing:
         )
         model = Slime4Rec(cfg)
         assert model.train_num_negatives == 8
-        assert model.negative_sampler().strategy == "log_uniform"
+        assert model._train_sampler.strategy == "log_uniform"
         model.train()
         loss = model.loss(_tiny_batch())
         loss.backward()
@@ -426,12 +396,37 @@ class TestModelPlumbing:
             train_num_negatives=8, negative_sampling="log_uniform",
         )
         assert model.train_num_negatives == 8
-        assert model.negative_sampling == "log_uniform"
+        assert model._train_sampler.strategy == "log_uniform"
         model.train()
         it = BatchIterator(sampling_dataset, batch_size=16, with_same_target=True, seed=0)
         loss = model.loss(next(iter(it.epoch())))
         loss.backward()
         assert np.isfinite(float(loss.data))
+
+    @pytest.mark.parametrize("name", ["SASRec", "SLIME4Rec"])
+    def test_the_sampler_exists_from_construction(self, name, sampling_dataset):
+        """The head's sampler is built with the model, seeded from the
+        model seed; a full-softmax model owns no sampler stream."""
+        model = build_baseline(
+            name, sampling_dataset, hidden_dim=16, seed=4,
+            train_num_negatives=8, negative_sampling="log_uniform",
+        )
+        want = NegativeSampler(sampling_dataset.num_items, "log_uniform", seed=4 + 20011)
+        assert model.rng_state_dict()["_train_sampler"] == want.rng_state_dict()
+        full = build_baseline(name, sampling_dataset, hidden_dim=16, seed=4)
+        assert "_train_sampler" not in full.rng_state_dict()
+
+    def test_configure_head_checks_before_changing_the_head(self, sampling_dataset):
+        model = build_baseline(
+            "SASRec", sampling_dataset, hidden_dim=16, train_num_negatives=8
+        )
+        sampler = model._train_sampler
+        for bad in (dict(train_num_negatives=0), dict(negative_sampling="zipf")):
+            with pytest.raises(ValueError, match=next(iter(bad))):
+                model.configure_head(**{"train_num_negatives": 4, **bad})
+        assert model.train_num_negatives == 8 and model._train_sampler is sampler
+        model.configure_head()
+        assert model.train_num_negatives is None and model._train_sampler is None
 
     def test_registry_rejects_bad_strategy_at_build_time(self, sampling_dataset):
         with pytest.raises(ValueError, match="negative_sampling"):
