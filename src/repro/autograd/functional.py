@@ -74,8 +74,29 @@ def _make(data: np.ndarray, parents: Tuple[Tensor, ...], backward, replay=None) 
 # Elementwise arithmetic
 # ----------------------------------------------------------------------
 
+_PYTHON_SCALARS = (int, float)
+
+
+def _operands(a, b) -> Tuple[Tensor, Tensor]:
+    """Coerce a binary op's operands; a python scalar takes the other's dtype.
+
+    This is NumPy's weak-scalar rule (NEP 50): a python ``int``/``float``
+    becomes ``np.result_type(t.dtype, s)``, so ``f32 * 0.1`` multiplies
+    by ``float32(0.1)``, ``f64 * 0.1`` by the float64 constant and
+    ``int64 * 0.5`` promotes to float64.  Arrays and numpy scalars keep
+    their own dtype.
+    """
+    if type(a) in _PYTHON_SCALARS:
+        b = as_tensor(b)
+        return Tensor(np.asarray(a, np.result_type(b.dtype, a))), b
+    a = as_tensor(a)
+    if type(b) in _PYTHON_SCALARS:
+        return a, Tensor(np.asarray(b, np.result_type(a.dtype, b)))
+    return a, as_tensor(b)
+
+
 def add(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
 
     def forward():
         return a.data + b.data
@@ -87,7 +108,7 @@ def add(a, b) -> Tensor:
 
 
 def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
 
     def forward():
         return a.data - b.data
@@ -99,7 +120,7 @@ def sub(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
 
     def forward():
         return a.data * b.data
@@ -114,7 +135,7 @@ def mul(a, b) -> Tensor:
 
 
 def div(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
 
     def forward():
         return a.data / b.data
@@ -483,9 +504,7 @@ def stack(tensors: Sequence, axis: int = 0) -> Tensor:
 def sum(a, axis=None, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
     # Full reductions return *numpy scalars*; wrap them as 0-d arrays so
-    # the Tensor constructor keeps their dtype instead of coercing them
-    # to the scalar-constant default (which would silently narrow a
-    # float64 reduction when the default is float32).
+    # the output (and its replay payload) is always an ndarray.
     def forward():
         return np.asarray(a.data.sum(axis=axis, keepdims=keepdims))
 

@@ -28,11 +28,7 @@ __all__ = [
     "as_tensor",
     "parameter_version",
     "bump_parameter_version",
-    "get_default_dtype",
-    "set_default_dtype",
 ]
-
-_DEFAULT_DTYPE = np.float32
 
 _grad_state = threading.local()
 
@@ -72,20 +68,6 @@ def no_grad():
         _grad_state.enabled = previous
 
 
-def get_default_dtype() -> np.dtype:
-    """Return the dtype used for tensors created from python data."""
-    return _DEFAULT_DTYPE
-
-
-def set_default_dtype(dtype) -> None:
-    """Set the global default floating dtype (float32 or float64)."""
-    global _DEFAULT_DTYPE
-    dtype = np.dtype(dtype)
-    if dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
-        raise ValueError(f"default dtype must be float32 or float64, got {dtype}")
-    _DEFAULT_DTYPE = dtype.type
-
-
 def unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     """Sum ``grad`` down to ``shape``, undoing numpy broadcasting.
 
@@ -111,10 +93,12 @@ class Tensor:
     Parameters
     ----------
     data:
-        Array-like payload.  Floating arrays and numpy float scalars are
-        kept as-is; python lists and scalars are converted to the default
-        float dtype unless they are integral (kept as int64, useful for
-        index tensors).
+        Array-like payload.  Arrays keep their dtype; other data becomes
+        what ``np.asarray`` makes of it (float64 for python floats, a
+        numpy float scalar keeps its dtype), with integral data widened
+        to int64 (index tensors).  A python scalar in a binary op takes
+        the other operand's dtype instead (NEP 50,
+        ``functional._operands``).
     requires_grad:
         Whether gradients should be accumulated into this tensor.
     """
@@ -140,13 +124,8 @@ class Tensor:
         if isinstance(data, Tensor):
             data = data.data
         if not isinstance(data, np.ndarray):
-            # A numpy float scalar (what an op on 0-d arrays returns)
-            # keeps its dtype; only python floats take the default.
-            numpy_float = isinstance(data, np.floating)
             data = np.asarray(data)
-            if data.dtype.kind == "f" and not numpy_float:
-                data = data.astype(_DEFAULT_DTYPE, copy=False)
-            elif data.dtype.kind in "iu":
+            if data.dtype.kind in "iu":
                 data = data.astype(np.int64, copy=False)
         if requires_grad and data.dtype.kind != "f":
             raise TypeError("only floating tensors can require gradients")

@@ -66,7 +66,7 @@ def build_baseline(
     ``overrides`` are forwarded to the model constructor (SLIME4Rec
     accepts SlimeConfig fields instead).  ``dtype`` selects the compute
     precision of every model uniformly (float32/float64); ``None``
-    defers to :func:`repro.nn.init.get_default_dtype`.  The shared
+    means float64.  The shared
     prediction-loss knobs (``train_num_negatives``,
     ``negative_sampling`` — see :data:`LOSS_KNOBS`) are accepted for
     every model that trains through ``prediction_loss`` and applied

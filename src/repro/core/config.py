@@ -91,9 +91,8 @@ class SlimeConfig:
         Parameter-init and dropout seed.
     dtype:
         Compute dtype of the whole model — ``"float32"`` or
-        ``"float64"`` (or the numpy dtype objects).  ``None`` defers to
-        :func:`repro.nn.init.get_default_dtype` (float64 unless
-        reconfigured), which preserves the seed's float64 numerics
+        ``"float64"`` (or the numpy dtype objects).  ``None`` means
+        float64, which preserves the seed's float64 numerics
         bit-for-bit.  ``"float32"`` halves parameter/activation memory
         bandwidth and is the supported fast path: every op in the stack
         keeps float32 inputs in float32 (complex64 spectra in the

@@ -111,7 +111,7 @@ class SequentialEncoderBase(Module):
         every layer input via :meth:`inject_noise` (Figure 6 protocol).
     dtype:
         Compute dtype for parameters and activations (float32/float64);
-        ``None`` falls back to :func:`repro.nn.init.get_default_dtype`.
+        ``None`` means float64 (:func:`repro.nn.init.resolve_dtype`).
         The resolved dtype is exposed as ``self.dtype`` so subclasses
         can type their own submodules consistently.
     """

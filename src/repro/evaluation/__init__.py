@@ -3,7 +3,7 @@
 from repro.evaluation.metrics import hit_ratio_at_k, mrr, mrr_at_k, ndcg_at_k, rank_of_target
 from repro.evaluation.evaluator import Evaluator, EvalResult
 from repro.evaluation.sampled import SampledEvaluator
-from repro.evaluation.topk import TopKAccumulator, TopKResult, blocked_topk, full_sort_topk
+from repro.evaluation.topk import TopKAccumulator, TopKResult, full_sort_topk
 
 __all__ = [
     "hit_ratio_at_k",
@@ -16,6 +16,5 @@ __all__ = [
     "SampledEvaluator",
     "TopKAccumulator",
     "TopKResult",
-    "blocked_topk",
     "full_sort_topk",
 ]

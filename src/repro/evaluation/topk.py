@@ -8,14 +8,12 @@ and ``np.argsort`` over every row is ``O(V log V)`` per user plus a
 - :func:`full_sort_topk` — the *reference* implementation: one stable
   full argsort per row.  Exact contract, used as the ground truth in
   property tests and as the "naive" serving baseline.
-- :func:`blocked_topk` — the production implementation: walks the
-  catalog in column blocks, keeps a per-row candidate pool of width
-  ``k`` via ``np.argpartition`` (``O(V)`` total, never a full sort),
-  and only sorts the final ``k``-wide pool.
-- :class:`TopKAccumulator` — the streaming core of ``blocked_topk``,
-  for callers that *produce* scores block-by-block (the serving path
-  computes each block's scores from a cached half-precision item table
-  and never materializes the full ``(B, V)`` matrix at all).
+- :class:`TopKAccumulator` — the production implementation, for callers
+  that *produce* scores block-by-block (the serving path computes each
+  block's scores from a cached half-precision item table and never
+  materializes the full ``(B, V)`` matrix at all).  It keeps a per-row
+  candidate pool of width ``k`` via ``np.argpartition`` (``O(V)``
+  total, never a full sort) and only sorts the final ``k``-wide pool.
 
 **Ordering contract** (all implementations, pinned by property tests):
 items are returned by descending score; equal scores break ties by
@@ -35,7 +33,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-__all__ = ["TopKResult", "TopKAccumulator", "blocked_topk", "full_sort_topk"]
+__all__ = ["TopKResult", "TopKAccumulator", "full_sort_topk"]
 
 
 class TopKResult(NamedTuple):
@@ -196,35 +194,6 @@ class TopKAccumulator:
         return _order_pool(self._pool_scores, self._pool_ids)
 
 
-def blocked_topk(
-    scores: np.ndarray,
-    k: int,
-    block_size: int = 8192,
-    exclude: Optional[Sequence[np.ndarray]] = None,
-    exclude_padding: bool = True,
-) -> TopKResult:
-    """Top-k of each row of ``(B, V)`` ``scores`` without a full sort.
-
-    Walks the columns in blocks of ``block_size`` through a
-    :class:`TopKAccumulator`; see the module docstring for the ordering
-    and masking contracts.  ``scores`` is never written to.
-    """
-    scores = np.asarray(scores)
-    if scores.ndim != 2:
-        raise ValueError(f"expected (B, V) scores, got shape {scores.shape}")
-    if block_size < 1:
-        raise ValueError(f"block_size must be >= 1, got {block_size}")
-    acc = TopKAccumulator(scores.shape[0], k)
-    for start in range(0, scores.shape[1], block_size):
-        acc.update(
-            start,
-            scores[:, start : start + block_size],
-            exclude=exclude,
-            exclude_padding=exclude_padding,
-        )
-    return acc.result()
-
-
 def full_sort_topk(
     scores: np.ndarray,
     k: int,
@@ -233,9 +202,9 @@ def full_sort_topk(
 ) -> TopKResult:
     """Reference top-k: one stable full argsort per row.
 
-    Same contract as :func:`blocked_topk` (the property tests pin the
-    two equal); ``O(B * V log V)``, so production paths should prefer
-    the blocked version.  Rows are masked and sorted one at a time, so
+    Same contract as :class:`TopKAccumulator` (the property tests pin
+    the two equal); ``O(B * V log V)``, so production paths should
+    prefer the accumulator.  Rows are masked and sorted one at a time, so
     the scratch is one ``(V,)`` row and its index, never a ``(B, V)``
     masked copy plus a ``(B, V)`` int64 argsort.  ``scores`` is never
     written to.

@@ -3,8 +3,8 @@
 The package mirrors the ``torch.nn`` layout at miniature scale:
 :class:`Module`/:class:`Parameter` provide attribute-based parameter
 registration (:mod:`repro.nn.module`), the concrete layers live in one
-file each, and :mod:`repro.nn.init` owns weight initialization plus the
-process-wide parameter-dtype knob (float64 default, float32 fast path).
+file each, and :mod:`repro.nn.init` owns weight initialization and the
+parameter dtype (float64 unless a model names float32, the fast path).
 :mod:`repro.nn.workspace` is the shared per-step compute workspace that
 the hot paths (fused Q/K/V attention, the spectral mixer's FFT scratch,
 dropout mask draws) allocate through; ``pydoc repro.nn.<module>`` on

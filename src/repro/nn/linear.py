@@ -36,7 +36,7 @@ class Linear(Module):
     rng:
         Generator used for Xavier-uniform weight init.
     dtype:
-        Parameter dtype; ``None`` uses :func:`repro.nn.init.get_default_dtype`.
+        Parameter dtype; ``None`` means float64.
     """
 
     def __init__(

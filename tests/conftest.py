@@ -1,21 +1,11 @@
-"""Shared fixtures: float64 default dtype for tight gradient tolerances."""
+"""Shared fixtures."""
 
 import numpy as np
 import pytest
 
-from repro.autograd.tensor import set_default_dtype
-
 # The lint fixture corpus contains deliberate rule violations (and fake
 # test files for the trip-point rule); it is analyzer input, not tests.
 collect_ignore = ["lint_fixtures"]
-
-
-@pytest.fixture(autouse=True)
-def _float64_default():
-    """Run every test in float64 so gradchecks are numerically tight."""
-    set_default_dtype(np.float64)
-    yield
-    set_default_dtype(np.float32)
 
 
 @pytest.fixture

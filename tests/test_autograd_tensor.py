@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from repro.autograd import functional as F
-from repro.autograd.tensor import Tensor, no_grad, is_grad_enabled, set_default_dtype, unbroadcast
+from repro.autograd.tensor import Tensor, no_grad, is_grad_enabled, unbroadcast
 
 
 class TestTensorBasics:
-    def test_scalar_creation_uses_default_dtype(self):
-        assert Tensor(1.5).dtype == np.float64
+    def test_python_float_is_what_asarray_makes(self):
+        assert Tensor(1.5).dtype == np.asarray(1.5).dtype == np.float64
+        assert Tensor(np.float32(1.5)).dtype == np.float32
 
     def test_integer_data_stays_integer(self):
         t = Tensor([1, 2, 3])
@@ -135,12 +136,6 @@ class TestUnbroadcast:
         out = unbroadcast(g, (1, 5))
         assert out.shape == (1, 5)
         assert np.all(out == 14.0)
-
-
-class TestDtypeControl:
-    def test_set_default_dtype_rejects_non_float(self):
-        with pytest.raises(ValueError):
-            set_default_dtype(np.int32)
 
 
 class TestItem:

@@ -12,11 +12,10 @@ Three layers of guarantees:
    and a full SLIME4Rec train+eval run in float32 matches the float64
    run's HR/NDCG within 1e-3 on the synthetic dataset.
 
-The repo-wide conftest pins the *scalar-constant* default dtype to
-float64 so gradchecks are tight; these tests pin it back to float32 —
-the production configuration — because python-literal constants adopt
-that dtype and a float64 constant would silently widen a float32
-model's activations (see docs/ARCHITECTURE.md, "Dtype contract").
+No process-wide dtype exists to pin: a python scalar in a binary op
+takes the tensor operand's dtype (NumPy's NEP 50 weak-scalar rule), so
+a float32 model multiplies by ``float32(0.1)`` and a float64 model by
+the float64 constant (see docs/ARCHITECTURE.md, "Dtype contract").
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ import scipy.fft
 
 from repro.autograd import functional as F
 from repro.autograd.spectral import spectral_filter
-from repro.autograd.tensor import Tensor, set_default_dtype
+from repro.autograd.tensor import Tensor
 from repro.baselines import BASELINE_NAMES, build_baseline
 from repro.baselines.transformer import TransformerBlock
 from repro.core.config import SlimeConfig
@@ -52,14 +51,6 @@ from repro.optim import Adam, clip_grad_norm
 from repro.train.trainer import TrainConfig, Trainer
 
 DTYPES = [np.float32, np.float64]
-
-
-@pytest.fixture(autouse=True)
-def _production_scalar_default():
-    """Pin the scalar-constant dtype to float32, as in production."""
-    set_default_dtype(np.float32)
-    yield
-    set_default_dtype(np.float32)
 
 
 @pytest.fixture
@@ -123,6 +114,34 @@ def test_functional_op_preserves_dtype(op, dtype, rng):
     # Positive inputs keep log/sqrt/pow well-defined.
     x = Tensor(rng.uniform(0.1, 1.0, size=(3, 4)).astype(dtype), requires_grad=True)
     _assert_graph_dtype(OP_CASES[op](x), [x], dtype)
+
+
+PAIR_OPS = {"add": (F.add, np.add), "sub": (F.sub, np.subtract),
+            "mul": (F.mul, np.multiply), "div": (F.div, np.divide)}
+
+
+@pytest.mark.parametrize("scalar_first", [False, True], ids=["tensor-scalar", "scalar-tensor"])
+@pytest.mark.parametrize("scalar", [3, 0.1], ids=["int", "float"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int64])
+@pytest.mark.parametrize("op", sorted(PAIR_OPS))
+def test_python_scalar_takes_the_tensor_dtype(op, dtype, scalar, scalar_first, rng):
+    """NEP 50: a python ``int``/``float`` operand is the constant
+    ``np.asarray(s, np.result_type(t.dtype, s))`` — the tensor's dtype
+    for float tensors — forward, backward and bit for bit."""
+    f_op, np_op = PAIR_OPS[op]
+    floating = np.dtype(dtype).kind == "f"
+    data = rng.uniform(1.0, 4.0, size=(3, 4)) if floating else rng.integers(1, 5, size=(3, 4))
+    t = Tensor(data.astype(dtype), requires_grad=floating)
+    const = np.asarray(scalar, np.result_type(t.dtype, scalar))
+    args, want_args = ((scalar, t), (const, t.data)) if scalar_first else ((t, scalar), (t.data, const))
+    out = f_op(*args)
+    want = np_op(*want_args)
+    assert out.dtype == want.dtype
+    assert np.array_equal(out.data, want)
+    if floating:
+        assert out.dtype == dtype
+        F.sum(out).backward()
+        assert t.grad.dtype == dtype
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
@@ -281,17 +300,9 @@ def test_dropout_follows_input_dtype(rng):
 # ----------------------------------------------------------------------
 
 def test_default_dtype_is_float64():
-    assert init.get_default_dtype() == np.float64
+    assert init.resolve_dtype(None) == np.float64
     model = Linear(4, 2)
     assert model.weight.dtype == np.float64
-
-
-def test_default_dtype_context_manager(rng):
-    with init.default_dtype("float32"):
-        inside = Linear(4, 2, rng=rng)
-    outside = Linear(4, 2, rng=rng)
-    assert inside.weight.dtype == np.float32
-    assert outside.weight.dtype == np.float64
 
 
 def test_resolve_dtype_rejects_non_float():
@@ -408,13 +419,33 @@ CONTRASTIVE_MODELS = ["SLIME4Rec", "DuoRec", "CL4SRec", "CoSeRec", "ContrastVAE"
 @pytest.mark.parametrize("dtype", DTYPES)
 @pytest.mark.parametrize("name", CONTRASTIVE_MODELS)
 def test_contrastive_loss_keeps_model_dtype(name, dtype, tiny_dataset):
-    """``rec + cl_weight * cl`` multiplies a 0-d loss by a float32
-    literal; the numpy scalar that product returns must keep the model
-    dtype, not be cast to the literal default."""
+    """``rec + cl_weight * cl`` multiplies a 0-d loss by a python
+    float; the product must keep the model dtype."""
     model = build_baseline(name, tiny_dataset, hidden_dim=16, seed=0, dtype=dtype)
     iterator = BatchIterator(tiny_dataset, batch_size=16, with_same_target=True, seed=0)
     loss = model.loss(next(iter(iterator.epoch())))
     assert loss.dtype == model.dtype == dtype
+
+
+@pytest.mark.parametrize("name", ["SLIME4Rec", "DuoRec", "ContrastVAE"])
+def test_float64_loss_takes_float64_constants(name, tiny_dataset, monkeypatch):
+    """A float64 model's loss equals, bit for bit, the same loss with
+    every python constant (λ, 1/τ, the KL weight) pre-cast to float64."""
+    batch = next(iter(BatchIterator(tiny_dataset, batch_size=16, with_same_target=True, seed=0).epoch()))
+
+    def loss():
+        return build_baseline(name, tiny_dataset, hidden_dim=16, seed=0, dtype="float64").loss(batch)
+
+    weak = loss()
+    operands = F._operands
+    monkeypatch.setattr(
+        F, "_operands",
+        lambda a, b: operands(*(np.asarray(v, np.float64) if type(v) in (int, float) else v
+                                for v in (a, b))),
+    )
+    precast = loss()
+    assert weak.dtype == precast.dtype == np.float64
+    assert np.array_equal(weak.data, precast.data)
 
 
 # ----------------------------------------------------------------------

@@ -22,7 +22,7 @@ from repro.autograd.graph import (
     capture,
     is_capturing,
 )
-from repro.autograd.tensor import Tensor, set_default_dtype
+from repro.autograd.tensor import Tensor
 from repro.baselines import build_baseline
 from repro.baselines.duorec import DuoRec
 from repro.baselines.fmlprec import FMLPRec
@@ -144,17 +144,6 @@ class TestReplayBitwiseMatrix:
         static = run_trajectory(
             build_model(name, dtype), static=True, with_positive=with_positive
         )
-        assert_trajectories_bitwise(dynamic, static)
-
-    @pytest.mark.parametrize("dtype", ["float64", "float32"])
-    @pytest.mark.parametrize("name", ["SLIME4Rec", "DuoRec"])
-    def test_contrastive_bitwise_with_float32_literals(self, name, dtype):
-        """Python-literal constants in float32, the production default:
-        ``F.mul(cl, weight)`` is then a mixed-dtype product, and the
-        loss must keep the model dtype on both engines."""
-        set_default_dtype(np.float32)
-        dynamic = run_trajectory(build_model(name, dtype), static=False)
-        static = run_trajectory(build_model(name, dtype), static=True)
         assert_trajectories_bitwise(dynamic, static)
 
     @pytest.mark.parametrize("dtype", ["float64", "float32"])

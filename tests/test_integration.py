@@ -95,19 +95,18 @@ class TestEndToEnd:
             assert s_layer.sfs_mask is None and f_layer.sfs_mask is None
 
     def test_float32_training_stable(self, dataset):
-        """Default dtype (float32) must train without NaNs."""
-        from repro.autograd.tensor import set_default_dtype
-
-        set_default_dtype(np.float32)
-        try:
-            model = Slime4Rec(
-                SlimeConfig(num_items=dataset.num_items, max_len=16, hidden_dim=32, seed=0)
+        """A float32 model trains in float32 without NaNs."""
+        model = Slime4Rec(
+            SlimeConfig(
+                num_items=dataset.num_items, max_len=16, hidden_dim=32, seed=0, dtype="float32"
             )
-            trainer = Trainer(model, dataset, TrainConfig(epochs=2, batch_size=128, patience=0))
-            history = trainer.fit()
-            assert np.all(np.isfinite(history.losses))
-        finally:
-            set_default_dtype(np.float64)
+        )
+        trainer = Trainer(model, dataset, TrainConfig(epochs=2, batch_size=128, patience=0))
+        history = trainer.fit()
+        assert np.all(np.isfinite(history.losses))
+        assert all(p.dtype == np.float32 for p in model.parameters())
+        batch = next(iter(trainer.iterator.epoch()))
+        assert model.loss(batch).dtype == np.float32
 
     def test_all_slide_modes_trainable(self, dataset):
         for mode in (1, 2, 3, 4):

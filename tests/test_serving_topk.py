@@ -1,10 +1,11 @@
-"""Property tests for the shared blocked top-k (`repro.evaluation.topk`).
+"""Property tests for the streaming top-k (`repro.evaluation.topk`).
 
 The ranking contract all serving/evaluation paths share: descending
 score, ties broken by ascending item id, excluded ids never surface,
 short rows pad with id -1 / score -inf.  `full_sort_topk` (one stable
-full argsort) is the executable specification; `blocked_topk` and the
-streaming `TopKAccumulator` are pinned equal to it — including
+full argsort) is the executable specification; the streaming
+`TopKAccumulator`, walked over whole matrices by the test oracle
+`topk_reference.blocked_topk`, is pinned equal to it — including
 deliberately tie-heavy matrices where `argpartition`'s arbitrary
 boundary resolution would otherwise diverge — across dtypes, k edges
 (`k = 1`, `k = V`, `k > V`) and block sizes that do and do not divide
@@ -14,11 +15,8 @@ the catalog.
 import numpy as np
 import pytest
 
-from repro.evaluation.topk import (
-    TopKAccumulator,
-    blocked_topk,
-    full_sort_topk,
-)
+from repro.evaluation.topk import TopKAccumulator, full_sort_topk
+from topk_reference import blocked_topk
 
 
 def reference_order(scores, k, exclude=None, exclude_padding=True):
